@@ -54,10 +54,6 @@ class TracerFault(SlensError):
     """The tracing facility returned an unexpected state; the run is unusable."""
 
 
-class UnreadablePath(SlensError):
-    """A path argument could not be read from tracee memory."""
-
-
 # ---------------------------------------------------------------------------
 # Domain types
 
@@ -205,9 +201,6 @@ class Whitelist:
                 raise ValueError(f"whitelist path must be absolute: {p!r}")
             canon.add(os.path.realpath(p))
         return Whitelist(frozenset(canon))
-
-    def __bool__(self) -> bool:
-        return bool(self.binary_paths)
 
 
 def resolve_exec(image_path: str | None, whitelist: Whitelist, first_exec: bool) -> bool:

@@ -5,24 +5,37 @@ stub, or fake next, and which application each step unlocks), per-syscall
 API-importance statistics, and effort-versus-apps curves comparing planning
 strategies.
 
-Planning is a greedy cheapest-app-next loop over weighted delta costs
-(implementing a syscall is expensive; declaring a stub or fake is a
-one-line change).  Features tolerating both stub and fake are satisfied by
-stubbing.  A syscall is emitted at most once across a whole plan: when a
-stub or fake would conflict with another pending target app's needs for the
-same syscall, the planner implements it instead.
+Each app is reduced once to a needs map: per observed syscall, the
+non-implement modes (stub, fake) that satisfy every feature of the app on
+that syscall.  An app is supported iff each of its syscalls is implemented
+or is declared in a mode its map accepts.
+
+The plan and the compared strategies are one fold over these maps.  While
+some app is pending, the fold intersects the pending apps' maps into
+per-syscall mode constraints, lets a chooser pick an app and its delta, adds
+the delta to the OS state, and credits the chosen app, then every other
+pending app that is now supported.  A delta stubs an unsatisfied syscall
+when every pending app accepts a stub, else fakes it when every pending app
+accepts a fake, else implements it: a syscall is emitted at most once across
+a plan, so a stub or fake must suit every app still to come.  A syscall the
+state already declares in a mode the app cannot take is promoted: the delta
+implements it.
+
+The plan chooses the app with the cheapest weighted delta (implementing a
+syscall is expensive; declaring a stub or fake is a one-line change).  The
+external strategy takes apps in a given order.  The naive strategy is the
+plan over maps that accept no mode, from the implemented syscalls alone, so
+every traced syscall costs an implementation.
 """
 
 from __future__ import annotations
 
 import io
-import json
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import SlensError
 from . import syscalls
-from .interposer import FeatureId
 from .orchestrator import (
     AppProfile,
     CLASS_ANY,
@@ -132,18 +145,40 @@ class ImportanceReport:
 
 
 # ---------------------------------------------------------------------------
-# Support predicate
+# Needs maps and the support predicate
+
+# Non-implement modes that satisfy a feature of each class.
+_MODES = {
+    CLASS_REQUIRED: frozenset(),
+    CLASS_STUB_ONLY: frozenset({"stub"}),
+    CLASS_FAKE_ONLY: frozenset({"fake"}),
+    CLASS_ANY: frozenset({"stub", "fake"}),
+}
+
+Needs = dict[int, frozenset[str]]
+Delta = tuple[frozenset[int], frozenset[int], frozenset[int]]
 
 
-def _feature_satisfied(feature: FeatureId, cls: str, state: OsSupportSet) -> bool:
-    nr = feature.syscall_nr
-    if nr in state.implemented:
-        return True
-    if cls in (CLASS_STUB_ONLY, CLASS_ANY) and nr in state.declared_stubs:
-        return True
-    if cls in (CLASS_FAKE_ONLY, CLASS_ANY) and nr in state.declared_fakes:
-        return True
-    return False
+def _needs(profile: AppProfile) -> Needs:
+    """Per observed syscall, the non-implement modes all its features accept."""
+    needs: Needs = {}
+    for feature in profile.observed:
+        modes = _MODES[profile.classes[feature]]
+        nr = feature.syscall_nr
+        # Store the shared _MODES sets where possible: a map per app is kept
+        # for a whole plan.
+        needs[nr] = needs[nr] & modes if nr in needs else modes
+    return needs
+
+
+def _satisfied(nr: int, modes: frozenset[str], state: OsSupportSet) -> bool:
+    return (nr in state.implemented
+            or nr in state.declared_stubs and "stub" in modes
+            or nr in state.declared_fakes and "fake" in modes)
+
+
+def _supported(needs: Needs, state: OsSupportSet) -> bool:
+    return all(_satisfied(nr, modes, state) for nr, modes in needs.items())
 
 
 def app_supported(profile: AppProfile, os_state: OsSupportSet) -> bool:
@@ -151,68 +186,101 @@ def app_supported(profile: AppProfile, os_state: OsSupportSet) -> bool:
     if not profile.confirmed:
         raise UnconfirmedProfile(
             f"profile for {profile.app} is unconfirmed; re-measure before planning")
-    return all(
-        _feature_satisfied(f, profile.classes[f], os_state) for f in profile.observed
-    )
+    return _supported(_needs(profile), os_state)
+
+
+# ---------------------------------------------------------------------------
+# The fold
+
+
+def _delta(needs: Needs, state: OsSupportSet,
+           constraints: Mapping[int, frozenset[str]]) -> Delta:
+    """Syscall sets to add so this app becomes supported, honoring constraints."""
+    implement: set[int] = set()
+    stub: set[int] = set()
+    fake: set[int] = set()
+    for nr, modes in needs.items():
+        if _satisfied(nr, modes, state):
+            continue
+        allowed = constraints[nr]
+        # A syscall declared in a mode this app cannot take is promoted.
+        if not allowed or nr in state.declared_stubs or nr in state.declared_fakes:
+            implement.add(nr)
+        elif "stub" in allowed:
+            stub.add(nr)
+        else:
+            fake.add(nr)
+    return frozenset(implement), frozenset(stub), frozenset(fake)
+
+
+Chooser = Callable[[Mapping[str, Needs], OsSupportSet, Mapping[int, frozenset[str]]],
+                   tuple[str, Delta]]
+
+
+def _fold(state: OsSupportSet, needs: Mapping[str, Needs],
+          choose: Chooser) -> SupportPlan:
+    """Fold apps into ``state`` one chosen app at a time, until none is pending.
+
+    ``choose(pending, state, constraints)`` returns the next app and its
+    delta.  Each step unlocks the chosen app first, then by name every other
+    pending app the step supported incidentally.  The steps carry no notes.
+    """
+    initial = tuple(sorted(n for n, m in needs.items() if _supported(m, state)))
+    pending = {n: m for n, m in needs.items() if n not in initial}
+    steps: list[PlanStep] = []
+    while pending:
+        constraints: dict[int, frozenset[str]] = {}
+        for app_needs in pending.values():
+            for nr, modes in app_needs.items():
+                constraints[nr] = constraints[nr] & modes if nr in constraints else modes
+        chosen, (implement, stub, fake) = choose(pending, state, constraints)
+        state = state.with_additions(implement, stub, fake)
+        del pending[chosen]
+        unlocks = [chosen] + [name for name in sorted(pending)
+                              if _supported(pending[name], state)]
+        for name in unlocks[1:]:
+            del pending[name]
+        steps.append(PlanStep(index=len(steps) + 1, implement=implement, stub=stub,
+                              fake=fake, unlocks=tuple(unlocks)))
+    return SupportPlan(initial_supported=initial, steps=tuple(steps), unreachable=())
+
+
+def _cheapest(weights: PlanWeights) -> Chooser:
+    """Choose the lowest weighted delta cost; ties: fewer implements, then name."""
+
+    def choose(pending, state, constraints):
+        def ranked(name):
+            delta = implement, stub, fake = _delta(pending[name], state, constraints)
+            cost = (weights.implement * len(implement)
+                    + weights.stub * len(stub) + weights.fake * len(fake))
+            return (cost, len(implement), name), delta
+
+        # min() over a lazy map keeps only the best delta alive.
+        (_, _, name), delta = min(map(ranked, pending))
+        return name, delta
+
+    return choose
+
+
+def _in_order(order: Sequence[str]) -> Chooser:
+    """Choose the next pending app in ``order``."""
+    names = iter(order)
+
+    def choose(pending, state, constraints):
+        name = next(n for n in names if n in pending)
+        return name, _delta(pending[name], state, constraints)
+
+    return choose
 
 
 # ---------------------------------------------------------------------------
 # Greedy incremental plan
 
 
-def _mode_constraints(profiles: Sequence[AppProfile]) -> dict[int, set[str]]:
-    """Per syscall, the non-implement modes acceptable to every given app.
-
-    An app accepts a mode for a syscall when that mode satisfies all of the
-    app's features of that syscall ("implement" always does, so it is not
-    tracked).  The planner may emit a stub or fake for a syscall only when
-    every pending app that observes it accepts that mode.
-    """
-    constraints: dict[int, set[str]] = {}
-    for profile in profiles:
-        per_app: dict[int, set[str]] = {}
-        for feature in profile.observed:
-            cls = profile.classes[feature]
-            if cls == CLASS_REQUIRED:
-                modes: set[str] = set()
-            elif cls == CLASS_STUB_ONLY:
-                modes = {"stub"}
-            elif cls == CLASS_FAKE_ONLY:
-                modes = {"fake"}
-            else:
-                modes = {"stub", "fake"}
-            nr = feature.syscall_nr
-            per_app[nr] = per_app.get(nr, {"stub", "fake"}) & modes
-        for nr, modes in per_app.items():
-            constraints[nr] = constraints.get(nr, {"stub", "fake"}) & modes
-    return constraints
-
-
-def _app_delta(profile: AppProfile, state: OsSupportSet,
-               constraints: Mapping[int, set[str]]
-               ) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
-    """Syscall sets to add so this app becomes supported, honoring constraints."""
-    implement: set[int] = set()
-    stub: set[int] = set()
-    fake: set[int] = set()
-    for feature in profile.observed:
-        cls = profile.classes[feature]
-        if _feature_satisfied(feature, cls, state):
-            continue
-        nr = feature.syscall_nr
-        allowed = constraints.get(nr, set())
-        if cls == CLASS_REQUIRED or not allowed:
-            implement.add(nr)
-        elif "stub" in allowed and cls in (CLASS_STUB_ONLY, CLASS_ANY):
-            stub.add(nr)
-        elif "fake" in allowed and cls in (CLASS_FAKE_ONLY, CLASS_ANY):
-            fake.add(nr)
-        else:
-            implement.add(nr)
-    # A syscall needed as an implementation by one feature covers the rest.
-    stub -= implement
-    fake -= implement
-    return frozenset(implement), frozenset(stub), frozenset(fake)
+def _by_name(profiles: Mapping[str, AppProfile] | Iterable[AppProfile]
+             ) -> dict[str, AppProfile]:
+    return (dict(profiles) if isinstance(profiles, Mapping)
+            else {p.app: p for p in profiles})
 
 
 def _subfeature_notes(profiles: Sequence[AppProfile], implement: Iterable[int]) -> tuple[str, ...]:
@@ -249,8 +317,7 @@ def generate_plan(os_support: OsSupportSet,
     step.  Apps whose required syscalls intersect ``wont_implement`` are
     reported as unreachable instead of planned.
     """
-    by_name = (dict(profiles) if isinstance(profiles, Mapping)
-               else {p.app: p for p in profiles})
+    by_name = _by_name(profiles)
     missing = [t for t in targets if t not in by_name]
     if missing:
         raise PlannerError(f"no profile for target apps: {', '.join(missing)}")
@@ -264,44 +331,13 @@ def generate_plan(os_support: OsSupportSet,
         name for name, p in target_profiles.items()
         if p.required_syscalls() & wont_implement
     ))
-    state = os_support
-    initial = tuple(sorted(
-        name for name, p in target_profiles.items()
-        if name not in unreachable and app_supported(p, state)
-    ))
-    pending = {name: p for name, p in target_profiles.items()
-               if name not in unreachable and name not in initial}
-
-    steps: list[PlanStep] = []
-    while pending:
-        constraints = _mode_constraints(list(pending.values()))
-        best: tuple | None = None
-        for name in sorted(pending):
-            implement, stub, fake = _app_delta(pending[name], state, constraints)
-            cost = (weights.implement * len(implement)
-                    + weights.stub * len(stub) + weights.fake * len(fake))
-            rank = (cost, len(implement), name)
-            if best is None or rank < best[0]:
-                best = (rank, name, implement, stub, fake)
-        assert best is not None
-        _, chosen, implement, stub, fake = best
-        state = state.with_additions(implement, stub, fake)
-        unlocked = [chosen]
-        del pending[chosen]
-        for name in sorted(pending):
-            if app_supported(pending[name], state):
-                unlocked.append(name)
-                del pending[name]
-        steps.append(PlanStep(
-            index=len(steps) + 1,
-            implement=implement,
-            stub=stub,
-            fake=fake,
-            unlocks=tuple(unlocked),
-            notes=_subfeature_notes(list(target_profiles.values()), implement),
-        ))
-
-    return SupportPlan(initial_supported=initial, steps=tuple(steps),
+    needs = {name: _needs(p) for name, p in target_profiles.items()
+             if name not in unreachable}
+    plan = _fold(os_support, needs, _cheapest(weights))
+    all_targets = list(target_profiles.values())
+    steps = tuple(replace(step, notes=_subfeature_notes(all_targets, step.implement))
+                  for step in plan.steps)
+    return SupportPlan(initial_supported=plan.initial_supported, steps=steps,
                        unreachable=unreachable)
 
 
@@ -309,21 +345,24 @@ def replay_plan(plan: SupportPlan, os_support: OsSupportSet,
                 profiles: Mapping[str, AppProfile]) -> None:
     """Validity check: after steps 1..k, everything unlocked so far is supported.
 
-    Raises PlannerError when the plan does not hold or repeats a syscall.
+    Raises PlannerError when the plan does not hold or repeats a syscall.  A
+    syscall already in ``os_support`` counts as emitted, except that a plan
+    may implement a declared stub or fake once.
     """
     state = os_support
-    seen: set[int] = set(os_support.implemented | os_support.declared_stubs
-                         | os_support.declared_fakes)
+    promotable = os_support.declared_stubs | os_support.declared_fakes
+    seen: set[int] = set(os_support.implemented | promotable)
     supported_so_far = list(plan.initial_supported)
     for name in supported_so_far:
         if not app_supported(profiles[name], state):
             raise PlannerError(f"{name} is not supported at step 0")
     for step in plan.steps:
         emitted = step.implement | step.stub | step.fake
-        repeats = emitted & seen
+        repeats = (emitted & seen) - (step.implement & promotable)
         if repeats:
             raise PlannerError(f"step {step.index} repeats syscalls {sorted(repeats)}")
         seen |= emitted
+        promotable -= emitted
         state = state.with_additions(step.implement, step.stub, step.fake)
         supported_so_far.extend(step.unlocks)
         for name in supported_so_far:
@@ -361,15 +400,12 @@ def api_importance(profiles: Iterable[AppProfile]) -> ImportanceReport:
 # Strategy comparison
 
 
-def _curve_from_unlock_order(order: Sequence[tuple[frozenset[int], int]],
-                             initial_apps: int) -> list[tuple[int, int]]:
-    points = [(0, initial_apps)]
-    x = 0
-    y = initial_apps
-    for implemented, unlocked in order:
-        x += len(implemented)
-        y += unlocked
-        points.append((x, y))
+def _curve(plan: SupportPlan) -> list[tuple[int, int]]:
+    """Cumulative implemented syscalls against apps supported, per step."""
+    points = [(0, len(plan.initial_supported))]
+    for step in plan.steps:
+        x, y = points[-1]
+        points.append((x + len(step.implement), y + len(step.unlocks)))
     return points
 
 
@@ -383,71 +419,29 @@ def compare_strategies(profiles: Mapping[str, AppProfile] | Iterable[AppProfile]
 
     Strategies: ``plan`` follows generate_plan, charging only its implement
     sets on the x-axis (stubs and fakes are free effort-wise); ``naive``
-    charges every traced syscall of each app as an implementation;
-    ``external`` (when an app ordering is given) applies plan-style deltas in
-    the supplied order.  All curves are monotone in both coordinates.
+    charges every traced syscall of each app as an implementation, taking
+    the cheapest app next; ``external`` (when an app ordering is given)
+    applies plan-style deltas in the supplied order.  All curves are
+    monotone in both coordinates.
     """
-    by_name = (dict(profiles) if isinstance(profiles, Mapping)
-               else {p.app: p for p in profiles})
+    by_name = _by_name(profiles)
     if targets is None:
         targets = sorted(by_name)
     if not targets:
         return {}
 
-    curves: dict[str, list[tuple[int, int]]] = {}
-
-    plan = generate_plan(os_support, by_name, targets, weights)
-    order = [(step.implement, len(step.unlocks)) for step in plan.steps]
-    curves["plan"] = _curve_from_unlock_order(order, len(plan.initial_supported))
-
-    # Naive: no stubbing or faking; every traced syscall costs an
-    # implementation.  Cheapest-next app order for a fair comparison.
-    implemented = set(os_support.implemented)
-    naive_pending = {
-        name: frozenset(by_name[name].traced_syscalls()) for name in targets
-    }
-    naive_initial = [n for n, t in naive_pending.items() if t <= implemented]
-    for name in naive_initial:
-        del naive_pending[name]
-    naive_order: list[tuple[frozenset[int], int]] = []
-    while naive_pending:
-        name = min(naive_pending,
-                   key=lambda n: (len(naive_pending[n] - implemented), n))
-        new = frozenset(naive_pending[name] - implemented)
-        implemented |= new
-        del naive_pending[name]
-        unlocked = 1
-        for other in sorted(naive_pending):
-            if naive_pending[other] <= implemented:
-                unlocked += 1
-                del naive_pending[other]
-        naive_order.append((new, unlocked))
-    curves["naive"] = _curve_from_unlock_order(naive_order, len(naive_initial))
-
+    curves = {"plan": _curve(generate_plan(os_support, by_name, targets, weights))}
+    needs = {name: _needs(by_name[name]) for name in targets}
+    no_modes = {name: dict.fromkeys(app_needs, frozenset())
+                for name, app_needs in needs.items()}
+    curves["naive"] = _curve(_fold(OsSupportSet(implemented=os_support.implemented),
+                                   no_modes, _cheapest(PlanWeights())))
     if external_order is not None:
         missing = [t for t in targets if t not in external_order]
         if missing:
             raise IncompleteOrdering(
                 f"external ordering misses target apps: {', '.join(missing)}")
-        state = os_support
-        ext_order: list[tuple[frozenset[int], int]] = []
-        supported = {n for n in targets if app_supported(by_name[n], state)}
-        remaining = [n for n in external_order if n in targets and n not in supported]
-        all_profiles = [by_name[n] for n in targets]
-        constraints = _mode_constraints(all_profiles)
-        for name in remaining:
-            if app_supported(by_name[name], state):
-                continue
-            implement, stub, fk = _app_delta(by_name[name], state, constraints)
-            state = state.with_additions(implement, stub, fk)
-            newly = [n for n in targets
-                     if n not in supported and app_supported(by_name[n], state)]
-            supported.update(newly)
-            ext_order.append((implement, len(newly)))
-        curves["external"] = _curve_from_unlock_order(
-            ext_order, len([n for n in targets
-                            if app_supported(by_name[n], os_support)]))
-
+        curves["external"] = _curve(_fold(os_support, needs, _in_order(external_order)))
     return curves
 
 

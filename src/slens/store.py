@@ -90,10 +90,13 @@ class OsSupportSet:
 
     def with_additions(self, implement: Iterable[int] = (), stub: Iterable[int] = (),
                        fake: Iterable[int] = ()) -> "OsSupportSet":
+        """This state plus the given syscalls; implementing a declared
+        syscall removes it from its declared set."""
+        implemented = self.implemented | frozenset(implement)
         return OsSupportSet(
-            implemented=self.implemented | frozenset(implement),
-            declared_stubs=self.declared_stubs | frozenset(stub),
-            declared_fakes=self.declared_fakes | frozenset(fake),
+            implemented=implemented,
+            declared_stubs=(self.declared_stubs - implemented) | frozenset(stub),
+            declared_fakes=(self.declared_fakes - implemented) | frozenset(fake),
             os_name=self.os_name,
             revision=self.revision,
         )

@@ -8,11 +8,13 @@ for validity and no-repeats always, and for its implement total against
 that bound with a reported gap.
 """
 
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slens.cli import main
 from slens.interposer import FeatureId
 from slens.orchestrator import AppProfile
 from slens.planner import (
@@ -20,6 +22,7 @@ from slens.planner import (
     ImportanceRow,
     IncompleteOrdering,
     PlannerError,
+    PlanStep,
     PlanWeights,
     SupportPlan,
     UnconfirmedProfile,
@@ -29,16 +32,20 @@ from slens.planner import (
     generate_plan,
     replay_plan,
 )
-from slens.store import OsSupportSet
+from slens.store import DbEntry, OsSupportSet, save_profile
 
 EMPTY_OS = OsSupportSet(os_name="empty")
 
 
-def profile_of(app: str, classes: dict[int, str], confirmed=True) -> AppProfile:
-    observed = tuple(sorted((FeatureId(nr) for nr in classes), key=FeatureId.sort_key))
+def profile_of(app: str, classes: dict, confirmed=True) -> AppProfile:
+    """``classes`` maps a syscall number, or a (syscall, sub-feature) pair,
+    to its class."""
+    features = {FeatureId(*k) if isinstance(k, tuple) else FeatureId(k): c
+                for k, c in classes.items()}
+    observed = tuple(sorted(features, key=FeatureId.sort_key))
     return AppProfile(
         app=app, workload_hash="f" * 16, observed=observed,
-        classes={FeatureId(nr): c for nr, c in classes.items()},
+        classes=features,
         regressions={}, confirmed=confirmed,
         metadata={},
     )
@@ -75,6 +82,36 @@ def oracle_min_total_implements(profiles: dict[str, AppProfile],
             accepted = _ORACLE_MODES[profile.classes[f]]
             modes[nr] = modes.get(nr, accepted) & accepted
     return sum(1 for accepted in modes.values() if not accepted)
+
+
+def oracle_delta_cost(profile: AppProfile, pending: dict[str, AppProfile],
+                      state: OsSupportSet, weights: PlanWeights) -> float:
+    """Weighted cost of supporting ``profile`` next from ``state``.
+
+    Each syscall of the app that ``state`` does not satisfy is stubbed when
+    every pending app accepts a stub for it, else faked when every pending
+    app accepts a fake, else implemented.
+    """
+    allowed: dict[int, frozenset[str]] = {}
+    for p in pending.values():
+        for f in p.observed:
+            accepted = _ORACLE_MODES[p.classes[f]]
+            allowed[f.syscall_nr] = allowed.get(f.syscall_nr, accepted) & accepted
+    own: dict[int, frozenset[str]] = {}
+    for f in profile.observed:
+        accepted = _ORACLE_MODES[profile.classes[f]]
+        own[f.syscall_nr] = own.get(f.syscall_nr, accepted) & accepted
+    counts = {"implement": 0, "stub": 0, "fake": 0}
+    for nr, accepted in own.items():
+        if (nr in state.implemented
+                or nr in state.declared_stubs and "stub" in accepted
+                or nr in state.declared_fakes and "fake" in accepted):
+            continue
+        mode = ("stub" if "stub" in allowed[nr]
+                else "fake" if "fake" in allowed[nr] else "implement")
+        counts[mode] += 1
+    return (weights.implement * counts["implement"] + weights.stub * counts["stub"]
+            + weights.fake * counts["fake"])
 
 
 # ---------------------------------------------------------------------------
@@ -178,16 +215,15 @@ def test_incidental_unlock_credited_to_step():
         "small": profile_of("small", {1: "required"}),
     }
     plan = generate_plan(EMPTY_OS, profiles, ["big", "small"])
-    # small is chosen first (cheaper); big's step then stands alone...
+    # small is chosen first (cheaper); big's step then stands alone.
     assert plan.steps[0].unlocks == ("small",)
     assert plan.steps[1].unlocks == ("big",)
-    # ...but implementing big first would have carried small along:
-    forced = generate_plan(EMPTY_OS, profiles, ["big", "small"],
-                           weights=PlanWeights(implement=0.0))
-    # with zero implement weight the tie-break (fewer implements) still
-    # picks small first; force the incidental case directly instead:
-    state = EMPTY_OS.with_additions(implement={1, 2})
-    assert app_supported(profiles["small"], state)
+    # A and B tie; A is chosen by name, and its step supports B too.  A
+    # planner that dropped B there would emit an empty step for it, which
+    # PlanStep rejects.
+    tie = {"A": profile_of("A", {1: "required"}), "B": profile_of("B", {1: "required"})}
+    plan = generate_plan(EMPTY_OS, tie, ["A", "B"])
+    assert [(s.implement, s.unlocks) for s in plan.steps] == [(frozenset({1}), ("A", "B"))]
 
 
 def test_cross_app_mode_conflict_promotes_to_implement():
@@ -202,6 +238,53 @@ def test_cross_app_mode_conflict_promotes_to_implement():
     replay_plan(plan, EMPTY_OS, profiles)
     emitted_impl = frozenset().union(*(s.implement for s in plan.steps))
     assert 7 in emitted_impl
+
+
+@pytest.mark.parametrize("cls", ["required", "fake_only"])
+def test_declared_stub_the_app_cannot_take_is_implemented(cls, tmp_path, capsys):
+    """The OS declares a stub of syscall 39 that the app cannot take: the
+    plan promotes it to an implementation, and `slens plan` succeeds."""
+    profiles = {"A": profile_of("A", {39: cls})}
+    os_support = OsSupportSet(declared_stubs=frozenset({39}))
+    plan = generate_plan(os_support, profiles, ["A"])
+    assert [(s.implement, s.stub, s.fake, s.unlocks) for s in plan.steps] == [
+        (frozenset({39}), frozenset(), frozenset(), ("A",))]
+    replay_plan(plan, os_support, profiles)
+    assert compare_strategies(profiles, os_support, ["A"], external_order=["A"]) == {
+        "plan": [(0, 0), (1, 1)], "naive": [(0, 0), (1, 1)], "external": [(0, 0), (1, 1)]}
+
+    db = tmp_path / "db"
+    save_profile(str(db), DbEntry(profiles["A"], {"kernel": "k", "tool_version": "v"}))
+    csv = tmp_path / "os.csv"
+    csv.write_text("39,stubbed\n")
+    capsys.readouterr()
+    assert main(["plan", "--db", str(db), "--os-support", str(csv), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["steps"][0]["implement"] == [39]
+
+
+def _emits(*sets: tuple[set, set, set]) -> SupportPlan:
+    """A plan whose steps emit the given (implement, stub, fake) sets."""
+    steps = tuple(PlanStep(index=i, implement=frozenset(imp), stub=frozenset(stub),
+                           fake=frozenset(fake), unlocks=())
+                  for i, (imp, stub, fake) in enumerate(sets, start=1))
+    return SupportPlan(initial_supported=(), steps=steps, unreachable=())
+
+
+@pytest.mark.parametrize("plan", [
+    _emits((set(), {39}, set())),          # stub of a declared stub
+    _emits((set(), set(), {39})),          # fake of a declared stub
+    _emits((set(), {1}, set())),           # stub of an implemented syscall
+    _emits(({1}, set(), set())),           # implement of an implemented syscall
+    _emits(({39}, set(), set()), ({39}, set(), set())),  # a promotion twice
+    _emits((set(), {5}, set()), ({5}, set(), set())),    # the plan's own stub
+], ids=["restub", "fake-declared-stub", "stub-implemented", "reimplement",
+        "promote-twice", "implement-own-stub"])
+def test_replay_rejects_repeated_emission(plan):
+    """Only an implementation of a syscall the start state declares may
+    emit a syscall the state already has, and only once."""
+    start = OsSupportSet(implemented=frozenset({1}), declared_stubs=frozenset({39}))
+    with pytest.raises(PlannerError, match="repeats"):
+        replay_plan(plan, start, {})
 
 
 def test_no_repeats_and_validity_randomized():
@@ -246,16 +329,11 @@ def test_greedy_local_optimality():
         state = EMPTY_OS
         pending = dict(profiles)
         for step in plan.steps:
-            chosen = step.unlocks[0]
             chosen_cost = (weights.implement * len(step.implement)
                            + weights.stub * len(step.stub)
                            + weights.fake * len(step.fake))
-            from slens.planner import _app_delta, _mode_constraints
-            constraints = _mode_constraints(list(pending.values()))
-            for name, profile in pending.items():
-                imp, stub, fake = _app_delta(profile, state, constraints)
-                cost = (weights.implement * len(imp) + weights.stub * len(stub)
-                        + weights.fake * len(fake))
+            for profile in pending.values():
+                cost = oracle_delta_cost(profile, pending, state, weights)
                 assert cost >= chosen_cost - 1e-9
             state = state.with_additions(step.implement, step.stub, step.fake)
             for name in step.unlocks:
@@ -338,6 +416,29 @@ def test_external_ordering_curve():
     assert curves["external"][1:] == [(2, 1), (2 + 0, 2)]
     # The planned order reaches the first app sooner.
     assert curves["plan"][1] == (1, 1)
+
+
+def test_strategy_curves_golden():
+    """Pinned curves of all three strategies: syscall 1 is implemented
+    already, ioctl's syscall 16 has two sub-features, cp is carried along
+    with cat, and the external order differs from the plan's."""
+    profiles = {p.app: p for p in [
+        profile_of("cat", {1: "required", 2: "required", 7: "stub_only"}),
+        profile_of("cp", {1: "required", 2: "required", 7: "any"}),
+        profile_of("ioctl", {1: "any", (16, 0x5401): "required", (16, 0x5413): "any",
+                             3: "fake_only"}),
+        profile_of("srv", {2: "required", 4: "required", 5: "stub_only", 3: "any",
+                           6: "required"}),
+        profile_of("daemon", {4: "required", 8: "fake_only", 9: "any"}),
+    ]}
+    os_support = OsSupportSet(implemented=frozenset({1}))
+    curves = compare_strategies(profiles, os_support,
+                                external_order=["srv", "daemon", "ioctl", "cp", "cat"])
+    assert curves == {
+        "plan": [(0, 0), (1, 2), (2, 3), (3, 4), (4, 5)],
+        "naive": [(0, 0), (2, 2), (4, 3), (7, 4), (9, 5)],
+        "external": [(0, 0), (3, 1), (3, 2), (4, 3), (4, 5)],
+    }
 
 
 def test_external_ordering_must_cover_targets():
