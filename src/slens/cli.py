@@ -120,7 +120,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="measure an application workload")
     _add_analyze_flags(p)
     p.add_argument("--replicas", type=int, default=3)
-    p.add_argument("--parallel", type=int, default=1)
+    p.add_argument("--parallel", type=int, default=AnalysisConfig().parallelism,
+                   help="most workload runs in flight at once (default: %(default)s, "
+                        "the CPUs this process may use); runs are serialised when "
+                        "--port is a fixed port or --ready-delay is set, because "
+                        "concurrent runs could meet each other's server")
     p.add_argument("--perf-runs", type=int, default=10)
     p.add_argument("--subfeatures", action="store_true",
                    help="classify vectored syscalls per selector argument")

@@ -386,7 +386,10 @@ def _run_workload_in(spec: AppSpec, policy: Policy, limits: Limits,
         sampler.stop()
         trace = _teardown(session, limits)
 
-    if trace.timed_out and reason in (None, REASON_OK, REASON_SCRIPT_FAIL):
+    # A root the tracer's timer killed looks dead to the readiness and crash
+    # checks, which may run after the timer fired.
+    if (trace.timed_out and reason in (None, REASON_OK, REASON_SCRIPT_FAIL)
+            or reason == REASON_CRASH and session.root_timed_out()):
         reason = REASON_TIMEOUT
     if reason is None:
         reason = REASON_OK if script_rc == 0 else REASON_SCRIPT_FAIL

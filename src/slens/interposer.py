@@ -542,7 +542,7 @@ class _Engine:
             elif os.WIFSIGNALED(status):
                 self.root_signal = os.WTERMSIG(status)
             self.emit({"event": "root_exit", "exit_code": self.root_exit,
-                       "signaled": self.root_signal})
+                       "signaled": self.root_signal, "timed_out": self.timed_out})
         self._emit_pids()
 
     def _handle_stop(self, pid: int, status: int) -> None:
@@ -621,19 +621,22 @@ class _Engine:
         signal.signal(signal.SIGALRM, on_alarm)
         signal.setitimer(signal.ITIMER_REAL, self.limits.timeout)
         try:
-            while self.procs:
-                try:
-                    pid, status = os.waitpid(-1, pt.WALL)
-                except ChildProcessError:
-                    break
-                if os.WIFEXITED(status) or os.WIFSIGNALED(status):
-                    self._on_exit(pid, status)
-                elif os.WIFSTOPPED(status):
-                    self._handle_stop(pid, status)
+            try:
+                while self.procs:
+                    try:
+                        pid, status = os.waitpid(-1, pt.WALL)
+                    except ChildProcessError:
+                        break
+                    if os.WIFEXITED(status) or os.WIFSIGNALED(status):
+                        self._on_exit(pid, status)
+                    elif os.WIFSTOPPED(status):
+                        self._handle_stop(pid, status)
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
         except _Deadline:
+            # Also when the timer fired after the loop ended but before it
+            # was disarmed; the tree is gone then, and nothing is killed.
             self._timeout_kill()
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
         self._check_exec_error()
         return RunTrace(
             observed=self.observed,
@@ -696,6 +699,7 @@ class TraceSession:
         self._app_pid: int | None = None
         self._traced_pids: frozenset[int] = frozenset()
         self._root_status: tuple[int | None, int | None] | None = None
+        self._root_timed_out = False
         self._trace: RunTrace | None = None
         self._error: tuple[str, str] | None = None
         self._reader = threading.Thread(target=self._read_loop, daemon=True)
@@ -710,7 +714,14 @@ class TraceSession:
         read_fd, write_fd = os.pipe()
         tracer_pid = os.fork()
         if tracer_pid == 0:
-            os.close(read_fd)
+            # Other threads may be starting sessions of their own, so this
+            # child must touch no lock another thread may hold: it never
+            # logs, and writes only with os.write.  It also closes every
+            # inherited descriptor but stdio and its own pipe, since one it
+            # kept could be another session's pipe or a test script's
+            # output pipe, whose reader would then wait for this tracer.
+            os.closerange(3, write_fd)
+            os.closerange(max(3, write_fd + 1), os.sysconf("SC_OPEN_MAX"))
             _tracer_process(command, policy, whitelist, limits, tables, write_fd)
             os._exit(1)  # unreachable
         os.close(write_fd)
@@ -752,6 +763,7 @@ class TraceSession:
         elif event == "root_exit":
             with self._lock:
                 self._root_status = (msg["exit_code"], msg["signaled"])
+                self._root_timed_out = msg["timed_out"]
         elif event == "result":
             with self._lock:
                 self._trace = RunTrace.from_json(msg["trace"])
@@ -779,6 +791,12 @@ class TraceSession:
         """(exit_code, signal) of the root once it exited, else None."""
         with self._lock:
             return self._root_status
+
+    def root_timed_out(self) -> bool:
+        """Whether the tracer's timer killed the root before it exited on
+        its own."""
+        with self._lock:
+            return self._root_timed_out
 
     def finished(self) -> bool:
         return self._done.is_set()

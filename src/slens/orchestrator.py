@@ -3,9 +3,29 @@
 For an application workload the orchestrator runs, per replica, one
 discovery run, one stub run and one fake run per observed feature, and one
 final combined confirmation run: exactly 2 + 2*s workload executions per
-replica for s discovered features.  Replica results merge conservatively (a
-feature probe "works" only if every replica succeeded).  Optional baseline
-runs feed regression detection on throughput and resource metrics.
+replica for s discovered features, plus ``perf_runs`` allow-all baseline
+runs that feed regression detection on throughput and resource metrics.
+Replica results merge conservatively (a feature probe "works" only if every
+replica succeeded).
+
+The runs fall into three phases, and the runs of one phase do not depend on
+each other:
+
+1. discovery: one allow-all run per replica;
+2. probes: the baseline runs together with every feature x mode x replica
+   probe, so that regression detection compares runs made under the same
+   load;
+3. confirmation: one run of the combined policy per replica.
+
+One scheduler (``Orchestrator._run_all``) submits each phase's runs to a
+thread pool of ``parallelism`` workers.  Each run lives in its own tracer
+process, so threads suffice.  Runs are serialised when the spec holds a
+resource slens does not allocate per run: a fixed readiness port, or a
+readiness delay (a server on a port slens does not know).  Concurrent runs
+of such a spec could meet each other's server.  A run that hits a tracer
+fault is re-run once.  A second fault, or a failing discovery or baseline
+run, cancels the phase's pending runs, waits for those in flight and
+raises, so no run outlives the analysis.
 """
 
 from __future__ import annotations
@@ -14,10 +34,12 @@ import concurrent.futures
 import datetime
 import logging
 import math
+import os
 import platform
 import statistics
+import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from . import SlensError, __version__
@@ -30,7 +52,6 @@ from .harness import (
     run_workload,
 )
 from .interposer import (
-    ALLOW,
     STUB,
     Action,
     FeatureId,
@@ -75,13 +96,17 @@ def feature_label(f: FeatureId) -> str:
 class AnalysisConfig:
     """Knobs of one analysis.
 
-    ``perf_runs`` extra allow-all runs collect baseline statistics for
-    regression detection; 0 disables it.  ``timeout`` of None applies the
-    default rule max(10 s, 3 x discovery duration).
+    ``parallelism`` is the most workload runs in flight at once within a
+    phase; it defaults to the CPUs this process may use.  The orchestrator
+    lowers it to 1 for a spec with a fixed readiness port or a readiness
+    delay (see the module docstring).  ``perf_runs`` extra allow-all runs
+    collect baseline statistics for regression detection; 0 disables it.
+    ``timeout`` of None applies the default rule max(10 s, 3 x discovery
+    duration).
     """
 
     replicas: int = 3
-    parallelism: int = 1
+    parallelism: int = field(default_factory=lambda: len(os.sched_getaffinity(0)))
     perf_runs: int = 10
     subfeatures: bool = False
     pseudofiles: bool = False
@@ -93,8 +118,8 @@ class AnalysisConfig:
     def __post_init__(self):
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
-        if not 1 <= self.parallelism <= self.replicas:
-            raise ValueError("parallelism must be in [1, replicas]")
+        if self.parallelism < 1:
+            raise ValueError("parallelism must be >= 1")
         if self.perf_margin <= 0:
             raise ValueError("perf_margin must be > 0")
         if self.perf_runs < 0:
@@ -274,16 +299,12 @@ def confirmation_policy(classes: Mapping[FeatureId, str],
     return Policy(overrides=overrides)
 
 
-def _worker_run(spec: AppSpec, policy: Policy, limits: Limits,
-                tables: InterposerTables):
-    return run_workload(spec, policy, limits, tables)
-
-
 class Orchestrator:
     """Runs the analysis protocol for one application spec.
 
     ``executions`` counts every workload execution performed through this
     object, including baseline runs for regression detection.
+    ``parallelism`` is the most runs this object keeps in flight at once.
     """
 
     def __init__(self, spec: AppSpec, config: AnalysisConfig = AnalysisConfig(),
@@ -293,10 +314,13 @@ class Orchestrator:
         self.config = config
         self.tables = tables.restricted(subfeatures=config.subfeatures,
                                         pseudofiles=config.pseudofiles)
+        shared = spec.readiness.port not in (None, 0) or spec.readiness.delay > 0
+        self.parallelism = 1 if shared else config.parallelism
         self.executions = 0
         self.baseline: BaselineStats | None = None
         self.baseline_duration: float | None = None
         self._discovered: tuple[FeatureId, ...] | None = None
+        self._lock = threading.Lock()
 
     # -- plumbing
 
@@ -314,45 +338,73 @@ class Orchestrator:
                  ) -> tuple[WorkloadOutcome, RunTrace]:
         t0 = time.monotonic()
         outcome, trace = run_workload(self.spec, policy, self._limits(), self.tables)
-        self.executions += 1
+        with self._lock:
+            self.executions += 1
         log.info("run app=%s replica=%d what=%s result=%s duration=%.3fs",
                  self.spec.name, replica, label, outcome.reason,
                  time.monotonic() - t0)
+        if trace.warnings:
+            log.warning("run app=%s replica=%d what=%s tracer warnings: %s",
+                        self.spec.name, replica, label, "; ".join(trace.warnings))
         return outcome, trace
 
-    def _run_replicas(self, policy: Policy, label: str
-                      ) -> list[tuple[WorkloadOutcome, RunTrace]]:
-        """Run ``replicas`` executions, at most ``parallelism`` at a time.
-
-        A replica hitting a tracer fault is re-run once; a second fault
-        fails the analysis.
-        """
-        r, p = self.config.replicas, self.config.parallelism
-        results: list[tuple[WorkloadOutcome, RunTrace]] = []
-        if p == 1:
-            for i in range(r):
-                results.append(self._run_one(policy, i, label))
-        else:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=p) as pool:
-                futures = [
-                    pool.submit(_worker_run, self.spec, policy, self._limits(), self.tables)
-                    for _ in range(r)
-                ]
-                for i, fut in enumerate(futures):
-                    outcome, trace = fut.result()
-                    self.executions += 1
-                    log.info("run app=%s replica=%d what=%s result=%s",
-                             self.spec.name, i, label, outcome.reason)
-                    results.append((outcome, trace))
-        for i, (outcome, trace) in enumerate(results):
+    def _run_checked(self, policy: Policy, replica: int, label: str
+                     ) -> tuple[WorkloadOutcome, RunTrace]:
+        """One scheduled run.  A tracer fault is re-run once; a second one
+        raises TracerFault.  A failing discovery or baseline run raises
+        BaselineFailure."""
+        outcome, trace = self._run_one(policy, replica, label)
+        if outcome.reason == REASON_TRACER_FAULT:
+            log.warning("replica %d of %s hit a tracer fault; re-running once",
+                        replica, label)
+            outcome, trace = self._run_one(policy, replica, label + "/retry")
             if outcome.reason == REASON_TRACER_FAULT:
-                log.warning("replica %d of %s hit a tracer fault; re-running once",
-                            i, label)
-                retry_outcome, retry_trace = self._run_one(policy, i, label + "/retry")
-                if retry_outcome.reason == REASON_TRACER_FAULT:
-                    raise TracerFault(
-                        f"persistent tracer fault while running {label} for {self.spec.name}")
-                results[i] = (retry_outcome, retry_trace)
+                raise TracerFault(
+                    f"persistent tracer fault while running {label} for {self.spec.name}")
+        if label in ("discovery", "baseline") and not outcome.success:
+            raise BaselineFailure(
+                f"{label} run of the unmodified workload failed ({outcome.reason}); "
+                "nothing to classify")
+        return outcome, trace
+
+    def _run_all(self, runs: Sequence[tuple[Policy, int, str]],
+                 traces: bool = False) -> list:
+        """Run one phase's independent (policy, replica, label) runs, at most
+        ``parallelism`` at a time.
+
+        Returns each run's outcome in the order of ``runs``, or its
+        (outcome, trace) pair when ``traces`` is set.  A phase may hold
+        hundreds of runs, so the pool gets one task per worker, each taking
+        the next run until none is left, and unwanted traces are dropped as
+        soon as their run ends.  The first run to raise stops the runs not
+        yet started; the call waits for the runs in flight, then re-raises.
+        """
+        results: list = [None] * len(runs)
+        pending = iter(range(len(runs)))
+        lock = threading.Lock()
+        stop = threading.Event()
+
+        def work() -> None:
+            while not stop.is_set():
+                with lock:
+                    i = next(pending, None)
+                if i is None:
+                    return
+                try:
+                    outcome, trace = self._run_checked(*runs[i])
+                except BaseException:
+                    stop.set()
+                    raise
+                results[i] = (outcome, trace) if traces else outcome
+
+        workers = min(self.parallelism, len(runs))
+        pool = concurrent.futures.ThreadPoolExecutor(max_workers=self.parallelism)
+        try:
+            for task in [pool.submit(work) for _ in range(workers)]:
+                task.result()
+        finally:
+            stop.set()
+            pool.shutdown(wait=True)
         return results
 
     # -- protocol operations
@@ -360,58 +412,64 @@ class Orchestrator:
     def discover(self) -> tuple[FeatureId, ...]:
         """Allow-all discovery: one run per replica, feature sets merged.
 
-        Also records the baseline duration (for the default timeout rule)
-        and, when ``perf_runs`` > 0, baseline metric statistics from that
-        many additional allow-all runs.  Raises BaselineFailure when any
-        allow-all run fails.
+        Also records the baseline duration for the default timeout rule.
+        Raises BaselineFailure when a discovery run fails.
         """
-        results = self._run_replicas(Policy.allow_all(), "discovery")
-        failures = [o for o, _ in results if not o.success]
-        if failures:
-            raise BaselineFailure(
-                f"workload fails unmodified ({failures[0].reason}); nothing to classify")
+        r = self.config.replicas
+        results = self._run_all([(Policy.allow_all(), i, "discovery") for i in range(r)],
+                                traces=True)
         self.baseline_duration = max(o.duration for o, _ in results)
         features: set[FeatureId] = set()
         for _, trace in results:
             features.update(trace.observed)
         self._discovered = tuple(sorted(features, key=FeatureId.sort_key))
-
-        if self.config.perf_runs > 0:
-            outcomes = [o for o, _ in results]
-            while len(outcomes) < self.config.replicas + self.config.perf_runs:
-                outcome, _ = self._run_one(Policy.allow_all(),
-                                           len(outcomes), "baseline")
-                if not outcome.success:
-                    raise BaselineFailure(
-                        f"baseline run failed ({outcome.reason}); workload is unreliable")
-                outcomes.append(outcome)
-            # Statistics come from the dedicated baseline runs only, so the
-            # sample size is exactly perf_runs.
-            self.baseline = BaselineStats.from_outcomes(outcomes[-self.config.perf_runs:])
         return self._discovered
+
+    def _probe_all(self, keys: Sequence[tuple[FeatureId, str]]) -> list[ProbeResult]:
+        """Probe each (feature, mode) over all replicas, as one phase.
+
+        Until a baseline exists, the phase also makes the ``perf_runs``
+        baseline runs and records their statistics in ``baseline``; the
+        statistics come from those runs only, so the sample size is
+        exactly ``perf_runs``.  Raises BaselineFailure when one fails.
+        """
+        r = self.config.replicas
+        runs = []
+        if self.baseline is None:
+            runs = [(Policy.allow_all(), r + i, "baseline")
+                    for i in range(self.config.perf_runs)]
+        n_base = len(runs)
+        for feature, mode in keys:
+            policy = probe_policy(feature, mode, self.tables)
+            runs += [(policy, i, f"{mode}:{feature_label(feature)}") for i in range(r)]
+        outcomes = self._run_all(runs)
+        if n_base:
+            self.baseline = BaselineStats.from_outcomes(outcomes[:n_base])
+
+        probes = []
+        for k, (feature, mode) in enumerate(keys):
+            replicas = outcomes[n_base + k * r:n_base + (k + 1) * r]
+            works = all(o.success for o in replicas)
+            result = ProbeResult(
+                feature=feature,
+                mode=mode,
+                outcomes=replicas,
+                verdict=VERDICT_WORKS if works else VERDICT_BREAKS,
+            )
+            if works and self.baseline is not None:
+                result.regression_flags = detect_regressions(
+                    self.baseline, replicas, self.config.perf_margin)
+            log.info("probe app=%s feature=%s mode=%s verdict=%s flags=%s",
+                     self.spec.name, feature_label(feature), mode, result.verdict,
+                     result.regression_flags or "-")
+            probes.append(result)
+        return probes
 
     def probe_feature(self, feature: FeatureId, mode: str) -> ProbeResult:
         """Probe one feature in stub or fake mode over all replicas."""
         if self._discovered is not None and feature not in self._discovered:
             raise ValueError(f"feature {feature_label(feature)} was not discovered")
-        policy = probe_policy(feature, mode, self.tables)
-        label = f"{mode}:{feature_label(feature)}"
-        results = self._run_replicas(policy, label)
-        outcomes = [o for o, _ in results]
-        works = all(o.success for o in outcomes)
-        result = ProbeResult(
-            feature=feature,
-            mode=mode,
-            outcomes=outcomes,
-            verdict=VERDICT_WORKS if works else VERDICT_BREAKS,
-        )
-        if works and self.baseline is not None:
-            result.regression_flags = detect_regressions(
-                self.baseline, outcomes, self.config.perf_margin)
-        log.info("probe app=%s feature=%s mode=%s verdict=%s flags=%s",
-                 self.spec.name, feature_label(feature), mode, result.verdict,
-                 result.regression_flags or "-")
-        return result
+        return self._probe_all([(feature, mode)])[0]
 
     def probe_custom(self, policy: Policy) -> WorkloadOutcome:
         """Single run under an arbitrary policy, for manual culprit hunting."""
@@ -430,10 +488,8 @@ class Orchestrator:
         s = len(features)
         log.info("discovered %d features for %s", s, self.spec.name)
 
-        probes: dict[tuple[FeatureId, str], ProbeResult] = {}
-        for feature in features:
-            for mode in (MODE_STUB, MODE_FAKE):
-                probes[(feature, mode)] = self.probe_feature(feature, mode)
+        keys = [(feature, mode) for feature in features for mode in (MODE_STUB, MODE_FAKE)]
+        probes = dict(zip(keys, self._probe_all(keys)))
 
         classes: dict[FeatureId, str] = {}
         for feature in features:
@@ -448,9 +504,10 @@ class Orchestrator:
             else:
                 classes[feature] = CLASS_REQUIRED
 
-        confirm = self._run_replicas(
-            confirmation_policy(classes, self.tables), "confirmation")
-        confirmed = all(o.success for o, _ in confirm)
+        policy = confirmation_policy(classes, self.tables)
+        confirm = self._run_all(
+            [(policy, i, "confirmation") for i in range(self.config.replicas)])
+        confirmed = all(o.success for o in confirm)
         if not confirmed:
             log.warning(
                 "confirmation run failed for %s: per-feature verdicts do not "
@@ -473,7 +530,7 @@ class Orchestrator:
                 "tool_version": __version__,
                 "date": datetime.date.today().isoformat(),
                 "replicas": self.config.replicas,
-                "parallelism": self.config.parallelism,
+                "parallelism": self.parallelism,
                 "baseline_duration": self.baseline_duration,
                 "feature_count": s,
             },

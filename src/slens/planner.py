@@ -283,22 +283,23 @@ def _by_name(profiles: Mapping[str, AppProfile] | Iterable[AppProfile]
             else {p.app: p for p in profiles})
 
 
-def _subfeature_notes(profiles: Sequence[AppProfile], implement: Iterable[int]) -> tuple[str, ...]:
+def _subfeatures(profiles: Iterable[AppProfile]) -> dict[int, set[int]]:
+    """Per vectored syscall, every sub-feature observed in ``profiles``."""
+    subs: dict[int, set[int]] = {}
+    for profile in profiles:
+        for f in profile.observed:
+            if f.subfeature is not None:
+                subs.setdefault(f.syscall_nr, set()).add(f.subfeature)
+    return subs
+
+
+def _subfeature_notes(subs: Mapping[int, set[int]], implement: Iterable[int]) -> tuple[str, ...]:
     """Partial-implementation hints: which sub-features were actually seen."""
     notes = []
     for nr in sorted(implement):
-        subs: set[int] = set()
-        vectored = False
-        for profile in profiles:
-            for f in profile.observed:
-                if f.syscall_nr != nr:
-                    continue
-                if f.subfeature is not None:
-                    vectored = True
-                    subs.add(f.subfeature)
-        if vectored and subs:
+        if nr in subs:
             name = syscalls.nr_to_name(nr) or str(nr)
-            rendered = ", ".join(f"{s:#x}" for s in sorted(subs))
+            rendered = ", ".join(f"{s:#x}" for s in sorted(subs[nr]))
             notes.append(f"{name}: only sub-features {rendered} observed")
     return tuple(notes)
 
@@ -334,8 +335,8 @@ def generate_plan(os_support: OsSupportSet,
     needs = {name: _needs(p) for name, p in target_profiles.items()
              if name not in unreachable}
     plan = _fold(os_support, needs, _cheapest(weights))
-    all_targets = list(target_profiles.values())
-    steps = tuple(replace(step, notes=_subfeature_notes(all_targets, step.implement))
+    subs = _subfeatures(target_profiles.values())
+    steps = tuple(replace(step, notes=_subfeature_notes(subs, step.implement))
                   for step in plan.steps)
     return SupportPlan(initial_supported=plan.initial_supported, steps=steps,
                        unreachable=unreachable)

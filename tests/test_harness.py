@@ -3,6 +3,7 @@
 import os
 import subprocess
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -48,6 +49,61 @@ def test_timeout_reason(fixtures, app_spec_factory):
     spec = app_spec_factory("sleeper", script="hang.sh")
     outcome, _ = run_workload(spec, Policy.allow_all(), Limits(timeout=0.6))
     assert not outcome.success and outcome.reason == "timeout"
+
+
+def test_readiness_timeout_is_not_a_crash(fixtures, app_spec_factory):
+    """A server that never listens on the polled port times out.  The
+    tracer's timer may kill it before the readiness loop gives up; that
+    dead root is still a timeout."""
+    spec = app_spec_factory("sleeper", script="pass.sh", readiness=Readiness(port=0))
+
+    def reason(_):
+        return run_workload(spec, Policy.allow_all(), Limits(timeout=0.3))[0].reason
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        assert list(pool.map(reason, range(10))) == ["timeout"] * 10
+
+
+def test_server_exiting_at_once_is_a_crash(fixtures):
+    binary = fixtures.binary("echo_server")
+    spec = AppSpec(
+        name="echo", app_command=(binary, "{port}"),
+        test_script=fixtures.script("echo_client.sh"),
+        readiness=Readiness(port=0),
+        whitelist=Whitelist.of_paths([binary]),
+    )
+    policy = Policy.single(FeatureId(name_to_nr("socket")), STUB)
+    outcome, trace = run_workload(spec, policy, LIMITS)
+    assert outcome.reason == "crash"
+    assert trace.exit_code == 10 and not trace.timed_out
+
+
+def test_short_runs_do_not_wait_for_long_ones(fixtures, app_spec_factory):
+    """Runs overlap.  Each tracer closes the descriptors it inherits; one it
+    kept could be another run's pipe, and that run would then wait for this
+    tracer to end."""
+    long_spec = app_spec_factory("sleeper", script="hang.sh")
+    short_spec = app_spec_factory("writer")
+
+    def long_runs(_):
+        for _ in range(3):
+            run_workload(long_spec, Policy.allow_all(), Limits(timeout=1.0))
+
+    def short_runs(_):
+        seen = []
+        for _ in range(15):
+            t0 = time.monotonic()
+            outcome, _ = run_workload(short_spec, Policy.allow_all(), LIMITS)
+            seen.append((outcome.reason, time.monotonic() - t0 < 0.8))
+        return seen
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        longs = [pool.submit(long_runs, i) for i in range(2)]
+        shorts = [pool.submit(short_runs, i) for i in range(2)]
+        seen = [s for f in shorts for s in f.result()]
+        for f in longs:
+            f.result()
+    assert seen == [("script_ok", True)] * 30
 
 
 def test_missing_script_raises(fixtures):

@@ -1,10 +1,18 @@
 """Analysis protocol: discovery, probes, classification, confirmation."""
 
+import logging
+import os
+import sys
+import threading
+import time
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
-from slens.harness import WorkloadOutcome
-from slens.interposer import FeatureId, Policy, STUB
+import slens.orchestrator
+from slens.harness import Readiness, WorkloadOutcome
+from slens.interposer import FeatureId, Policy, RunTrace, STUB
 from slens.orchestrator import (
     AnalysisConfig,
     AppProfile,
@@ -155,6 +163,148 @@ def test_profile_json_round_trip(fixtures, app_spec_factory):
     assert again == profile
 
 
+# -- scheduling
+
+
+@pytest.mark.parametrize("binary,script", [
+    ("feat3", "wait_exit.sh"),
+    ("two_sources", "check_out.sh"),  # confirmation fails
+    ("getrlimit_fallback", "check_out.sh"),
+])
+def test_parallel_analysis_matches_sequential(fixtures, app_spec_factory, binary, script):
+    """Running a phase's runs concurrently changes no verdict and no count."""
+    seen = []
+    for parallelism in (1, 4):
+        config = AnalysisConfig(replicas=2, perf_runs=2, timeout=5.0,
+                                parallelism=parallelism)
+        orch = Orchestrator(app_spec_factory(binary, script=script), config)
+        profile = orch.full_analysis()
+        seen.append((profile.classes, profile.confirmed, orch.executions))
+    assert seen[0] == seen[1]
+
+
+def test_run_count_law_with_parallelism_above_replicas(fixtures, app_spec_factory):
+    config = AnalysisConfig(replicas=2, perf_runs=3, parallelism=5, timeout=5.0)
+    orch = Orchestrator(app_spec_factory("feat3", script="wait_exit.sh"), config)
+    profile = orch.full_analysis()
+    s = len(profile.observed)
+    assert s == 3
+    assert orch.executions == (2 + 2 * s) * 2 + 3
+    assert len(orch.baseline.rss) == 3
+
+
+class _StubRuns:
+    """Stands in for ``run_workload``: every run observes getpid and
+    exit_group, passes unless ``fail`` says otherwise, and counts the runs
+    in flight."""
+
+    def __init__(self, fail=lambda policy, call: False):
+        self.fail = fail
+        self.lock = threading.Lock()
+        self.calls = 0
+        self.in_flight = 0
+        self.peak = 0
+
+    def __call__(self, spec, policy, limits, tables):
+        with self.lock:
+            call = self.calls
+            self.calls += 1
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        time.sleep(0.05)
+        with self.lock:
+            self.in_flight -= 1
+        observed = Counter({FeatureId(name_to_nr("getpid")): 1,
+                            FeatureId(name_to_nr("exit_group")): 1})
+        return _outcome(success=not self.fail(policy, call)), RunTrace(
+            observed=observed, decisions={}, exit_code=0, signaled=None,
+            whitelisted_pids_seen=1)
+
+
+@pytest.mark.parametrize("readiness,serial", [
+    (Readiness(port=0), False),  # a port allocated per run
+    (Readiness(port=47123), True),
+    (Readiness(delay=0.01), True),
+])
+def test_shared_resources_serialise_runs(fixtures, app_spec_factory, monkeypatch,
+                                         readiness, serial):
+    """A spec whose server slens cannot separate per run never has two runs
+    in flight."""
+    stub = _StubRuns()
+    monkeypatch.setattr(slens.orchestrator, "run_workload", stub)
+    config = AnalysisConfig(replicas=4, perf_runs=4, parallelism=4)
+    orch = Orchestrator(app_spec_factory("noop", readiness=readiness), config)
+    orch.full_analysis()
+    assert orch.executions == stub.calls == (2 + 2 * 2) * 4 + 4
+    assert (stub.peak == 1) if serial else (stub.peak > 1)
+
+
+def test_failed_baseline_stops_pending_runs(fixtures, app_spec_factory, monkeypatch):
+    """The first failing baseline run ends the phase: runs not yet started
+    never start, and the runs in flight end before the analysis raises."""
+    stub = _StubRuns(fail=lambda policy, call: call >= 1 and not policy.overrides)
+    monkeypatch.setattr(slens.orchestrator, "run_workload", stub)
+    config = AnalysisConfig(replicas=1, perf_runs=4, parallelism=2)
+    orch = Orchestrator(app_spec_factory("noop"), config)
+    with pytest.raises(BaselineFailure):
+        orch.full_analysis()
+    assert stub.in_flight == 0
+    assert orch.executions == stub.calls <= 1 + 2  # discovery, then two workers
+
+
+def _descendants() -> list[int]:
+    """Processes below this one, zombies included."""
+    me = os.getpid()
+    parents = {}
+    for pid in os.listdir("/proc"):
+        if pid.isdigit():
+            try:
+                with open(f"/proc/{pid}/stat") as f:
+                    parents[int(pid)] = int(f.read().rsplit(")", 1)[1].split()[1])
+            except OSError:
+                continue
+
+    def below(pid: int) -> bool:
+        seen = set()
+        while pid in parents and pid not in seen:
+            seen.add(pid)
+            pid = parents[pid]
+            if pid == me:
+                return True
+        return False
+
+    return [pid for pid in parents if below(pid)]
+
+
+def test_concurrent_runs_stress(fixtures, app_spec_factory):
+    """40 short runs, 8 in flight, with INFO logging to stderr from every
+    thread.  Each tracer is forked from a worker thread while others log, so
+    a tracer that took a lock held elsewhere would hang its run."""
+    root = logging.getLogger()
+    handler = logging.StreamHandler(sys.stderr)
+    level, interval = root.level, sys.getswitchinterval()
+    config = AnalysisConfig(replicas=2, perf_runs=4, parallelism=8, timeout=10.0)
+    orch = Orchestrator(app_spec_factory("feat8", script="wait_exit.sh"), config)
+    profiles = []
+    worker = threading.Thread(target=lambda: profiles.append(orch.full_analysis()),
+                              daemon=True)
+    root.addHandler(handler)
+    root.setLevel(logging.INFO)
+    sys.setswitchinterval(1e-5)
+    try:
+        worker.start()
+        worker.join(timeout=240)
+    finally:
+        sys.setswitchinterval(interval)
+        root.setLevel(level)
+        root.removeHandler(handler)
+    assert not worker.is_alive()
+    s = len(profiles[0].observed)
+    assert s == 8
+    assert orch.executions == (2 + 2 * s) * 2 + 4 == 40
+    assert _descendants() == []
+
+
 # -- conservative merge (pure property)
 
 
@@ -229,6 +379,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         AnalysisConfig(replicas=0)
     with pytest.raises(ValueError):
-        AnalysisConfig(replicas=2, parallelism=3)
+        AnalysisConfig(parallelism=0)
     with pytest.raises(ValueError):
         AnalysisConfig(perf_margin=0.0)
