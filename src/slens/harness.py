@@ -2,8 +2,20 @@
 
 Starts the application under the interposition engine, waits for readiness,
 drives it with the user's test script, samples resource usage of the
-measured processes via /proc, enforces timeouts, tears the tree down, and
-produces a WorkloadOutcome.
+measured processes via /proc, tears the tree down, and produces a
+WorkloadOutcome.
+
+One clock and one verdict per run:
+  - One deadline, ``started + limits.timeout``, covers readiness (port or
+    delay) and the test script.  Then the harness tears the tree down:
+    SIGTERM, then SIGKILL after KILL_GRACE.  The tracer's own timer is only
+    a backstop set after that teardown, so the harness, not the tracer,
+    ends a run that runs out of time.
+  - Live session state (the root's status, whether any process is left)
+    only decides how long to keep waiting.
+  - The final trace decides the reason: ``judge`` sets it once, after
+    teardown, from the RunTrace, the readiness result and the script's
+    exit code and end time.
 
 Test-script contract (stable):
   - argv[1] = application host, argv[2] = port when one applies;
@@ -54,6 +66,9 @@ REASON_SCRIPT_FAIL = "script_fail"
 REASON_CRASH = "crash"
 REASON_TIMEOUT = "timeout"
 REASON_TRACER_FAULT = "tracer_fault"
+
+KILL_GRACE = 2.0  # seconds from SIGTERM to SIGKILL at teardown
+SAMPLE_PERIOD = 0.1  # seconds between resource samples
 
 
 class ScriptMissing(SlensError):
@@ -186,9 +201,8 @@ def sample_resources(pids: Iterable[int],
 class _Sampler:
     """Periodic resource sampler over the session's measured pids."""
 
-    def __init__(self, session: TraceSession, period: float):
+    def __init__(self, session: TraceSession):
         self.session = session
-        self.period = max(period, 0.005)
         self.peak_rss = 0
         self.peak_fds = 0
         self._stop = threading.Event()
@@ -203,7 +217,7 @@ class _Sampler:
         self.peak_fds = max(self.peak_fds, s.fd_count)
 
     def _loop(self) -> None:
-        while not self._stop.wait(self.period):
+        while not self._stop.wait(SAMPLE_PERIOD):
             self._take()
 
     def start(self) -> None:
@@ -221,36 +235,51 @@ def _allocate_port() -> int:
         return s.getsockname()[1]
 
 
-def _poll_port(port: int, deadline: float, session: TraceSession) -> bool:
-    while time.monotonic() < deadline:
-        status = session.root_status()
-        if status is not None and status != (0, None):
-            return False  # app died while we were waiting
-        try:
-            with socket.create_connection(("127.0.0.1", port), timeout=0.2):
-                return True
-        except OSError:
-            time.sleep(0.02)
-    return False
+def _wait_ready(port: int | None, until: float, deadline: float,
+                session: TraceSession) -> bool:
+    """Wait until ``port`` accepts a connection or, without a port, until
+    ``until`` (the readiness delay) has passed.
 
-
-def _settled_root_status(session: TraceSession, app_pid: int,
-                         grace: float = 0.25) -> tuple[int | None, int | None] | None:
-    """Root status, waiting briefly for the exit event if the pid is gone.
-
-    The tracer reaps the root before its exit message reaches our reader
-    thread, so a just-exited app can look statusless for a moment.
+    Returns False at the deadline or once the root has exited abnormally.
+    Once no process is left, a port can no longer open, while a delay has
+    nothing left to wait for.  A root that exits 0 while a child still runs
+    may have daemonised, so the port is polled on.
     """
-    status = session.root_status()
-    if status is not None or os.path.exists(f"/proc/{app_pid}"):
-        return status
-    deadline = time.monotonic() + grace
-    while time.monotonic() < deadline:
+    while True:
+        now = time.monotonic()
+        gone = session.finished()  # read first: the root's status is then final
         status = session.root_status()
-        if status is not None:
-            return status
-        time.sleep(0.005)
-    return session.root_status()
+        if now >= deadline or status not in (None, (0, None)):
+            return False
+        if port is None:
+            if now >= until or gone:
+                return True
+        elif gone:
+            return False
+        else:
+            try:
+                with socket.create_connection(("127.0.0.1", port), timeout=0.2):
+                    return True
+            except OSError:
+                pass
+        time.sleep(0.02)
+
+
+def judge(trace: RunTrace, ready: bool, script_rc: int | None, ended: float) -> str:
+    """The reason of a torn-down run.
+
+    ``ready`` tells whether readiness was reached before the deadline,
+    ``script_rc`` is None unless the test script ran to its end, and
+    ``ended`` is when the harness stopped waiting (the script's end, or
+    readiness giving up).  A root that died by then crashed the run if it
+    died abnormally, or, exiting 0, before the app became ready.
+    """
+    died = trace.root_exit_at is not None and trace.root_exit_at <= ended
+    if died and (not ready or (trace.exit_code, trace.signaled) != (0, None)):
+        return REASON_CRASH
+    if script_rc is None or trace.timed_out:
+        return REASON_TIMEOUT
+    return REASON_OK if script_rc == 0 else REASON_SCRIPT_FAIL
 
 
 def _parse_perf_metric(stdout: bytes) -> float | None:
@@ -290,7 +319,7 @@ def run_workload(spec: AppSpec, policy: Policy, limits: Limits,
     template, so it never sees state from prior runs.  Success requires the
     test script to exit 0 and the application not to have crashed before the
     script completed.  The process tree is torn down (SIGTERM, then SIGKILL
-    after ``limits.kill_grace``) before returning.
+    after KILL_GRACE) before returning.
     """
     spec.validate()
     workdir = _fresh_workdir(spec)
@@ -306,7 +335,7 @@ def run_workload(spec: AppSpec, policy: Policy, limits: Limits,
             peak_rss=0, peak_fds=0, duration=time.monotonic() - started,
         )
         return outcome, RunTrace(
-            observed=Counter(), decisions={}, exit_code=None, signaled=None,
+            observed=Counter(), exit_code=None, signaled=None,
             whitelisted_pids_seen=0, warnings=(str(exc),),
         )
     finally:
@@ -334,28 +363,17 @@ def _run_workload_in(spec: AppSpec, policy: Policy, limits: Limits,
     )
 
     started = time.monotonic()
-    session = TraceSession.start(command, policy, spec.whitelist, limits, tables)
+    deadline = started + limits.timeout
+    backstop = Limits(timeout=limits.timeout + 2 * KILL_GRACE)
+    session = TraceSession.start(command, policy, spec.whitelist, backstop, tables)
     app_pid = session.app_pid  # raises LaunchFailure early
-    sampler = _Sampler(session, limits.sample_period)
+    sampler = _Sampler(session)
     sampler.start()
-    reason = None
     perf_metric = None
     script_rc: int | None = None
     try:
-        # Readiness.
-        if spec.readiness.port is not None:
-            ready_deadline = started + limits.timeout
-            if not _poll_port(port, ready_deadline, session):
-                status = session.root_status()
-                reason = REASON_CRASH if status is not None else REASON_TIMEOUT
-        elif spec.readiness.delay:
-            time.sleep(spec.readiness.delay)
-            status = session.root_status()
-            if status is not None and status != (0, None):
-                reason = REASON_CRASH
-
-        # Drive the workload.
-        if reason is None:
+        ready = _wait_ready(port, started + spec.readiness.delay, deadline, session)
+        if ready:
             script_env = dict(os.environ)
             script_env["SLENS_HOST"] = "127.0.0.1"
             script_env["SLENS_APP_PID"] = str(app_pid)
@@ -363,44 +381,29 @@ def _run_workload_in(spec: AppSpec, policy: Policy, limits: Limits,
             if port is not None:
                 script_env["SLENS_PORT"] = str(port)
                 script_argv.append(str(port))
-            budget = max(0.2, limits.timeout - (time.monotonic() - started))
             try:
                 proc = subprocess.run(
                     script_argv, cwd=workdir, env=script_env,
                     stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                    timeout=budget,
+                    timeout=max(0.0, deadline - time.monotonic()),
                 )
                 script_rc = proc.returncode
                 perf_metric = _parse_perf_metric(proc.stdout)
             except subprocess.TimeoutExpired:
-                reason = REASON_TIMEOUT
-
-        duration = time.monotonic() - started
-
-        # The app crashing before script completion trumps a passing script.
-        if reason is None:
-            status = _settled_root_status(session, app_pid)
-            if status is not None and status != (0, None):
-                reason = REASON_CRASH
+                pass
+        ended = time.monotonic()
     finally:
         sampler.stop()
         trace = _teardown(session, limits)
 
-    # A root the tracer's timer killed looks dead to the readiness and crash
-    # checks, which may run after the timer fired.
-    if (trace.timed_out and reason in (None, REASON_OK, REASON_SCRIPT_FAIL)
-            or reason == REASON_CRASH and session.root_timed_out()):
-        reason = REASON_TIMEOUT
-    if reason is None:
-        reason = REASON_OK if script_rc == 0 else REASON_SCRIPT_FAIL
-
+    reason = judge(trace, ready, script_rc, ended)
     outcome = WorkloadOutcome(
         success=reason == REASON_OK,
         reason=reason,
         perf_metric=perf_metric,
         peak_rss=sampler.peak_rss,
         peak_fds=sampler.peak_fds,
-        duration=duration,
+        duration=ended - started,
     )
     return outcome, trace
 
@@ -409,12 +412,12 @@ def _teardown(session: TraceSession, limits: Limits) -> RunTrace:
     """Stop the tree: graceful signal, then kill; collect the trace."""
     session.signal_tree(signal.SIGTERM)
     try:
-        return session.wait(timeout=limits.kill_grace)
+        return session.wait(timeout=KILL_GRACE)
     except TimeoutError:
         pass
     session.signal_tree(signal.SIGKILL)
     try:
-        return session.wait(timeout=limits.timeout + limits.kill_grace + 10)
+        return session.wait(timeout=limits.timeout + KILL_GRACE + 10)
     except TimeoutError:
         session.kill_tracer()
         raise TracerFault("process tree did not terminate after SIGKILL") from None

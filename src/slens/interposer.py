@@ -30,6 +30,7 @@ import logging
 import os
 import signal
 import threading
+import time
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
@@ -248,15 +249,19 @@ def classify_feature(
 
 @dataclass
 class RunTrace:
-    """Everything one traced run produced."""
+    """Everything one traced run produced.
+
+    ``root_exit_at`` is the CLOCK_MONOTONIC time (``time.monotonic()``) at
+    which the tracer reaped the root, or None if it never did.
+    """
 
     observed: Counter  # FeatureId -> invocation count
-    decisions: dict  # FeatureId -> Action actually applied
     exit_code: int | None
     signaled: int | None
     whitelisted_pids_seen: int
     timed_out: bool = False
     warnings: tuple[str, ...] = ()
+    root_exit_at: float | None = None
 
     def features(self) -> tuple[FeatureId, ...]:
         return tuple(sorted(self.observed, key=FeatureId.sort_key))
@@ -265,15 +270,12 @@ class RunTrace:
         items = sorted(self.observed.items(), key=lambda kv: kv[0].sort_key())
         return {
             "observed": [{"feature": f.to_json(), "count": c} for f, c in items],
-            "decisions": [
-                {"feature": f.to_json(), "action": a.to_json()}
-                for f, a in sorted(self.decisions.items(), key=lambda kv: kv[0].sort_key())
-            ],
             "exit_code": self.exit_code,
             "signaled": self.signaled,
             "whitelisted_pids_seen": self.whitelisted_pids_seen,
             "timed_out": self.timed_out,
             "warnings": list(self.warnings),
+            "root_exit_at": self.root_exit_at,
         }
 
     @staticmethod
@@ -281,18 +283,14 @@ class RunTrace:
         observed: Counter = Counter()
         for item in d["observed"]:
             observed[FeatureId.from_json(item["feature"])] = int(item["count"])
-        decisions = {
-            FeatureId.from_json(item["feature"]): Action.from_json(item["action"])
-            for item in d["decisions"]
-        }
         return RunTrace(
             observed=observed,
-            decisions=decisions,
             exit_code=d["exit_code"],
             signaled=d["signaled"],
             whitelisted_pids_seen=int(d["whitelisted_pids_seen"]),
             timed_out=bool(d["timed_out"]),
             warnings=tuple(d.get("warnings", ())),
+            root_exit_at=d["root_exit_at"],
         )
 
 
@@ -317,11 +315,10 @@ class Command:
 
 @dataclass(frozen=True)
 class Limits:
-    """Run limits.  ``sample_period`` is consumed by the harness sampler."""
+    """Run limits.  The tracer kills the tree ``timeout`` seconds after
+    launch; the harness gives it a later deadline than its own."""
 
     timeout: float = 10.0
-    kill_grace: float = 2.0
-    sample_period: float = 0.1
 
     def __post_init__(self):
         if self.timeout <= 0:
@@ -361,13 +358,13 @@ class _Engine:
         self.procs: dict[int, _Proc] = {}
         self.pending_stops: dict[int, int] = {}
         self.observed: Counter = Counter()
-        self.decisions: dict[FeatureId, Action] = {}
         self.warnings: list[str] = []
         self.ever_traced: set[int] = set()
         self.first_exec_done = False
         self.root_pid = 0
         self.root_exit: int | None = None
         self.root_signal: int | None = None
+        self.root_exit_at: float | None = None
         self.timed_out = False
         self._regs = pt.UserRegs()
 
@@ -521,8 +518,6 @@ class _Engine:
                                        self.tables, self._read_string(pid))
             self.observed[feature] += 1
             action = self.policy.action_for(feature)
-            if feature not in self.decisions:
-                self.decisions[feature] = action
             if action.suppresses:
                 self._regs.orig_rax = pt.to_unsigned(-1)
                 pt.setregs(pid, self._regs)
@@ -537,12 +532,13 @@ class _Engine:
     def _on_exit(self, pid: int, status: int) -> None:
         self.procs.pop(pid, None)
         if pid == self.root_pid:
+            self.root_exit_at = time.monotonic()
             if os.WIFEXITED(status):
                 self.root_exit = os.WEXITSTATUS(status)
             elif os.WIFSIGNALED(status):
                 self.root_signal = os.WTERMSIG(status)
             self.emit({"event": "root_exit", "exit_code": self.root_exit,
-                       "signaled": self.root_signal, "timed_out": self.timed_out})
+                       "signaled": self.root_signal})
         self._emit_pids()
 
     def _handle_stop(self, pid: int, status: int) -> None:
@@ -640,12 +636,12 @@ class _Engine:
         self._check_exec_error()
         return RunTrace(
             observed=self.observed,
-            decisions=self.decisions,
             exit_code=self.root_exit,
             signaled=self.root_signal,
             whitelisted_pids_seen=len(self.ever_traced),
             timed_out=self.timed_out,
             warnings=tuple(self.warnings),
+            root_exit_at=self.root_exit_at,
         )
 
 
@@ -699,7 +695,6 @@ class TraceSession:
         self._app_pid: int | None = None
         self._traced_pids: frozenset[int] = frozenset()
         self._root_status: tuple[int | None, int | None] | None = None
-        self._root_timed_out = False
         self._trace: RunTrace | None = None
         self._error: tuple[str, str] | None = None
         self._reader = threading.Thread(target=self._read_loop, daemon=True)
@@ -763,7 +758,6 @@ class TraceSession:
         elif event == "root_exit":
             with self._lock:
                 self._root_status = (msg["exit_code"], msg["signaled"])
-                self._root_timed_out = msg["timed_out"]
         elif event == "result":
             with self._lock:
                 self._trace = RunTrace.from_json(msg["trace"])
@@ -791,12 +785,6 @@ class TraceSession:
         """(exit_code, signal) of the root once it exited, else None."""
         with self._lock:
             return self._root_status
-
-    def root_timed_out(self) -> bool:
-        """Whether the tracer's timer killed the root before it exited on
-        its own."""
-        with self._lock:
-            return self._root_timed_out
 
     def finished(self) -> bool:
         return self._done.is_set()
@@ -844,9 +832,8 @@ def trace_run(command: Command, policy: Policy, whitelist: Whitelist,
     timeout the tree is killed and the returned trace has ``timed_out`` set.
     """
     session = TraceSession.start(command, policy, whitelist, limits, tables)
-    grace = limits.timeout + limits.kill_grace + 30
     try:
-        return session.wait(timeout=grace)
+        return session.wait(timeout=limits.timeout + 30)
     except TimeoutError:
         session.signal_tree(signal.SIGKILL)
         session.kill_tracer()

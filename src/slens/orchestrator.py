@@ -72,10 +72,22 @@ CLASS_STUB_ONLY = "stub_only"
 CLASS_FAKE_ONLY = "fake_only"
 CLASS_ANY = "any"
 
+# The probe modes that work for a feature of each class.
+CLASS_MODES = {
+    CLASS_REQUIRED: frozenset(),
+    CLASS_STUB_ONLY: frozenset({MODE_STUB}),
+    CLASS_FAKE_ONLY: frozenset({MODE_FAKE}),
+    CLASS_ANY: frozenset({MODE_STUB, MODE_FAKE}),
+}
+_CLASS_OF_MODES = {modes: cls for cls, modes in CLASS_MODES.items()}
+
 VERDICT_WORKS = "works"
 VERDICT_BREAKS = "breaks"
 
 PROFILE_SCHEMA = 1
+
+# Least relative change of a probe's mean metric that can flag a regression.
+PERF_MARGIN = 0.03
 
 
 class BaselineFailure(SlensError):
@@ -110,18 +122,13 @@ class AnalysisConfig:
     perf_runs: int = 10
     subfeatures: bool = False
     pseudofiles: bool = False
-    perf_margin: float = 0.03
     timeout: float | None = None
-    kill_grace: float = 2.0
-    sample_period: float = 0.1
 
     def __post_init__(self):
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
-        if self.perf_margin <= 0:
-            raise ValueError("perf_margin must be > 0")
         if self.perf_runs < 0:
             raise ValueError("perf_runs must be >= 0")
 
@@ -217,8 +224,7 @@ class AppProfile:
     def __post_init__(self):
         if set(self.classes) != set(self.observed):
             raise ValueError("classes' domain must equal the observed feature set")
-        bad = [c for c in self.classes.values()
-               if c not in (CLASS_REQUIRED, CLASS_STUB_ONLY, CLASS_FAKE_ONLY, CLASS_ANY)]
+        bad = [c for c in self.classes.values() if c not in CLASS_MODES]
         if bad:
             raise ValueError(f"unknown classes: {bad}")
 
@@ -292,9 +298,9 @@ def confirmation_policy(classes: Mapping[FeatureId, str],
     """
     overrides: dict[FeatureId, Action] = {}
     for f, cls in classes.items():
-        if cls in (CLASS_STUB_ONLY, CLASS_ANY):
+        if MODE_STUB in CLASS_MODES[cls]:
             overrides[f] = STUB
-        elif cls == CLASS_FAKE_ONLY:
+        elif MODE_FAKE in CLASS_MODES[cls]:
             overrides[f] = fake(tables.fake_value_for(f.syscall_nr))
     return Policy(overrides=overrides)
 
@@ -331,8 +337,7 @@ class Orchestrator:
                 timeout = max(10.0, 3.0 * self.baseline_duration)
             else:
                 timeout = 10.0
-        return Limits(timeout=timeout, kill_grace=self.config.kill_grace,
-                      sample_period=self.config.sample_period)
+        return Limits(timeout=timeout)
 
     def _run_one(self, policy: Policy, replica: int, label: str
                  ) -> tuple[WorkloadOutcome, RunTrace]:
@@ -373,39 +378,32 @@ class Orchestrator:
         ``parallelism`` at a time.
 
         Returns each run's outcome in the order of ``runs``, or its
-        (outcome, trace) pair when ``traces`` is set.  A phase may hold
-        hundreds of runs, so the pool gets one task per worker, each taking
-        the next run until none is left, and unwanted traces are dropped as
-        soon as their run ends.  The first run to raise stops the runs not
-        yet started; the call waits for the runs in flight, then re-raises.
+        (outcome, trace) pair when ``traces`` is set; a phase may hold
+        hundreds of runs, so unwanted traces are dropped as each run ends.
+        The first run to raise cancels the runs not yet started; the call
+        waits for the runs in flight, then re-raises.
         """
-        results: list = [None] * len(runs)
-        pending = iter(range(len(runs)))
-        lock = threading.Lock()
-        stop = threading.Event()
+        def run(policy: Policy, replica: int, label: str):
+            outcome, trace = self._run_checked(policy, replica, label)
+            return (outcome, trace) if traces else outcome
 
-        def work() -> None:
-            while not stop.is_set():
-                with lock:
-                    i = next(pending, None)
-                if i is None:
-                    return
-                try:
-                    outcome, trace = self._run_checked(*runs[i])
-                except BaseException:
-                    stop.set()
-                    raise
-                results[i] = (outcome, trace) if traces else outcome
-
-        workers = min(self.parallelism, len(runs))
         pool = concurrent.futures.ThreadPoolExecutor(max_workers=self.parallelism)
+
+        def cancel_rest(future: concurrent.futures.Future) -> None:
+            # Called in the worker whose run raised, before it can take
+            # another run.
+            if not future.cancelled() and future.exception() is not None:
+                pool.shutdown(wait=False, cancel_futures=True)
+
         try:
-            for task in [pool.submit(work) for _ in range(workers)]:
-                task.result()
+            futures = [pool.submit(run, *r) for r in runs]
+            for future in futures:
+                future.add_done_callback(cancel_rest)
+            concurrent.futures.wait(futures, return_when=concurrent.futures.FIRST_EXCEPTION)
         finally:
-            stop.set()
-            pool.shutdown(wait=True)
-        return results
+            pool.shutdown(cancel_futures=True)
+        # Runs start in order, so a cancelled run comes after the failed one.
+        return [future.result() for future in futures]
 
     # -- protocol operations
 
@@ -458,7 +456,7 @@ class Orchestrator:
             )
             if works and self.baseline is not None:
                 result.regression_flags = detect_regressions(
-                    self.baseline, replicas, self.config.perf_margin)
+                    self.baseline, replicas, PERF_MARGIN)
             log.info("probe app=%s feature=%s mode=%s verdict=%s flags=%s",
                      self.spec.name, feature_label(feature), mode, result.verdict,
                      result.regression_flags or "-")
@@ -491,18 +489,11 @@ class Orchestrator:
         keys = [(feature, mode) for feature in features for mode in (MODE_STUB, MODE_FAKE)]
         probes = dict(zip(keys, self._probe_all(keys)))
 
-        classes: dict[FeatureId, str] = {}
-        for feature in features:
-            stub_ok = probes[(feature, MODE_STUB)].works
-            fake_ok = probes[(feature, MODE_FAKE)].works
-            if stub_ok and fake_ok:
-                classes[feature] = CLASS_ANY
-            elif stub_ok:
-                classes[feature] = CLASS_STUB_ONLY
-            elif fake_ok:
-                classes[feature] = CLASS_FAKE_ONLY
-            else:
-                classes[feature] = CLASS_REQUIRED
+        classes = {
+            feature: _CLASS_OF_MODES[frozenset(
+                mode for mode in (MODE_STUB, MODE_FAKE) if probes[(feature, mode)].works)]
+            for feature in features
+        }
 
         policy = confirmation_policy(classes, self.tables)
         confirm = self._run_all(

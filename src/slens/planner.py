@@ -36,13 +36,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from . import SlensError
 from . import syscalls
-from .orchestrator import (
-    AppProfile,
-    CLASS_ANY,
-    CLASS_FAKE_ONLY,
-    CLASS_REQUIRED,
-    CLASS_STUB_ONLY,
-)
+from .orchestrator import CLASS_MODES, AppProfile
 from .store import OsSupportSet
 
 
@@ -147,14 +141,6 @@ class ImportanceReport:
 # ---------------------------------------------------------------------------
 # Needs maps and the support predicate
 
-# Non-implement modes that satisfy a feature of each class.
-_MODES = {
-    CLASS_REQUIRED: frozenset(),
-    CLASS_STUB_ONLY: frozenset({"stub"}),
-    CLASS_FAKE_ONLY: frozenset({"fake"}),
-    CLASS_ANY: frozenset({"stub", "fake"}),
-}
-
 Needs = dict[int, frozenset[str]]
 Delta = tuple[frozenset[int], frozenset[int], frozenset[int]]
 
@@ -163,10 +149,10 @@ def _needs(profile: AppProfile) -> Needs:
     """Per observed syscall, the non-implement modes all its features accept."""
     needs: Needs = {}
     for feature in profile.observed:
-        modes = _MODES[profile.classes[feature]]
+        modes = CLASS_MODES[profile.classes[feature]]
         nr = feature.syscall_nr
-        # Store the shared _MODES sets where possible: a map per app is kept
-        # for a whole plan.
+        # Store the shared CLASS_MODES sets where possible: a map per app is
+        # kept for a whole plan.
         needs[nr] = needs[nr] & modes if nr in needs else modes
     return needs
 

@@ -1,8 +1,10 @@
 """Workload harness behavior: outcomes, metrics, resources, teardown."""
 
 import os
+import signal
 import subprocess
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -13,10 +15,11 @@ from slens.harness import (
     Readiness,
     ResourceSample,
     ScriptMissing,
+    judge,
     run_workload,
     sample_resources,
 )
-from slens.interposer import FeatureId, Policy, STUB, Whitelist
+from slens.interposer import FeatureId, Policy, RunTrace, STUB, Whitelist
 from slens.syscalls import name_to_nr
 
 LIMITS = Limits(timeout=5.0)
@@ -53,15 +56,65 @@ def test_timeout_reason(fixtures, app_spec_factory):
 
 def test_readiness_timeout_is_not_a_crash(fixtures, app_spec_factory):
     """A server that never listens on the polled port times out.  The
-    tracer's timer may kill it before the readiness loop gives up; that
-    dead root is still a timeout."""
+    harness's deadline ends the run; the tracer's timer never fires."""
     spec = app_spec_factory("sleeper", script="pass.sh", readiness=Readiness(port=0))
 
-    def reason(_):
-        return run_workload(spec, Policy.allow_all(), Limits(timeout=0.3))[0].reason
+    def run(_):
+        outcome, trace = run_workload(spec, Policy.allow_all(), Limits(timeout=0.3))
+        return outcome.reason, trace.timed_out
 
     with ThreadPoolExecutor(max_workers=2) as pool:
-        assert list(pool.map(reason, range(10))) == ["timeout"] * 10
+        assert list(pool.map(run, range(10))) == [("timeout", False)] * 10
+
+
+def test_clean_exit_under_port_readiness_is_a_crash_at_once(fixtures, app_spec_factory):
+    """Once no process is left, no port can open: the run does not wait
+    out its timeout."""
+    spec = app_spec_factory("noop", script="pass.sh", readiness=Readiness(port=0))
+    t0 = time.monotonic()
+    outcome, trace = run_workload(spec, Policy.allow_all(), Limits(timeout=2.0))
+    assert (outcome.reason, trace.exit_code) == ("crash", 0)
+    assert time.monotonic() - t0 < 0.5
+
+
+def test_crash_during_readiness_delay_ends_the_wait(fixtures, app_spec_factory):
+    spec = app_spec_factory("prctl_abort", readiness=Readiness(delay=3.0))
+    policy = Policy.single(FeatureId(name_to_nr("prctl")), STUB)
+    t0 = time.monotonic()
+    outcome, trace = run_workload(spec, policy, LIMITS)
+    assert (outcome.reason, trace.exit_code) == ("crash", 2)
+    assert time.monotonic() - t0 < 1.0
+
+
+def _trace(exit_code, signaled, root_exit_at, timed_out=False):
+    return RunTrace(observed=Counter(), exit_code=exit_code, signaled=signaled,
+                    whitelisted_pids_seen=1, timed_out=timed_out,
+                    root_exit_at=root_exit_at)
+
+
+ENDED = 100.0  # when the harness stopped waiting on the app
+TERM = _trace(None, signal.SIGTERM, 100.1)  # alive until teardown
+
+
+@pytest.mark.parametrize("trace,ready,script_rc,reason", [
+    (TERM, True, 0, "script_ok"),
+    (_trace(0, None, 99.0), True, 0, "script_ok"),  # a batch app
+    (TERM, True, 1, "script_fail"),
+    (_trace(0, None, 99.0), True, 3, "script_fail"),
+    (_trace(2, None, 99.0), True, 0, "crash"),
+    (_trace(None, signal.SIGSEGV, 99.0), True, 1, "crash"),
+    (_trace(2, None, 99.0), True, None, "crash"),  # before the script timed out
+    (_trace(0, None, 99.0), False, None, "crash"),  # exited 0, never listened
+    (_trace(2, None, 99.0), False, None, "crash"),
+    (_trace(2, None, 100.1), True, 0, "script_ok"),  # exited 2 after the script
+    (_trace(None, signal.SIGSEGV, 100.1), True, 1, "script_fail"),
+    (TERM, True, None, "timeout"),  # the script ran out of time
+    (TERM, False, None, "timeout"),  # never ready
+    (_trace(None, signal.SIGKILL, 104.0, timed_out=True), True, 0, "timeout"),
+    (_trace(None, None, None), False, None, "timeout"),  # root never reaped
+])
+def test_judge_sets_the_reason_from_the_final_trace(trace, ready, script_rc, reason):
+    assert judge(trace, ready, script_rc, ENDED) == reason
 
 
 def test_server_exiting_at_once_is_a_crash(fixtures):
@@ -133,16 +186,14 @@ def test_fresh_state_between_runs(fixtures, app_spec_factory):
 def test_peak_fd_count(fixtures, app_spec_factory):
     """The fd-holding fixture keeps 100 files + stdio open while sampled."""
     spec = app_spec_factory("fd_hold")  # script holds until app exit
-    outcome, _ = run_workload(spec, Policy.allow_all(),
-                              Limits(timeout=5.0, sample_period=0.05))
+    outcome, _ = run_workload(spec, Policy.allow_all(), LIMITS)
     assert outcome.peak_fds >= 103
 
 
 def test_peak_rss(fixtures, app_spec_factory):
     """The 64 MiB buffer must show up in the high-water RSS."""
     spec = app_spec_factory("mem_hold")  # script holds until app exit
-    outcome, _ = run_workload(spec, Policy.allow_all(),
-                              Limits(timeout=5.0, sample_period=0.05))
+    outcome, _ = run_workload(spec, Policy.allow_all(), LIMITS)
     assert outcome.peak_rss >= 64 * 1024 * 1024
 
 

@@ -217,7 +217,7 @@ class _StubRuns:
         observed = Counter({FeatureId(name_to_nr("getpid")): 1,
                             FeatureId(name_to_nr("exit_group")): 1})
         return _outcome(success=not self.fail(policy, call)), RunTrace(
-            observed=observed, decisions={}, exit_code=0, signaled=None,
+            observed=observed, exit_code=0, signaled=None,
             whitelisted_pids_seen=1)
 
 
@@ -380,5 +380,3 @@ def test_config_validation():
         AnalysisConfig(replicas=0)
     with pytest.raises(ValueError):
         AnalysisConfig(parallelism=0)
-    with pytest.raises(ValueError):
-        AnalysisConfig(perf_margin=0.0)
