@@ -1,7 +1,9 @@
-"""Minimal ctypes bindings for the Linux ptrace facility (x86_64).
+"""Minimal ctypes bindings for the Linux ptrace and seccomp facilities
+(x86_64).
 
-Only what the trace engine needs: syscall-stop stepping, register
-read/write, child-follow and exec notification options, and event message
+Only what the trace engine needs: a seccomp filter that stops the tracee
+for its tracer at chosen syscalls, resumption, register read/write,
+child-follow, exec and seccomp notification options, and event message
 retrieval.  The tracer must be the process (thread) that attached.
 """
 
@@ -9,6 +11,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+from typing import Iterable
 
 _libc = ctypes.CDLL("libc.so.6", use_errno=True)
 _libc.ptrace.argtypes = [ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p]
@@ -18,32 +21,24 @@ PTRACE_TRACEME = 0
 PTRACE_CONT = 7
 PTRACE_GETREGS = 12
 PTRACE_SETREGS = 13
-PTRACE_SYSCALL = 24
 PTRACE_SETOPTIONS = 0x4200
 PTRACE_GETEVENTMSG = 0x4201
-PTRACE_GET_SYSCALL_INFO = 0x420E
 
-SYSCALL_INFO_NONE = 0
-SYSCALL_INFO_ENTRY = 1
-SYSCALL_INFO_EXIT = 2
-SYSCALL_INFO_SECCOMP = 3
-
-PTRACE_O_TRACESYSGOOD = 0x1
 PTRACE_O_TRACEFORK = 0x2
 PTRACE_O_TRACEVFORK = 0x4
 PTRACE_O_TRACECLONE = 0x8
 PTRACE_O_TRACEEXEC = 0x10
+PTRACE_O_TRACESECCOMP = 0x80
 PTRACE_O_EXITKILL = 0x100000
 
 PTRACE_EVENT_FORK = 1
 PTRACE_EVENT_VFORK = 2
 PTRACE_EVENT_CLONE = 3
 PTRACE_EVENT_EXEC = 4
+PTRACE_EVENT_SECCOMP = 7
 
 # waitpid option: wait for all children, including clones.
 WALL = 0x40000000
-
-SYSCALL_STOP_SIG = 0x80 | 5  # SIGTRAP | 0x80 under PTRACE_O_TRACESYSGOOD
 
 
 class UserRegs(ctypes.Structure):
@@ -100,32 +95,73 @@ def geteventmsg(pid: int) -> int:
     return msg.value
 
 
-_syscall_info_buf = (ctypes.c_uint8 * 128)()
-
-
-def syscall_stop_kind(pid: int) -> int:
-    """Return whether a syscall stop is an entry or an exit (SYSCALL_INFO_*).
-
-    Reliable regardless of process-local state, which matters for the first
-    stop of freshly attached children and for stops right after exec.
-    """
-    ret = _libc.ptrace(PTRACE_GET_SYSCALL_INFO, pid,
-                       ctypes.c_void_p(len(_syscall_info_buf)),
-                       ctypes.byref(_syscall_info_buf))
-    if ret <= 0:
-        err = ctypes.get_errno()
-        raise PtraceError(err, f"ptrace GET_SYSCALL_INFO pid={pid}: {os.strerror(err)}")
-    return _syscall_info_buf[0]
-
-
-def resume_syscall(pid: int, sig: int = 0) -> None:
-    _check(_libc.ptrace(PTRACE_SYSCALL, pid, None, ctypes.c_void_p(sig)),
-           "SYSCALL", pid)
-
-
 def resume_cont(pid: int, sig: int = 0) -> None:
     _check(_libc.ptrace(PTRACE_CONT, pid, None, ctypes.c_void_p(sig)),
            "CONT", pid)
+
+
+# -- seccomp (see seccomp(2)): a classic-BPF program over struct seccomp_data,
+# whose ``nr`` is at offset 0 and ``arch`` at offset 4.
+
+_libc.prctl.argtypes = [ctypes.c_int, ctypes.c_ulong, ctypes.c_ulong,
+                        ctypes.c_ulong, ctypes.c_ulong]
+_libc.prctl.restype = ctypes.c_int
+
+PR_SET_SECCOMP = 22
+PR_SET_NO_NEW_PRIVS = 38
+SECCOMP_MODE_FILTER = 2
+SECCOMP_RET_TRACE = 0x7FF00000
+SECCOMP_RET_ALLOW = 0x7FFF0000
+AUDIT_ARCH_X86_64 = 0xC000003E
+
+_BPF_LD_W_ABS = 0x20
+_BPF_JEQ_K = 0x15
+_BPF_RET_K = 0x06
+
+
+class SockFilter(ctypes.Structure):
+    _fields_ = [("code", ctypes.c_uint16), ("jt", ctypes.c_uint8),
+                ("jf", ctypes.c_uint8), ("k", ctypes.c_uint32)]
+
+
+class SockFprog(ctypes.Structure):
+    _fields_ = [("len", ctypes.c_ushort), ("filter", ctypes.POINTER(SockFilter))]
+
+
+def seccomp_filter(trapped: Iterable[int] | None) -> SockFprog:
+    """A filter that stops the caller for its tracer (SECCOMP_RET_TRACE) at
+    each x86_64 syscall number in ``trapped``, or at every syscall when
+    ``trapped`` is None, and lets every other x86_64 syscall run.  Calls
+    made under another architecture always stop."""
+    trace = SockFilter(_BPF_RET_K, 0, 0, SECCOMP_RET_TRACE)
+    code = [trace]
+    if trapped is not None:
+        code = [SockFilter(_BPF_LD_W_ABS, 0, 0, 4),
+                SockFilter(_BPF_JEQ_K, 1, 0, AUDIT_ARCH_X86_64),
+                trace,
+                SockFilter(_BPF_LD_W_ABS, 0, 0, 0)]
+        for nr in sorted(set(trapped)):
+            # Equal: fall through to the stop; else skip over it.
+            code += [SockFilter(_BPF_JEQ_K, 0, 1, nr & 0xFFFFFFFF), trace]
+        code.append(SockFilter(_BPF_RET_K, 0, 0, SECCOMP_RET_ALLOW))
+    insns = (SockFilter * len(code))(*code)
+    prog = SockFprog(len(code), insns)
+    prog.insns = insns  # the program must outlive its pointer's use
+    return prog
+
+
+def install_seccomp(prog: SockFprog) -> None:
+    """Set no_new_privs, then install ``prog`` on the calling thread; both
+    are inherited by its children and kept across execve.
+
+    Raises OSError naming the prctl that failed.
+    """
+    for what, args in (("PR_SET_NO_NEW_PRIVS", (PR_SET_NO_NEW_PRIVS, 1, 0)),
+                       ("PR_SET_SECCOMP", (PR_SET_SECCOMP, SECCOMP_MODE_FILTER,
+                                           ctypes.addressof(prog)))):
+        if _libc.prctl(*args, 0, 0) != 0:
+            err = ctypes.get_errno()
+            raise OSError(err, f"prctl({what}): {os.strerror(err)}")
 
 
 def to_signed(value: int) -> int:

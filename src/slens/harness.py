@@ -312,8 +312,12 @@ def _fresh_workdir(spec: AppSpec) -> str:
 
 
 def run_workload(spec: AppSpec, policy: Policy, limits: Limits,
-                 tables: InterposerTables = DEFAULT_TABLES) -> tuple[WorkloadOutcome, RunTrace]:
+                 tables: InterposerTables = DEFAULT_TABLES,
+                 discovery: bool = True) -> tuple[WorkloadOutcome, RunTrace]:
     """Execute one workload attempt under ``policy`` and judge it.
+
+    ``discovery`` is passed to ``TraceSession.start``: whether the trace
+    observes every syscall, or only those that ``policy`` overrides.
 
     The app runs in a fresh working directory instantiated from the spec's
     template, so it never sees state from prior runs.  Success requires the
@@ -326,7 +330,7 @@ def run_workload(spec: AppSpec, policy: Policy, limits: Limits,
     keep = os.environ.get("SLENS_KEEP_WORKDIRS") == "1"
     started = time.monotonic()
     try:
-        return _run_workload_in(spec, policy, limits, tables, workdir)
+        return _run_workload_in(spec, policy, limits, tables, discovery, workdir)
     except TracerFault as exc:
         # The run is discarded, never classified; callers retry or abort.
         log.warning("tracer fault for %s: %s", spec.name, exc)
@@ -346,7 +350,8 @@ def run_workload(spec: AppSpec, policy: Policy, limits: Limits,
 
 
 def _run_workload_in(spec: AppSpec, policy: Policy, limits: Limits,
-                     tables: InterposerTables, workdir: str) -> tuple[WorkloadOutcome, RunTrace]:
+                     tables: InterposerTables, discovery: bool,
+                     workdir: str) -> tuple[WorkloadOutcome, RunTrace]:
     port = spec.readiness.port
     if port == 0:
         port = _allocate_port()
@@ -365,7 +370,8 @@ def _run_workload_in(spec: AppSpec, policy: Policy, limits: Limits,
     started = time.monotonic()
     deadline = started + limits.timeout
     backstop = Limits(timeout=limits.timeout + 2 * KILL_GRACE)
-    session = TraceSession.start(command, policy, spec.whitelist, backstop, tables)
+    session = TraceSession.start(command, policy, spec.whitelist, backstop, tables,
+                                 discovery)
     app_pid = session.app_pid  # raises LaunchFailure early
     sampler = _Sampler(session)
     sampler.start()

@@ -1,10 +1,18 @@
 """System-call interposition engine.
 
-Launches a target command under ptrace, intercepts every syscall entry and
-exit of the whole process tree, applies a per-feature policy (allow / stub /
-fake) by rewriting the syscall number at entry and the return register at
-exit, records the observed features, follows children, and filters by an
-executable whitelist checked at every exec.
+Launches a target command under ptrace, follows the whole process tree,
+and stops a process only at the syscalls a run traps: a seccomp filter,
+installed in the launched child before its exec and inherited by every
+descendant, returns SECCOMP_RET_TRACE for them and lets every other call
+run at native speed.  A discovery run traps every syscall; any other run
+traps only the syscall numbers its policy overrides, so a run under the
+allow-all policy makes no syscall stop at all.  At each such stop (one per
+trapped call) the tracer classifies the call into a feature, counts it in
+``RunTrace.observed`` and applies the policy (allow / stub / fake): one
+register update sets a suppressed call's syscall number to -1, so the
+kernel skips it, and its return register to the injected value.  An
+executable whitelist checked at every exec decides which processes are
+measured.
 
 Feature granularity: a feature is a syscall number, optionally narrowed by a
 sub-feature selector argument (vectored syscalls such as ioctl) or by a
@@ -13,8 +21,13 @@ pseudo-file path class (/proc, /dev, /sys) for the open family.
 Policy only applies to whitelisted processes, and only after their first
 exec event: syscalls issued by the launcher before exec are neither recorded
 nor interfered with.  Non-whitelisted processes run unmodified and
-unrecorded (they are resumed with PTRACE_CONT, so they execute at near
-native speed).
+unrecorded.  The filter cannot tell measured from unmeasured processes,
+though: unmeasured ones stop on the trapped syscalls too and are resumed at
+once, so in a discovery run every syscall of theirs stops.
+
+Caveat: the filter requires no_new_privs, which is inherited and cannot be
+unset, so setuid and setgid binaries (and file capabilities) confer no
+privileges inside the workload.
 
 Known blind spot: calls served by the vDSO (clock_gettime, gettimeofday,
 time, getcpu on common platforms) never enter the kernel and are therefore
@@ -101,12 +114,12 @@ class FeatureId:
 
 @dataclass(frozen=True)
 class Action:
-    """What to do with a feature at syscall entry.
+    """What to do with a feature at its seccomp stop.
 
     ``allow`` runs the call unchanged.  ``stub`` and ``fake`` suppress the
-    kernel execution (the syscall number is rewritten to an invalid one) and
-    inject ``return_value`` at exit: always -ENOSYS for a stub, a success
-    code (0 unless overridden) for a fake.
+    kernel execution (the syscall number is rewritten to -1) and set the
+    return register to ``return_value`` in the same update: always -ENOSYS
+    for a stub, a success code (0 unless overridden) for a fake.
     """
 
     kind: str  # "allow" | "stub" | "fake"
@@ -140,7 +153,7 @@ def fake(return_value: int = 0) -> Action:
 
 @dataclass(frozen=True)
 class Policy:
-    """Per-feature decision table applied at syscall entry."""
+    """Per-feature decision table applied at each trapped syscall."""
 
     overrides: Mapping[FeatureId, Action] = field(default_factory=dict)
     default_action: Action = ALLOW
@@ -251,20 +264,20 @@ def classify_feature(
 class RunTrace:
     """Everything one traced run produced.
 
-    ``root_exit_at`` is the CLOCK_MONOTONIC time (``time.monotonic()``) at
-    which the tracer reaped the root, or None if it never did.
+    ``observed`` counts the features of the trapped calls of measured
+    processes: of every call in a discovery run, of the calls to the
+    policy's overridden syscalls otherwise.  ``root_exit_at`` is the
+    CLOCK_MONOTONIC time (``time.monotonic()``) at which the tracer reaped
+    the root, or None if it never did.
     """
 
-    observed: Counter  # FeatureId -> invocation count
+    observed: Counter  # FeatureId -> trapped invocation count
     exit_code: int | None
     signaled: int | None
     whitelisted_pids_seen: int
     timed_out: bool = False
     warnings: tuple[str, ...] = ()
     root_exit_at: float | None = None
-
-    def features(self) -> tuple[FeatureId, ...]:
-        return tuple(sorted(self.observed, key=FeatureId.sort_key))
 
     def to_json(self) -> dict:
         items = sorted(self.observed.items(), key=lambda kv: kv[0].sort_key())
@@ -336,7 +349,6 @@ class _Deadline(Exception):
 @dataclass
 class _Proc:
     traced: bool = False
-    pending_inject: int | None = None
     attach_pending: bool = False  # auto-attach SIGSTOP not yet consumed
 
 
@@ -348,9 +360,10 @@ class _Engine:
     """
 
     def __init__(self, command: Command, policy: Policy, whitelist: Whitelist,
-                 limits: Limits, tables: InterposerTables, emit):
+                 limits: Limits, tables: InterposerTables, discovery: bool, emit):
         self.command = command
         self.policy = policy
+        self.discovery = discovery
         self.whitelist = whitelist
         self.limits = limits
         self.tables = tables
@@ -388,12 +401,8 @@ class _Engine:
         return reader
 
     def _resume(self, pid: int, sig: int = 0) -> None:
-        proc = self.procs.get(pid)
         try:
-            if proc is not None and proc.traced:
-                pt.resume_syscall(pid, sig)
-            else:
-                pt.resume_cont(pid, sig)
+            pt.resume_cont(pid, sig)
         except pt.PtraceError as exc:
             if exc.errno == _errno.ESRCH:
                 return  # died under us; waitpid will report it
@@ -408,9 +417,15 @@ class _Engine:
             raise LaunchFailure(f"executable not found: {exe}")
         if not os.access(exe, os.X_OK):
             raise LaunchFailure(f"not executable: {exe}")
+        # Built before the fork, so the child only installs it.  A default
+        # action other than allow concerns every call, so it traps them all.
+        trap_all = self.discovery or self.policy.default_action.suppresses
+        prog = pt.seccomp_filter(
+            None if trap_all else {f.syscall_nr for f in self.policy.overrides})
         err_r, err_w = os.pipe()
         pid = os.fork()
         if pid == 0:
+            step = "exec"
             try:
                 os.close(err_r)
                 os.setpgid(0, 0)
@@ -430,10 +445,13 @@ class _Engine:
                     else dict(os.environ)
                 pt.traceme()
                 os.kill(os.getpid(), signal.SIGSTOP)
+                step = "seccomp"
+                pt.install_seccomp(prog)
+                step = "exec"
                 os.execve(exe, argv, env)
             except OSError as exc:
                 try:
-                    os.write(err_w, str(exc.errno or 0).encode())
+                    os.write(err_w, f"{step} {exc.errno or 0}".encode())
                 except OSError:
                     pass
             except Exception:
@@ -449,13 +467,15 @@ class _Engine:
         self.root_pid = pid
         self.procs[pid] = _Proc()
 
-        # First stop is the child's own SIGSTOP; set options there.  Only
-        # then announce the pid: a signal sent to the group before the child
+        # First stop is the child's own SIGSTOP; set options there, before
+        # the child installs its filter (a trapped call with no tracer
+        # listening for seccomp stops fails with ENOSYS).  Only then
+        # announce the pid: a signal sent to the group before the child
         # reached PTRACE_TRACEME would kill it untraced.
         _, status = os.waitpid(pid, pt.WALL)
         if not os.WIFSTOPPED(status):
             raise TracerFault(f"unexpected initial status {status:#x}")
-        pt.setoptions(pid, pt.PTRACE_O_TRACESYSGOOD | pt.PTRACE_O_TRACEFORK
+        pt.setoptions(pid, pt.PTRACE_O_TRACESECCOMP | pt.PTRACE_O_TRACEFORK
                       | pt.PTRACE_O_TRACEVFORK | pt.PTRACE_O_TRACECLONE
                       | pt.PTRACE_O_TRACEEXEC | pt.PTRACE_O_EXITKILL)
         self.emit({"event": "launched", "pid": pid})
@@ -469,10 +489,12 @@ class _Engine:
         except OSError:
             return
         if data:
-            err = int(data.decode() or "0")
+            step, _, err = data.decode().partition(" ")
+            err = int(err or "0")
+            what = "seccomp filter install for" if step == "seccomp" else "exec of"
             raise LaunchFailure(
-                f"exec of {self.command.argv[0]} failed: {os.strerror(err) if err else 'unknown error'}"
-            )
+                f"{what} {self.command.argv[0]} failed: "
+                f"{os.strerror(err) if err else 'unknown error'} (errno {err})")
 
     # -- event handling
 
@@ -487,7 +509,6 @@ class _Engine:
         self.first_exec_done = True
         was_traced = proc.traced
         proc.traced = resolve_exec(image, self.whitelist, first)
-        proc.pending_inject = None
         if proc.traced:
             self.ever_traced.add(pid)
         if proc.traced != was_traced or proc.traced:
@@ -497,7 +518,6 @@ class _Engine:
         parent = self.procs.get(parent_pid)
         child = self.procs.setdefault(child_pid, _Proc())
         child.traced = bool(parent and parent.traced)
-        child.pending_inject = None
         child.attach_pending = True
         if child.traced:
             self.ever_traced.add(child_pid)
@@ -509,25 +529,20 @@ class _Engine:
             child.attach_pending = False
             self._resume(child_pid)
 
-    def _on_syscall_stop(self, pid: int, proc: _Proc) -> None:
-        kind = pt.syscall_stop_kind(pid)
-        if kind == pt.SYSCALL_INFO_ENTRY:
-            pt.getregs(pid, self._regs)
-            nr = pt.to_signed(self._regs.orig_rax)
-            feature = classify_feature(nr, self._regs.syscall_args(),
-                                       self.tables, self._read_string(pid))
-            self.observed[feature] += 1
-            action = self.policy.action_for(feature)
-            if action.suppresses:
-                self._regs.orig_rax = pt.to_unsigned(-1)
-                pt.setregs(pid, self._regs)
-                proc.pending_inject = action.return_value
-        elif kind == pt.SYSCALL_INFO_EXIT:
-            if proc.pending_inject is not None:
-                pt.getregs(pid, self._regs)
-                self._regs.rax = pt.to_unsigned(proc.pending_inject)
-                pt.setregs(pid, self._regs)
-                proc.pending_inject = None
+    def _on_seccomp_stop(self, pid: int) -> None:
+        """A measured process is about to make a trapped call: count its
+        feature and apply the policy.  Syscall number -1 makes the kernel
+        skip the call and return the value left in rax."""
+        pt.getregs(pid, self._regs)
+        nr = pt.to_signed(self._regs.orig_rax)
+        feature = classify_feature(nr, self._regs.syscall_args(),
+                                   self.tables, self._read_string(pid))
+        self.observed[feature] += 1
+        action = self.policy.action_for(feature)
+        if action.suppresses:
+            self._regs.orig_rax = pt.to_unsigned(-1)
+            self._regs.rax = pt.to_unsigned(action.return_value)
+            pt.setregs(pid, self._regs)
 
     def _on_exit(self, pid: int, status: int) -> None:
         self.procs.pop(pid, None)
@@ -556,8 +571,9 @@ class _Engine:
         elif event == pt.PTRACE_EVENT_EXEC:
             self._on_exec(pid)
             self._resume(pid)
-        elif (status >> 8) == pt.SYSCALL_STOP_SIG:
-            self._on_syscall_stop(pid, proc)
+        elif event == pt.PTRACE_EVENT_SECCOMP:
+            if proc.traced:
+                self._on_seccomp_stop(pid)
             self._resume(pid)
         elif sig == signal.SIGSTOP and proc.attach_pending:
             proc.attach_pending = False
@@ -645,7 +661,8 @@ class _Engine:
         )
 
 
-def _tracer_process(command, policy, whitelist, limits, tables, write_fd) -> None:
+def _tracer_process(command, policy, whitelist, limits, tables, discovery,
+                    write_fd) -> None:
     """Entry point of the forked tracer process.  Never returns."""
 
     def emit(msg: dict) -> None:
@@ -654,7 +671,7 @@ def _tracer_process(command, policy, whitelist, limits, tables, write_fd) -> Non
         except OSError:
             pass
 
-    engine = _Engine(command, policy, whitelist, limits, tables, emit)
+    engine = _Engine(command, policy, whitelist, limits, tables, discovery, emit)
     code = 0
     try:
         trace = engine.run()
@@ -702,7 +719,13 @@ class TraceSession:
 
     @classmethod
     def start(cls, command: Command, policy: Policy, whitelist: Whitelist,
-              limits: Limits, tables: InterposerTables = DEFAULT_TABLES) -> "TraceSession":
+              limits: Limits, tables: InterposerTables = DEFAULT_TABLES,
+              discovery: bool = True) -> "TraceSession":
+        """Launch ``command`` under a new tracer process.
+
+        A ``discovery`` run traps, and so observes, every syscall; any
+        other run traps only the syscalls that ``policy`` overrides.
+        """
         exe = command.argv[0]
         if not os.path.exists(exe):
             raise LaunchFailure(f"executable not found: {exe}")
@@ -717,7 +740,8 @@ class TraceSession:
             # output pipe, whose reader would then wait for this tracer.
             os.closerange(3, write_fd)
             os.closerange(max(3, write_fd + 1), os.sysconf("SC_OPEN_MAX"))
-            _tracer_process(command, policy, whitelist, limits, tables, write_fd)
+            _tracer_process(command, policy, whitelist, limits, tables, discovery,
+                            write_fd)
             os._exit(1)  # unreachable
         os.close(write_fd)
         return cls(tracer_pid, read_fd)
@@ -824,14 +848,16 @@ class TraceSession:
 
 
 def trace_run(command: Command, policy: Policy, whitelist: Whitelist,
-              limits: Limits, tables: InterposerTables = DEFAULT_TABLES) -> RunTrace:
+              limits: Limits, tables: InterposerTables = DEFAULT_TABLES,
+              discovery: bool = True) -> RunTrace:
     """Run a command to completion under the interposition engine.
 
-    Blocking convenience wrapper around TraceSession for workloads that
-    terminate by themselves.  The engine enforces ``limits.timeout``; on
-    timeout the tree is killed and the returned trace has ``timed_out`` set.
+    Blocking convenience wrapper around TraceSession (see its ``start`` for
+    ``discovery``) for workloads that terminate by themselves.  The engine
+    enforces ``limits.timeout``; on timeout the tree is killed and the
+    returned trace has ``timed_out`` set.
     """
-    session = TraceSession.start(command, policy, whitelist, limits, tables)
+    session = TraceSession.start(command, policy, whitelist, limits, tables, discovery)
     try:
         return session.wait(timeout=limits.timeout + 30)
     except TimeoutError:

@@ -4,9 +4,15 @@ For an application workload the orchestrator runs, per replica, one
 discovery run, one stub run and one fake run per observed feature, and one
 final combined confirmation run: exactly 2 + 2*s workload executions per
 replica for s discovered features, plus ``perf_runs`` allow-all baseline
-runs that feed regression detection on throughput and resource metrics.
-Replica results merge conservatively (a feature probe "works" only if every
-replica succeeded).
+runs that feed regression detection.  Replica results merge conservatively
+(a feature probe "works" only if every replica succeeded).
+
+Only discovery runs trap every syscall (see ``slens.interposer``); the
+orchestrator tells them from the others by their label.  A probe thus
+stops at each call of its probed syscall while a baseline run stops at
+none, and a difference in the test script's perf metric would measure the
+tracer.  So regression flags compare only a working probe's peak RSS and
+peak descriptor count with the baseline runs' (``detect_regressions``).
 
 The runs fall into three phases, and the runs of one phase do not depend on
 each other:
@@ -87,7 +93,7 @@ VERDICT_BREAKS = "breaks"
 PROFILE_SCHEMA = 1
 
 # Least relative change of a probe's mean metric that can flag a regression.
-PERF_MARGIN = 0.03
+REGRESSION_MARGIN = 0.03
 
 
 class BaselineFailure(SlensError):
@@ -135,7 +141,10 @@ class AnalysisConfig:
 
 @dataclass(frozen=True)
 class BaselineStats:
-    """Metric samples from successful allow-all runs."""
+    """Metric samples from successful allow-all runs.
+
+    ``perf`` is kept for reporting; it feeds no regression flag.
+    """
 
     perf: tuple[float, ...]
     rss: tuple[int, ...]
@@ -164,18 +173,17 @@ def _pooled_std(a: Sequence[float], b: Sequence[float]) -> float:
 def detect_regressions(baseline: BaselineStats,
                        probe_outcomes: Sequence[WorkloadOutcome],
                        margin: float) -> dict[str, float]:
-    """Flag probe metrics deviating from the baseline.
+    """Flag probe resource metrics deviating from the baseline.
 
     A metric is flagged when the relative difference of means exceeds
     ``margin`` AND the means differ by more than twice the pooled standard
     deviation.  Returns {metric: signed relative delta} for flagged metrics
-    among {"perf", "rss", "fds"}.  The perf check is skipped when either
-    side has no metric samples.
+    among {"rss", "fds"}.  A metric is skipped when either side has no
+    samples or the baseline mean is 0.  The perf metric is never compared
+    (see the module docstring).
     """
     flags: dict[str, float] = {}
     series = {
-        "perf": (baseline.perf,
-                 [o.perf_metric for o in probe_outcomes if o.perf_metric is not None]),
         "rss": (baseline.rss, [o.peak_rss for o in probe_outcomes]),
         "fds": (baseline.fds, [o.peak_fds for o in probe_outcomes]),
     }
@@ -227,10 +235,6 @@ class AppProfile:
         bad = [c for c in self.classes.values() if c not in CLASS_MODES]
         if bad:
             raise ValueError(f"unknown classes: {bad}")
-
-    def features_of_class(self, cls: str) -> tuple[FeatureId, ...]:
-        return tuple(sorted((f for f, c in self.classes.items() if c == cls),
-                            key=FeatureId.sort_key))
 
     def traced_syscalls(self) -> frozenset[int]:
         return frozenset(f.syscall_nr for f in self.observed)
@@ -342,7 +346,8 @@ class Orchestrator:
     def _run_one(self, policy: Policy, replica: int, label: str
                  ) -> tuple[WorkloadOutcome, RunTrace]:
         t0 = time.monotonic()
-        outcome, trace = run_workload(self.spec, policy, self._limits(), self.tables)
+        outcome, trace = run_workload(self.spec, policy, self._limits(), self.tables,
+                                      discovery=label.startswith("discovery"))
         with self._lock:
             self.executions += 1
         log.info("run app=%s replica=%d what=%s result=%s duration=%.3fs",
@@ -456,7 +461,7 @@ class Orchestrator:
             )
             if works and self.baseline is not None:
                 result.regression_flags = detect_regressions(
-                    self.baseline, replicas, PERF_MARGIN)
+                    self.baseline, replicas, REGRESSION_MARGIN)
             log.info("probe app=%s feature=%s mode=%s verdict=%s flags=%s",
                      self.spec.name, feature_label(feature), mode, result.verdict,
                      result.regression_flags or "-")

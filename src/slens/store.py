@@ -179,14 +179,16 @@ def _profile_diff(old: AppProfile, new: AppProfile) -> str:
             lines.append(f"  {name}: {a} -> {b}")
     if old.confirmed != new.confirmed:
         lines.append(f"  confirmed: {old.confirmed} -> {new.confirmed}")
-    return "\n".join(lines) or "  (content differs outside classes)"
+    return "\n".join(lines)
 
 
 def save_profile(db_root: str, entry: DbEntry) -> str:
     """Persist a DbEntry; returns the path of the stored profile.
 
-    Saving identical content again is a no-op.  Saving different content for
-    the same key and same kernel/tool version is refused with a diff report.
+    For the same key and same kernel/tool version, a profile with the
+    stored one's verdicts (observed features, their classes, confirmation)
+    keeps the stored profile; metadata such as the date, and regression
+    flags, may differ.  Differing verdicts are refused with a diff report.
     """
     entry_dir = _entry_dir(db_root, entry)
     os.makedirs(entry_dir, exist_ok=True)
@@ -198,12 +200,13 @@ def save_profile(db_root: str, entry: DbEntry) -> str:
     with _Locked(os.path.join(entry_dir, ".lock")):
         if os.path.exists(profile_path):
             with open(profile_path) as f:
-                existing = f.read()
-            if existing == profile_data:
-                return profile_path  # idempotent
-            old = AppProfile.from_json(json.loads(existing))
+                old = AppProfile.from_json(json.load(f))
+            # A profile's classes are keyed by exactly its observed features.
+            new = entry.profile
+            if (old.classes, old.confirmed) == (new.classes, new.confirmed):
+                return profile_path
             raise DuplicateKey(
-                f"profile for {entry.key} already stored with different content:\n"
+                f"profile for {entry.key} already stored with different verdicts:\n"
                 + _profile_diff(old, entry.profile))
         _atomic_write(profile_path, profile_data)
         _atomic_write(meta_path, meta_data)

@@ -3,8 +3,8 @@
 Deliberately shares no code or technique details with the package engine:
 it is a plain PTRACE_SYSCALL stepper over a single process that collects
 the set of syscall numbers via PTRACE_PEEKUSER of ORIG_RAX (the engine
-uses GETREGS and GET_SYSCALL_INFO).  Because entries and exits report the
-same number, collecting a set needs no entry/exit bookkeeping.
+stops at seccomp events and reads GETREGS).  Because entries and exits
+report the same number, collecting a set needs no entry/exit bookkeeping.
 
 The reported set covers everything from PTRACE_TRACEME onward, so it
 includes the launch plumbing the engine deliberately excludes: the

@@ -1,11 +1,15 @@
 """Trace engine behavior on compiled fixtures."""
 
+import errno
 import os
 import signal
+from collections import Counter
 
 import pytest
 
+import slens._ptrace
 from slens.interposer import (
+    ALLOW,
     Command,
     FeatureId,
     LaunchFailure,
@@ -32,13 +36,15 @@ PRCTL = name_to_nr("prctl")
 FORK = name_to_nr("fork")
 
 
-def run_fixture(fixtures, name, policy=None, whitelist=None, cwd=None, argv=()):
+def run_fixture(fixtures, name, policy=None, whitelist=None, cwd=None, argv=(),
+                discovery=True):
     binary = fixtures.binary(name)
     return trace_run(
         Command(argv=(binary, *argv), cwd=cwd),
         policy or Policy.allow_all(),
         whitelist if whitelist is not None else Whitelist.of_paths([binary]),
         LIMITS,
+        discovery=discovery,
     )
 
 
@@ -112,6 +118,37 @@ def test_injected_return_values(fixtures, tmp_path):
     assert returned(Policy.single(FeatureId(UNAME), STUB)) == "-38"
     assert returned(Policy.single(FeatureId(UNAME), fake())) == "0"
     assert returned(Policy.single(FeatureId(UNAME), fake(5))) == "5"
+
+
+def test_non_discovery_run_observes_only_trapped_calls(fixtures):
+    """Outside discovery only the overridden syscalls stop: the fake uname
+    is hit once, write and exit_group run untrapped, and an allow-all run
+    makes no stop at all.  A default action other than allow traps every
+    syscall."""
+    faked = run_fixture(fixtures, "uname_write",
+                        policy=Policy.single(FeatureId(UNAME), fake()),
+                        discovery=False)
+    assert faked.observed == Counter({FeatureId(UNAME): 1})
+    assert faked.exit_code == 0
+    baseline = run_fixture(fixtures, "uname_write", discovery=False)
+    assert baseline.observed == Counter()
+    assert baseline.exit_code == 0
+    default_stub = Policy(overrides={FeatureId(WRITE): ALLOW, FeatureId(EXIT_GROUP): ALLOW},
+                          default_action=STUB)
+    stubbed = run_fixture(fixtures, "uname_write", policy=default_stub, discovery=False)
+    assert stubbed.observed == Counter({FeatureId(nr): 1 for nr in (UNAME, WRITE, EXIT_GROUP)})
+    assert stubbed.exit_code == 0
+
+
+def test_failed_filter_install_names_the_step(fixtures, monkeypatch):
+    """The forked tracer and its child inherit the patched install."""
+
+    def refuse(prog):
+        raise OSError(errno.EPERM, "refused")
+
+    monkeypatch.setattr(slens._ptrace, "install_seccomp", refuse)
+    with pytest.raises(LaunchFailure, match=r"^seccomp filter install .* \(errno 1\)$"):
+        run_fixture(fixtures, "noop")
 
 
 def test_timeout_kills_tree(fixtures):
@@ -198,6 +235,18 @@ def test_whitelist_union_equals_unfiltered_run(fixtures, tmp_path):
     inverted = observe([b, sh])
     unfiltered = observe([a, b, sh])
     assert only_a | inverted == unfiltered
+
+
+def test_unmeasured_process_runs_trapped_calls_unaltered(fixtures, tmp_path):
+    """The shell hands the filter down to A, so A's writes stop too; A is
+    not measured, so they run unaltered and go unrecorded."""
+    command, a, b = _wrapper_command(fixtures)
+    trace = trace_run(Command(argv=command, cwd=str(tmp_path)),
+                      Policy.single(FeatureId(WRITE), STUB),
+                      Whitelist.of_paths([b]), LIMITS, discovery=False)
+    assert (tmp_path / "out.txt").read_text() == "OK"
+    assert FeatureId(WRITE) not in trace.observed
+    assert trace.exit_code == 0
 
 
 def test_empty_whitelist_measures_initial_image_only(fixtures, tmp_path):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import slens.orchestrator
+from slens import store
 from slens.harness import Readiness, WorkloadOutcome
 from slens.interposer import FeatureId, Policy, RunTrace, STUB
 from slens.orchestrator import (
@@ -156,6 +157,18 @@ def test_probe_custom_reproduces_culprit_pair(fixtures, app_spec_factory):
     assert not orch.probe_custom(both).success
 
 
+def test_reanalysis_into_same_root_keeps_profile(fixtures, app_spec_factory, tmp_path):
+    """A second analysis with the same verdicts keeps the stored profile,
+    though its metadata (the baseline duration at least) differ."""
+    db = str(tmp_path / "db")
+    spec = app_spec_factory("feat3", script="wait_exit.sh")
+    first = Orchestrator(spec, FAST).full_analysis(db_root=db)
+    second = Orchestrator(spec, FAST).full_analysis(db_root=db)
+    assert (second.classes, second.confirmed) == (first.classes, first.confirmed)
+    [entry] = store.load_db(db)
+    assert entry.profile == first
+
+
 def test_profile_json_round_trip(fixtures, app_spec_factory):
     orch = Orchestrator(app_spec_factory("writer"), FAST)
     profile = orch.full_analysis()
@@ -205,7 +218,7 @@ class _StubRuns:
         self.in_flight = 0
         self.peak = 0
 
-    def __call__(self, spec, policy, limits, tables):
+    def __call__(self, spec, policy, limits, tables, discovery=True):
         with self.lock:
             call = self.calls
             self.calls += 1
@@ -330,32 +343,41 @@ def test_merge_is_and_of_successes(successes):
 def test_regression_flags_clear_drop():
     """Baseline 100±1 vs probe 96±1: -4% exceeds the 3% margin and 2σ."""
     base = BaselineStats.from_outcomes(
-        [_outcome(perf=100 + d, rss=1000, fds=10) for d in (-1, 0, 1, 0, -1, 1, 0, 0, 1, -1)])
-    probes = [_outcome(perf=96 + d, rss=1000, fds=10) for d in (-1, 0, 1)]
+        [_outcome(rss=100 + d, fds=10) for d in (-1, 0, 1, 0, -1, 1, 0, 0, 1, -1)])
+    probes = [_outcome(rss=96 + d, fds=10) for d in (-1, 0, 1)]
     flags = detect_regressions(base, probes, margin=0.03)
-    assert "perf" in flags
-    assert flags["perf"] == pytest.approx(-0.04, abs=0.02)
-    assert "rss" not in flags and "fds" not in flags
+    assert "rss" in flags
+    assert flags["rss"] == pytest.approx(-0.04, abs=0.02)
+    assert "fds" not in flags
 
 
 def test_regression_below_margin_not_flagged():
     base = BaselineStats.from_outcomes(
-        [_outcome(perf=100 + d) for d in (-1, 0, 1, 0, -1, 1, 0, 0, 1, -1)])
-    probes = [_outcome(perf=99 + d) for d in (-1, 0, 1)]
+        [_outcome(rss=100 + d) for d in (-1, 0, 1, 0, -1, 1, 0, 0, 1, -1)])
+    probes = [_outcome(rss=99 + d) for d in (-1, 0, 1)]
     assert detect_regressions(base, probes, margin=0.03) == {}
 
 
 def test_regression_noise_gate():
     """A large relative delta within the noise (2σ pooled) is not flagged."""
-    base = BaselineStats.from_outcomes([_outcome(perf=p) for p in
+    base = BaselineStats.from_outcomes([_outcome(rss=p) for p in
                                         (60, 140, 80, 120, 100, 90, 110, 70, 130, 100)])
-    probes = [_outcome(perf=p) for p in (80, 100, 96)]
-    assert "perf" not in detect_regressions(base, probes, margin=0.03)
+    probes = [_outcome(rss=p) for p in (80, 100, 96)]
+    assert "rss" not in detect_regressions(base, probes, margin=0.03)
 
 
 def test_regression_missing_metric_skipped():
-    base = BaselineStats.from_outcomes([_outcome(perf=None, rss=1000)for _ in range(5)])
-    probes = [_outcome(perf=None, rss=1000)]
+    base = BaselineStats.from_outcomes([])
+    probes = [_outcome(rss=1000, fds=10)]
+    assert detect_regressions(base, probes, margin=0.03) == {}
+
+
+def test_perf_metric_feeds_no_flag():
+    """Probes stop on their probed syscall and baseline runs on none, so a
+    perf delta measures the tracer: a halved metric is not flagged."""
+    base = BaselineStats.from_outcomes(
+        [_outcome(perf=100 + d, rss=1000, fds=10) for d in (-1, 0, 1, 0, -1)])
+    probes = [_outcome(perf=50 + d, rss=1000, fds=10) for d in (-1, 0, 1)]
     assert detect_regressions(base, probes, margin=0.03) == {}
 
 
