@@ -3,8 +3,9 @@
 
 Only what the trace engine needs: a seccomp filter that stops the tracee
 for its tracer at chosen syscalls, resumption, register read/write,
-child-follow, exec and seccomp notification options, and event message
-retrieval.  The tracer must be the process (thread) that attached.
+child-follow, exec and seccomp notification options, event message
+retrieval, and a parent-death signal.  The tracer must be the process
+(thread) that attached.
 """
 
 from __future__ import annotations
@@ -107,6 +108,7 @@ _libc.prctl.argtypes = [ctypes.c_int, ctypes.c_ulong, ctypes.c_ulong,
                         ctypes.c_ulong, ctypes.c_ulong]
 _libc.prctl.restype = ctypes.c_int
 
+PR_SET_PDEATHSIG = 1
 PR_SET_SECCOMP = 22
 PR_SET_NO_NEW_PRIVS = 38
 SECCOMP_MODE_FILTER = 2
@@ -162,6 +164,14 @@ def install_seccomp(prog: SockFprog) -> None:
         if _libc.prctl(*args, 0, 0) != 0:
             err = ctypes.get_errno()
             raise OSError(err, f"prctl({what}): {os.strerror(err)}")
+
+
+def set_pdeathsig(sig: int) -> None:
+    """Have the kernel send ``sig`` to the calling process when the thread
+    that forked it exits.  Kept across execve, not inherited by children."""
+    if _libc.prctl(PR_SET_PDEATHSIG, sig, 0, 0, 0) != 0:
+        err = ctypes.get_errno()
+        raise OSError(err, f"prctl(PR_SET_PDEATHSIG): {os.strerror(err)}")
 
 
 def to_signed(value: int) -> int:

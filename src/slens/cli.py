@@ -19,7 +19,7 @@ import shlex
 import sys
 
 from . import SlensError, __version__
-from .config import DEFAULT_TABLES, load_tables
+from .config import DEFAULT_TABLES, ConfigError, load_tables
 from .harness import AppSpec, Limits, Readiness, ScriptMissing
 from .interposer import LaunchFailure, Policy, Whitelist
 from .orchestrator import (
@@ -70,8 +70,11 @@ def _app_spec(args) -> AppSpec:
     argv = tuple(shlex.split(args.app_cmd))
     if not argv:
         raise SystemExit(_fail(EXIT_USAGE, "usage", "--app-cmd is empty"))
-    readiness = Readiness(delay=args.ready_delay, port=args.port)
-    whitelist = Whitelist.of_paths(args.whitelist or [])
+    try:
+        readiness = Readiness(delay=args.ready_delay, port=args.port)
+        whitelist = Whitelist.of_paths(args.whitelist or [])
+    except ValueError as exc:
+        raise SystemExit(_fail(EXIT_USAGE, "usage", str(exc))) from None
     return AppSpec(
         name=args.name or os.path.basename(argv[0]),
         app_command=argv,
@@ -83,14 +86,17 @@ def _app_spec(args) -> AppSpec:
 
 
 def _analysis_config(args) -> AnalysisConfig:
-    return AnalysisConfig(
-        replicas=args.replicas,
-        parallelism=args.parallel,
-        perf_runs=args.perf_runs,
-        subfeatures=args.subfeatures,
-        pseudofiles=args.pseudofiles,
-        timeout=args.timeout,
-    )
+    try:
+        return AnalysisConfig(
+            replicas=args.replicas,
+            parallelism=args.parallel,
+            perf_runs=args.perf_runs,
+            subfeatures=args.subfeatures,
+            pseudofiles=args.pseudofiles,
+            timeout=args.timeout,
+        )
+    except ValueError as exc:
+        raise SystemExit(_fail(EXIT_USAGE, "usage", str(exc))) from None
 
 
 def _add_analyze_flags(p: _Parser) -> None:
@@ -300,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(EXIT_BASELINE, "baseline-failure", str(exc))
     except (ScriptMissing, LaunchFailure) as exc:
         return _fail(EXIT_USAGE, "usage", str(exc))
-    except store.ParseError as exc:
+    except (store.ParseError, ConfigError) as exc:
         return _fail(EXIT_USAGE, "parse", str(exc))
     except (planner.UnconfirmedProfile, planner.IncompleteOrdering,
             planner.PlannerError) as exc:

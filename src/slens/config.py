@@ -97,8 +97,17 @@ def _parse_syscall_key(key: str, where: str) -> int:
         raise ConfigError(f"{where}: unknown syscall name {key!r}") from None
 
 
+def _int_table(raw: dict, key: str) -> dict[int, int]:
+    """The ``{syscall: integer}`` table under ``key``, keyed by number."""
+    try:
+        return {_parse_syscall_key(k, key): int(v) for k, v in raw[key].items()}
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: expected an object of integers: {exc}") from None
+
+
 def load_tables(path: str) -> InterposerTables:
-    """Load InterposerTables from a JSON config file, merged over defaults."""
+    """Load InterposerTables from a JSON config file, merged over defaults;
+    raises ConfigError for an unreadable file or a malformed value."""
     try:
         with open(path) as f:
             raw = json.load(f)
@@ -111,17 +120,10 @@ def load_tables(path: str) -> InterposerTables:
 
     tables = InterposerTables()
     if "subfeature_selectors" in raw:
-        sel = {
-            _parse_syscall_key(k, "subfeature_selectors"): int(v)
-            for k, v in raw["subfeature_selectors"].items()
-        }
-        tables = replace(tables, subfeature_selectors=sel)
+        tables = replace(tables,
+                         subfeature_selectors=_int_table(raw, "subfeature_selectors"))
     if "fake_values" in raw:
-        fv = {
-            _parse_syscall_key(k, "fake_values"): int(v)
-            for k, v in raw["fake_values"].items()
-        }
-        tables = replace(tables, fake_values=fv)
+        tables = replace(tables, fake_values=_int_table(raw, "fake_values"))
     if "pseudo_prefixes" in raw:
         prefixes = tuple(str(p) for p in raw["pseudo_prefixes"])
         for p in prefixes:

@@ -7,10 +7,11 @@ WorkloadOutcome.
 
 One clock and one verdict per run:
   - One deadline, ``started + limits.timeout``, covers readiness (port or
-    delay) and the test script.  Then the harness tears the tree down:
-    SIGTERM, then SIGKILL after KILL_GRACE.  The tracer's own timer is only
-    a backstop set after that teardown, so the harness, not the tracer,
-    ends a run that runs out of time.
+    delay) and the test script.  It is the run's only clock.  Then the
+    harness asks the tracer to end the tree (``TraceSession.stop``); the
+    tracer sends SIGTERM to every process it follows, daemons that left the
+    process group included, and SIGKILL after KILL_GRACE.  The harness
+    itself sends no signal.
   - Live session state (the root's status, whether any process is left)
     only decides how long to keep waiting.
   - The final trace decides the reason: ``judge`` sets it once, after
@@ -37,7 +38,6 @@ import json
 import logging
 import os
 import shutil
-import signal
 import socket
 import subprocess
 import tempfile
@@ -67,7 +67,6 @@ REASON_CRASH = "crash"
 REASON_TIMEOUT = "timeout"
 REASON_TRACER_FAULT = "tracer_fault"
 
-KILL_GRACE = 2.0  # seconds from SIGTERM to SIGKILL at teardown
 SAMPLE_PERIOD = 0.1  # seconds between resource samples
 
 
@@ -277,7 +276,7 @@ def judge(trace: RunTrace, ready: bool, script_rc: int | None, ended: float) -> 
     died = trace.root_exit_at is not None and trace.root_exit_at <= ended
     if died and (not ready or (trace.exit_code, trace.signaled) != (0, None)):
         return REASON_CRASH
-    if script_rc is None or trace.timed_out:
+    if script_rc is None:
         return REASON_TIMEOUT
     return REASON_OK if script_rc == 0 else REASON_SCRIPT_FAIL
 
@@ -322,8 +321,10 @@ def run_workload(spec: AppSpec, policy: Policy, limits: Limits,
     The app runs in a fresh working directory instantiated from the spec's
     template, so it never sees state from prior runs.  Success requires the
     test script to exit 0 and the application not to have crashed before the
-    script completed.  The process tree is torn down (SIGTERM, then SIGKILL
-    after KILL_GRACE) before returning.
+    script completed.  ``limits.timeout`` bounds readiness and the script
+    together.  Before returning, the tracer ends every process of the tree
+    (SIGTERM, then SIGKILL after KILL_GRACE); none survives the run.  The
+    calling thread must outlive the call (see ``slens.interposer``).
     """
     spec.validate()
     workdir = _fresh_workdir(spec)
@@ -369,9 +370,7 @@ def _run_workload_in(spec: AppSpec, policy: Policy, limits: Limits,
 
     started = time.monotonic()
     deadline = started + limits.timeout
-    backstop = Limits(timeout=limits.timeout + 2 * KILL_GRACE)
-    session = TraceSession.start(command, policy, spec.whitelist, backstop, tables,
-                                 discovery)
+    session = TraceSession.start(command, policy, spec.whitelist, tables, discovery)
     app_pid = session.app_pid  # raises LaunchFailure early
     sampler = _Sampler(session)
     sampler.start()
@@ -400,7 +399,7 @@ def _run_workload_in(spec: AppSpec, policy: Policy, limits: Limits,
         ended = time.monotonic()
     finally:
         sampler.stop()
-        trace = _teardown(session, limits)
+        trace = session.stop()
 
     reason = judge(trace, ready, script_rc, ended)
     outcome = WorkloadOutcome(
@@ -412,18 +411,3 @@ def _run_workload_in(spec: AppSpec, policy: Policy, limits: Limits,
         duration=ended - started,
     )
     return outcome, trace
-
-
-def _teardown(session: TraceSession, limits: Limits) -> RunTrace:
-    """Stop the tree: graceful signal, then kill; collect the trace."""
-    session.signal_tree(signal.SIGTERM)
-    try:
-        return session.wait(timeout=KILL_GRACE)
-    except TimeoutError:
-        pass
-    session.signal_tree(signal.SIGKILL)
-    try:
-        return session.wait(timeout=limits.timeout + KILL_GRACE + 10)
-    except TimeoutError:
-        session.kill_tracer()
-        raise TracerFault("process tree did not terminate after SIGKILL") from None

@@ -25,6 +25,16 @@ unrecorded.  The filter cannot tell measured from unmeasured processes,
 though: unmeasured ones stop on the trapped syscalls too and are resumed at
 once, so in a discovery run every syscall of theirs stops.
 
+Ending a run: the tracer alone signals the application's tree and keeps no
+run timer; the caller's deadline is the only clock.  ``TraceSession.stop``
+sends one SIGTERM, to the tracer (a child not yet reaped, so its pid is not
+reused); the tracer sends SIGTERM to every process it follows, SIGKILL
+KILL_GRACE seconds later, and returns once none is left.  So no process
+outlives its run: not a daemon that left the process group, nor one whose
+caller died, since the tracer's PR_SET_PDEATHSIG is SIGTERM and the launched
+child's SIGKILL.  That signal follows the thread that forked, so the thread
+that starts a session must outlive it.
+
 Caveat: the filter requires no_new_privs, which is inherited and cannot be
 unset, so setuid and setgid binaries (and file capabilities) confer no
 privileges inside the workload.
@@ -45,7 +55,7 @@ import signal
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping
 
 from . import SlensError
@@ -58,6 +68,9 @@ ENOSYS = 38
 STUB_RETURN = -ENOSYS
 
 _MAX_WARNINGS = 200
+
+KILL_GRACE = 2.0  # seconds from the stop request's SIGTERM to SIGKILL
+_LAUNCH_WAIT = 30.0  # seconds the parent waits for the launch announcement
 
 
 class LaunchFailure(SlensError):
@@ -268,7 +281,8 @@ class RunTrace:
     processes: of every call in a discovery run, of the calls to the
     policy's overridden syscalls otherwise.  ``root_exit_at`` is the
     CLOCK_MONOTONIC time (``time.monotonic()``) at which the tracer reaped
-    the root, or None if it never did.
+    the root, or None if it never did.  Only ``trace_run`` sets
+    ``timed_out``: the tracer keeps no clock.
     """
 
     observed: Counter  # FeatureId -> trapped invocation count
@@ -286,7 +300,6 @@ class RunTrace:
             "exit_code": self.exit_code,
             "signaled": self.signaled,
             "whitelisted_pids_seen": self.whitelisted_pids_seen,
-            "timed_out": self.timed_out,
             "warnings": list(self.warnings),
             "root_exit_at": self.root_exit_at,
         }
@@ -301,7 +314,6 @@ class RunTrace:
             exit_code=d["exit_code"],
             signaled=d["signaled"],
             whitelisted_pids_seen=int(d["whitelisted_pids_seen"]),
-            timed_out=bool(d["timed_out"]),
             warnings=tuple(d.get("warnings", ())),
             root_exit_at=d["root_exit_at"],
         )
@@ -328,8 +340,8 @@ class Command:
 
 @dataclass(frozen=True)
 class Limits:
-    """Run limits.  The tracer kills the tree ``timeout`` seconds after
-    launch; the harness gives it a later deadline than its own."""
+    """Run limits: the caller stops the run ``timeout`` seconds after it
+    started the session (see ``trace_run`` and ``harness.run_workload``)."""
 
     timeout: float = 10.0
 
@@ -340,10 +352,6 @@ class Limits:
 
 # ---------------------------------------------------------------------------
 # Tracer process
-
-
-class _Deadline(Exception):
-    pass
 
 
 @dataclass
@@ -360,12 +368,11 @@ class _Engine:
     """
 
     def __init__(self, command: Command, policy: Policy, whitelist: Whitelist,
-                 limits: Limits, tables: InterposerTables, discovery: bool, emit):
+                 tables: InterposerTables, discovery: bool, emit):
         self.command = command
         self.policy = policy
         self.discovery = discovery
         self.whitelist = whitelist
-        self.limits = limits
         self.tables = tables
         self.emit = emit
         self.procs: dict[int, _Proc] = {}
@@ -378,7 +385,7 @@ class _Engine:
         self.root_exit: int | None = None
         self.root_signal: int | None = None
         self.root_exit_at: float | None = None
-        self.timed_out = False
+        self.kill_signal: int | None = None  # last signal sent to the tree
         self._regs = pt.UserRegs()
 
     # -- helpers
@@ -423,11 +430,15 @@ class _Engine:
         prog = pt.seccomp_filter(
             None if trap_all else {f.syscall_nr for f in self.policy.overrides})
         err_r, err_w = os.pipe()
+        tracer = os.getpid()
         pid = os.fork()
         if pid == 0:
             step = "exec"
             try:
                 os.close(err_r)
+                pt.set_pdeathsig(signal.SIGKILL)
+                if os.getppid() != tracer:
+                    os._exit(127)  # the tracer died before the line above
                 os.setpgid(0, 0)
                 if self.command.cwd:
                     os.chdir(self.command.cwd)
@@ -458,10 +469,6 @@ class _Engine:
                 pass
             os._exit(127)
         os.close(err_w)
-        try:
-            os.setpgid(pid, pid)
-        except OSError:
-            pass
         self.exec_err_fd = err_r
         os.set_blocking(err_r, False)
         self.root_pid = pid
@@ -469,8 +476,8 @@ class _Engine:
 
         # First stop is the child's own SIGSTOP; set options there, before
         # the child installs its filter (a trapped call with no tracer
-        # listening for seccomp stops fails with ENOSYS).  Only then
-        # announce the pid: a signal sent to the group before the child
+        # listening for seccomp stops fails with ENOSYS).  Only then take
+        # stop requests and announce the pid: a signal sent before the child
         # reached PTRACE_TRACEME would kill it untraced.
         _, status = os.waitpid(pid, pt.WALL)
         if not os.WIFSTOPPED(status):
@@ -478,6 +485,8 @@ class _Engine:
         pt.setoptions(pid, pt.PTRACE_O_TRACESECCOMP | pt.PTRACE_O_TRACEFORK
                       | pt.PTRACE_O_TRACEVFORK | pt.PTRACE_O_TRACECLONE
                       | pt.PTRACE_O_TRACEEXEC | pt.PTRACE_O_EXITKILL)
+        signal.signal(signal.SIGTERM, self._on_stop_request)
+        signal.signal(signal.SIGALRM, lambda *_: self._kill_tree(signal.SIGKILL))
         self.emit({"event": "launched", "pid": pid})
         self._resume(pid)
 
@@ -519,6 +528,8 @@ class _Engine:
         child = self.procs.setdefault(child_pid, _Proc())
         child.traced = bool(parent and parent.traced)
         child.attach_pending = True
+        if self.kill_signal is not None:  # forked after the tree was signalled
+            self._kill(child_pid, self.kill_signal)
         if child.traced:
             self.ever_traced.add(child_pid)
             self._emit_pids()
@@ -584,86 +595,63 @@ class _Engine:
         else:
             self._resume(pid, sig)  # forward genuine signals
 
-    # -- kill / reap
+    # -- kill: the signal handlers only send signals, so the event loop's
+    # waitpid resumes after them and reaps until no process is left.
+
+    def _on_stop_request(self, signum, frame) -> None:
+        """SIGTERM from the parent (or its death): end the tree, SIGTERM
+        first, SIGKILL after KILL_GRACE (the SIGALRM handler)."""
+        if self.kill_signal is None:
+            self._kill_tree(signal.SIGTERM)
+            signal.setitimer(signal.ITIMER_REAL, KILL_GRACE)
 
     def _kill_tree(self, sig: int) -> None:
+        """Send ``sig`` to every followed process (none reaped, so no pid
+        reused).  A child that joins later gets it in ``_on_child``;
+        PTRACE_O_EXITKILL kills one never reported."""
+        self.kill_signal = sig
+        for pid in list(self.procs):
+            self._kill(pid, sig)
+
+    @staticmethod
+    def _kill(pid: int, sig: int) -> None:
         try:
-            os.killpg(self.root_pid, sig)
+            os.kill(pid, sig)
         except OSError:
             pass
-        for pid in list(self.procs):
-            try:
-                os.kill(pid, sig)
-            except OSError:
-                pass
-
-    def _drain(self) -> None:
-        while self.procs:
-            try:
-                pid, status = os.waitpid(-1, pt.WALL)
-            except ChildProcessError:
-                break
-            except InterruptedError:
-                continue
-            if os.WIFEXITED(status) or os.WIFSIGNALED(status):
-                self._on_exit(pid, status)
-            elif os.WIFSTOPPED(status):
-                # Keep stopped tracees moving so pending kill signals land.
-                try:
-                    pt.resume_cont(pid, 0)
-                except pt.PtraceError:
-                    pass
-
-    def _timeout_kill(self) -> None:
-        self.timed_out = True
-        self.warn(f"timeout after {self.limits.timeout}s; killing process tree")
-        self._kill_tree(signal.SIGKILL)
-        self._drain()
-        if self.root_signal is None and self.root_exit is None:
-            self.root_signal = signal.SIGKILL
 
     # -- main loop
 
     def run(self) -> RunTrace:
         self._launch()
-
-        def on_alarm(signum, frame):
-            raise _Deadline()
-
-        signal.signal(signal.SIGALRM, on_alarm)
-        signal.setitimer(signal.ITIMER_REAL, self.limits.timeout)
-        try:
+        while self.procs:
             try:
-                while self.procs:
-                    try:
-                        pid, status = os.waitpid(-1, pt.WALL)
-                    except ChildProcessError:
-                        break
-                    if os.WIFEXITED(status) or os.WIFSIGNALED(status):
-                        self._on_exit(pid, status)
-                    elif os.WIFSTOPPED(status):
-                        self._handle_stop(pid, status)
-            finally:
-                signal.setitimer(signal.ITIMER_REAL, 0)
-        except _Deadline:
-            # Also when the timer fired after the loop ended but before it
-            # was disarmed; the tree is gone then, and nothing is killed.
-            self._timeout_kill()
+                pid, status = os.waitpid(-1, pt.WALL)
+            except ChildProcessError:
+                break
+            if os.WIFEXITED(status) or os.WIFSIGNALED(status):
+                self._on_exit(pid, status)
+            elif os.WIFSTOPPED(status):
+                self._handle_stop(pid, status)
+        signal.setitimer(signal.ITIMER_REAL, 0)  # a pid left in procs may be stale
         self._check_exec_error()
         return RunTrace(
             observed=self.observed,
             exit_code=self.root_exit,
             signaled=self.root_signal,
             whitelisted_pids_seen=len(self.ever_traced),
-            timed_out=self.timed_out,
             warnings=tuple(self.warnings),
             root_exit_at=self.root_exit_at,
         )
 
 
-def _tracer_process(command, policy, whitelist, limits, tables, discovery,
+def _tracer_process(parent, command, policy, whitelist, tables, discovery,
                     write_fd) -> None:
     """Entry point of the forked tracer process.  Never returns."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)  # until _launch takes requests
+    pt.set_pdeathsig(signal.SIGTERM)
+    if os.getppid() != parent:
+        os._exit(1)  # the parent died before the line above
 
     def emit(msg: dict) -> None:
         try:
@@ -671,7 +659,7 @@ def _tracer_process(command, policy, whitelist, limits, tables, discovery,
         except OSError:
             pass
 
-    engine = _Engine(command, policy, whitelist, limits, tables, discovery, emit)
+    engine = _Engine(command, policy, whitelist, tables, discovery, emit)
     code = 0
     try:
         trace = engine.run()
@@ -700,7 +688,7 @@ class TraceSession:
     """Handle to a run executing under a dedicated tracer process.
 
     The tracer owns all tracee interactions; this object only reads its
-    event stream and can signal the application process group.
+    event stream and can ask the tracer to end the run (``stop``).
     """
 
     def __init__(self, tracer_pid: int, read_fd: int):
@@ -719,17 +707,20 @@ class TraceSession:
 
     @classmethod
     def start(cls, command: Command, policy: Policy, whitelist: Whitelist,
-              limits: Limits, tables: InterposerTables = DEFAULT_TABLES,
+              tables: InterposerTables = DEFAULT_TABLES,
               discovery: bool = True) -> "TraceSession":
         """Launch ``command`` under a new tracer process.
 
         A ``discovery`` run traps, and so observes, every syscall; any
-        other run traps only the syscalls that ``policy`` overrides.
+        other run traps only the syscalls that ``policy`` overrides.  The
+        calling thread must outlive the session: its exit is a stop request
+        (see the module docstring).
         """
         exe = command.argv[0]
         if not os.path.exists(exe):
             raise LaunchFailure(f"executable not found: {exe}")
         read_fd, write_fd = os.pipe()
+        parent = os.getpid()
         tracer_pid = os.fork()
         if tracer_pid == 0:
             # Other threads may be starting sessions of their own, so this
@@ -740,7 +731,7 @@ class TraceSession:
             # output pipe, whose reader would then wait for this tracer.
             os.closerange(3, write_fd)
             os.closerange(max(3, write_fd + 1), os.sysconf("SC_OPEN_MAX"))
-            _tracer_process(command, policy, whitelist, limits, tables, discovery,
+            _tracer_process(parent, command, policy, whitelist, tables, discovery,
                             write_fd)
             os._exit(1)  # unreachable
         os.close(write_fd)
@@ -794,7 +785,7 @@ class TraceSession:
     @property
     def app_pid(self) -> int:
         """Pid of the application root (also its process-group id)."""
-        self._launched.wait(timeout=30)
+        self._launched.wait(timeout=_LAUNCH_WAIT)
         with self._lock:
             if self._app_pid is None:
                 kind, message = self._error or ("LaunchFailure", "tracer exited before launch")
@@ -813,18 +804,22 @@ class TraceSession:
     def finished(self) -> bool:
         return self._done.is_set()
 
-    def signal_tree(self, sig: int) -> None:
-        """Send a signal to the application's process group (best effort)."""
-        try:
-            os.killpg(self.app_pid, sig)
-        except (OSError, SlensError):
-            pass
+    def stop(self) -> RunTrace:
+        """End the run and return its trace, as ``wait`` does.
 
-    def kill_tracer(self) -> None:
+        Once the launch is announced, sends SIGTERM to the tracer, which
+        then ends the tree: SIGTERM, then SIGKILL after KILL_GRACE.  A
+        tracer that has not finished well after that is killed, and
+        PTRACE_O_EXITKILL takes the tree with it; this raises TracerFault.
+        """
+        self._launched.wait(timeout=_LAUNCH_WAIT)
+        if not self._done.is_set():  # so not reaped: the pid is still ours
+            os.kill(self._tracer_pid, signal.SIGTERM)
         try:
+            return self.wait(timeout=KILL_GRACE + 10)
+        except TimeoutError:
             os.kill(self._tracer_pid, signal.SIGKILL)
-        except OSError:
-            pass
+            raise TracerFault("process tree did not end after SIGKILL") from None
 
     def wait(self, timeout: float | None = None) -> RunTrace:
         """Wait for the run to finish and return its RunTrace.
@@ -853,14 +848,12 @@ def trace_run(command: Command, policy: Policy, whitelist: Whitelist,
     """Run a command to completion under the interposition engine.
 
     Blocking convenience wrapper around TraceSession (see its ``start`` for
-    ``discovery``) for workloads that terminate by themselves.  The engine
-    enforces ``limits.timeout``; on timeout the tree is killed and the
-    returned trace has ``timed_out`` set.
+    ``discovery``) for workloads that terminate by themselves.  A run not
+    finished ``limits.timeout`` seconds after the start is stopped
+    (``TraceSession.stop``), and its trace has ``timed_out`` set.
     """
-    session = TraceSession.start(command, policy, whitelist, limits, tables, discovery)
+    session = TraceSession.start(command, policy, whitelist, tables, discovery)
     try:
-        return session.wait(timeout=limits.timeout + 30)
+        return session.wait(timeout=limits.timeout)
     except TimeoutError:
-        session.signal_tree(signal.SIGKILL)
-        session.kill_tracer()
-        raise TracerFault("tracer did not finish within its deadline") from None
+        return replace(session.stop(), timed_out=True)

@@ -149,7 +149,6 @@ class BaselineStats:
     perf: tuple[float, ...]
     rss: tuple[int, ...]
     fds: tuple[int, ...]
-    durations: tuple[float, ...]
 
     @staticmethod
     def from_outcomes(outcomes: Sequence[WorkloadOutcome]) -> "BaselineStats":
@@ -157,7 +156,6 @@ class BaselineStats:
             perf=tuple(o.perf_metric for o in outcomes if o.perf_metric is not None),
             rss=tuple(o.peak_rss for o in outcomes),
             fds=tuple(o.peak_fds for o in outcomes),
-            durations=tuple(o.duration for o in outcomes),
         )
 
 

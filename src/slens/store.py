@@ -1,4 +1,4 @@
-"""Measurement database: persist, load, merge, and export app profiles.
+"""Measurement database: persist, load, and export app profiles.
 
 Layout under a database root directory:
 
@@ -19,6 +19,10 @@ directives ``# os: <name>`` and ``# revision: <rev>`` set the metadata.
 Profile export CSV (output) uses the frozen header:
 
     syscall_nr,name,subfeature,pseudofile,class,stub_perf_delta,fake_perf_delta,stub_rss_delta,fake_rss_delta,stub_fds_delta,fake_fds_delta
+
+``stub_perf_delta`` and ``fake_perf_delta`` are always empty: regression
+flags no longer compare the perf metric (see ``slens.orchestrator``).  The
+two columns are kept only because the header is frozen.
 """
 
 from __future__ import annotations
@@ -231,15 +235,6 @@ def load_db(db_root: str) -> list[DbEntry]:
         entries.append(DbEntry(profile=profile, provenance=provenance))
     entries.sort(key=lambda e: (e.key, e.provenance_fingerprint()))
     return entries
-
-
-def load_many(db_roots: Iterable[str]) -> list[DbEntry]:
-    """Merge entries from several roots; order of roots does not matter."""
-    merged: dict[tuple, DbEntry] = {}
-    for root in db_roots:
-        for entry in load_db(root):
-            merged[(entry.key, entry.provenance_fingerprint())] = entry
-    return sorted(merged.values(), key=lambda e: (e.key, e.provenance_fingerprint()))
 
 
 def import_os_csv(path: str) -> OsSupportSet:

@@ -13,7 +13,9 @@ footprints as oracles.  The compile flags (``CFLAGS``) are:
   aligned, not 8 bytes off as after a ``call``, so each function realigns
   its own stack and gcc's aligned ``movaps`` spills do not fault.
 
-A fixture that fails to build fails the session with gcc's stderr.
+Every ``fixtures/*.c`` is built and every ``fixtures/*.sh`` copied, so a
+new fixture cannot be left out.  A fixture that fails to build fails the
+session with gcc's stderr.
 """
 
 import os
@@ -26,21 +28,8 @@ import pytest
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
-_C_FIXTURES = [
-    "noop", "uname_write", "feat3", "feat5", "feat8", "writer",
-    "getrlimit_fallback", "prctl_abort", "errno_echo", "urandom_fallback",
-    "two_sources", "main_a", "sentinel_b", "ioctl_tcgets", "flaky_stub",
-    "flaky_stub_hard", "sleeper", "fd_hold", "mem_hold", "forker", "notify",
-    "echo_server",
-]
-
 CFLAGS = ["-nostdlib", "-nostartfiles", "-static", "-O2",
           "-ffreestanding", "-mstackrealign"]
-
-_SCRIPTS = [
-    "check_out.sh", "check_out_any.sh", "check_metric.sh", "const_metric.sh",
-    "pass.sh", "fail.sh", "hang.sh", "wait_exit.sh", "echo_client.sh",
-]
 
 
 def pytest_collection_modifyitems(config, items):
@@ -62,6 +51,17 @@ class FixtureSet:
     def script(self, name: str) -> str:
         return str(self.bindir / name)
 
+    def running(self, name: str) -> list[int]:
+        """Pids of the live processes executing fixture binary ``name``."""
+        alive = []
+        for pid in filter(str.isdigit, os.listdir("/proc")):
+            try:
+                if os.readlink(f"/proc/{pid}/exe") == self.binary(name):
+                    alive.append(int(pid))
+            except OSError:
+                continue
+        return alive
+
 
 @pytest.fixture(scope="session")
 def fixtures(tmp_path_factory) -> FixtureSet:
@@ -69,19 +69,17 @@ def fixtures(tmp_path_factory) -> FixtureSet:
     if cc is None:
         pytest.skip("no C compiler available to build test fixtures")
     bindir = tmp_path_factory.mktemp("fixture-bin")
-    for name in _C_FIXTURES:
-        src = FIXTURE_DIR / f"{name}.c"
-        out = bindir / name
+    for src in sorted(FIXTURE_DIR.glob("*.c")):
         proc = subprocess.run(
-            [cc, *CFLAGS, "-o", str(out), str(src)],
+            [cc, *CFLAGS, "-o", str(bindir / src.stem), str(src)],
             cwd=FIXTURE_DIR, capture_output=True, text=True,
         )
         if proc.returncode != 0:
-            pytest.fail(f"building fixture {name} failed:\n{proc.stderr}",
+            pytest.fail(f"building fixture {src.stem} failed:\n{proc.stderr}",
                         pytrace=False)
-    for name in _SCRIPTS:
-        dst = bindir / name
-        shutil.copy2(FIXTURE_DIR / name, dst)
+    for src in sorted(FIXTURE_DIR.glob("*.sh")):
+        dst = bindir / src.name
+        shutil.copy2(src, dst)
         os.chmod(dst, 0o755)
     return FixtureSet(bindir)
 

@@ -19,7 +19,16 @@ from slens.harness import (
     run_workload,
     sample_resources,
 )
-from slens.interposer import FeatureId, Policy, RunTrace, STUB, Whitelist
+from slens.interposer import (
+    KILL_GRACE,
+    STUB,
+    Command,
+    FeatureId,
+    Policy,
+    RunTrace,
+    Whitelist,
+    trace_run,
+)
 from slens.syscalls import name_to_nr
 
 LIMITS = Limits(timeout=5.0)
@@ -56,7 +65,8 @@ def test_timeout_reason(fixtures, app_spec_factory):
 
 def test_readiness_timeout_is_not_a_crash(fixtures, app_spec_factory):
     """A server that never listens on the polled port times out.  The
-    harness's deadline ends the run; the tracer's timer never fires."""
+    harness's deadline is the run's only clock, and only trace_run sets
+    ``timed_out``."""
     spec = app_spec_factory("sleeper", script="pass.sh", readiness=Readiness(port=0))
 
     def run(_):
@@ -110,7 +120,6 @@ TERM = _trace(None, signal.SIGTERM, 100.1)  # alive until teardown
     (_trace(None, signal.SIGSEGV, 100.1), True, 1, "script_fail"),
     (TERM, True, None, "timeout"),  # the script ran out of time
     (TERM, False, None, "timeout"),  # never ready
-    (_trace(None, signal.SIGKILL, 104.0, timed_out=True), True, 0, "timeout"),
     (_trace(None, None, None), False, None, "timeout"),  # root never reaped
 ])
 def test_judge_sets_the_reason_from_the_final_trace(trace, ready, script_rc, reason):
@@ -218,6 +227,39 @@ def test_teardown_leaves_no_survivors(fixtures, app_spec_factory):
     outcome, _ = run_workload(spec, Policy.allow_all(), LIMITS)
     assert outcome.success  # script passed while the app kept sleeping
     assert survivors() == []
+
+
+def test_setsid_daemon_ends_with_the_run(fixtures, app_spec_factory):
+    """A daemon that left the app's process group is ended with the rest
+    of the tree, at once: the passing run is judged script_ok."""
+    sleeper = fixtures.binary("sleeper")
+    # The delay lets the shell exit before the script passes.
+    spec = app_spec_factory("sleeper", script="pass.sh",
+                            command=("/bin/sh", "-c", f"setsid {sleeper} & exit 0"),
+                            readiness=Readiness(delay=0.3))
+    t0 = time.monotonic()
+    outcome, trace = run_workload(spec, Policy.allow_all(), Limits(timeout=3))
+    assert (outcome.reason, trace.exit_code) == ("script_ok", 0)
+    assert time.monotonic() - t0 < 2
+    assert fixtures.running("sleeper") == []
+
+
+def test_workload_ignoring_sigterm_is_killed_after_the_grace(fixtures, app_spec_factory):
+    sleeper = fixtures.binary("sleeper")
+    command = ("/bin/sh", "-c", f"trap '' TERM; exec {sleeper}")
+    # The delay lets the shell ignore SIGTERM before the script passes.
+    spec = app_spec_factory("sleeper", script="pass.sh", command=command,
+                            readiness=Readiness(delay=0.3))
+    t0 = time.monotonic()
+    outcome, trace = run_workload(spec, Policy.allow_all(), LIMITS)
+    elapsed = time.monotonic() - t0
+    assert (outcome.reason, trace.signaled) == ("script_ok", signal.SIGKILL)
+    assert KILL_GRACE <= elapsed < KILL_GRACE + 1.5
+    assert fixtures.running("sleeper") == []
+
+    trace = trace_run(Command(argv=command), Policy.allow_all(), Whitelist(),
+                      Limits(timeout=0.4))
+    assert (trace.timed_out, trace.signaled) == (True, signal.SIGKILL)
 
 
 def test_workdir_is_isolated_and_cleaned(fixtures, app_spec_factory, tmp_path):

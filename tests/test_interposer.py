@@ -3,7 +3,11 @@
 import errno
 import os
 import signal
+import subprocess
+import sys
+import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -157,7 +161,7 @@ def test_timeout_kills_tree(fixtures):
                       Whitelist.of_paths([binary]),
                       Limits(timeout=0.4))
     assert trace.timed_out
-    assert trace.signaled == signal.SIGKILL
+    assert trace.signaled == signal.SIGTERM
 
 
 def test_signal_right_after_launch_is_traced(fixtures):
@@ -170,12 +174,38 @@ def test_signal_right_after_launch_is_traced(fixtures):
     binary = fixtures.binary("sleeper")
     for _ in range(20):
         session = TraceSession.start(Command(argv=(binary,)), Policy.allow_all(),
-                                     Whitelist.of_paths([binary]), LIMITS)
+                                     Whitelist.of_paths([binary]))
         assert session.app_pid > 0
-        session.signal_tree(signal.SIGTERM)
+        session.stop()
         trace = session.wait(timeout=30)
         assert (trace.exit_code, trace.signaled, trace.timed_out) == (
             None, signal.SIGTERM, False)
+
+
+def test_killed_caller_leaves_no_survivors(fixtures):
+    """The caller's death is a stop request (PR_SET_PDEATHSIG), so its run
+    does not outlive it until some timeout."""
+    code = ("import sys\n"
+            "from slens.interposer import Command, Limits, Policy, Whitelist, trace_run\n"
+            "trace_run(Command(argv=(sys.argv[1],)), Policy.allow_all(), Whitelist(),\n"
+            "          Limits(timeout=60))\n")
+    src = str(Path(slens._ptrace.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    caller = subprocess.Popen([sys.executable, "-c", code, fixtures.binary("sleeper")],
+                              env=env)
+
+    def within(seconds, condition):
+        deadline = time.monotonic() + seconds
+        while not condition() and time.monotonic() < deadline:
+            time.sleep(0.02)
+        return condition()
+
+    try:
+        assert within(10, lambda: fixtures.running("sleeper"))
+    finally:
+        caller.kill()
+        caller.wait(timeout=10)
+    assert within(3, lambda: not fixtures.running("sleeper"))
 
 
 def test_follow_fork_observes_child(fixtures, tmp_path):

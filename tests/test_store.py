@@ -17,7 +17,6 @@ from slens.store import (
     export_profile_csv,
     import_os_csv,
     load_db,
-    load_many,
     save_profile,
 )
 from slens.syscalls import name_to_nr
@@ -136,13 +135,6 @@ def test_round_trip_identity_randomized(profile):
         assert loaded.profile == profile
     finally:
         shutil.rmtree(root, ignore_errors=True)
-
-
-def test_merge_commutativity(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    save_profile(str(a), make_entry(profile=make_profile(app="one")))
-    save_profile(str(b), make_entry(profile=make_profile(app="two")))
-    assert load_many([str(a), str(b)]) == load_many([str(b), str(a)])
 
 
 def test_concurrent_distinct_saves(tmp_path):
