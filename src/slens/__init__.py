@@ -22,21 +22,21 @@ from .interposer import (  # noqa: E402
     FeatureId,
     LaunchFailure,
     Policy,
+    ResourceSample,
     RunTrace,
     TracerFault,
     Whitelist,
     fake,
+    sample_resources,
     trace_run,
 )
 from .harness import (  # noqa: E402
     AppSpec,
     Limits,
     Readiness,
-    ResourceSample,
     ScriptMissing,
     WorkloadOutcome,
     run_workload,
-    sample_resources,
 )
 from .orchestrator import (  # noqa: E402
     AnalysisConfig,
@@ -76,9 +76,10 @@ __all__ = [
     # interposer
     "Action", "ALLOW", "STUB", "fake", "Command", "FeatureId", "Policy",
     "RunTrace", "Whitelist", "LaunchFailure", "TracerFault", "trace_run",
+    "ResourceSample", "sample_resources",
     # harness
-    "AppSpec", "Limits", "Readiness", "ResourceSample", "ScriptMissing",
-    "WorkloadOutcome", "run_workload", "sample_resources",
+    "AppSpec", "Limits", "Readiness", "ScriptMissing", "WorkloadOutcome",
+    "run_workload",
     # orchestrator
     "AnalysisConfig", "AppProfile", "BaselineFailure", "BaselineStats",
     "Orchestrator", "ProbeResult", "detect_regressions",

@@ -85,16 +85,9 @@ def _app_spec(args) -> AppSpec:
     )
 
 
-def _analysis_config(args) -> AnalysisConfig:
+def _analysis_config(args, **knobs) -> AnalysisConfig:
     try:
-        return AnalysisConfig(
-            replicas=args.replicas,
-            parallelism=args.parallel,
-            perf_runs=args.perf_runs,
-            subfeatures=args.subfeatures,
-            pseudofiles=args.pseudofiles,
-            timeout=args.timeout,
-        )
+        return AnalysisConfig(timeout=args.timeout, **knobs)
     except ValueError as exc:
         raise SystemExit(_fail(EXIT_USAGE, "usage", str(exc))) from None
 
@@ -198,7 +191,11 @@ def _print_profile_table(profile) -> None:
 def cmd_analyze(args) -> int:
     db = _db_root(args)
     spec = _app_spec(args)
-    orch = Orchestrator(spec, _analysis_config(args), tables=_tables(args))
+    config = _analysis_config(
+        args, replicas=args.replicas, parallelism=args.parallel,
+        perf_runs=args.perf_runs, subfeatures=args.subfeatures,
+        pseudofiles=args.pseudofiles)
+    orch = Orchestrator(spec, config, tables=_tables(args))
     profile = orch.full_analysis(db_root=db)
     if args.json:
         print(json.dumps(profile.to_json(), indent=2, sort_keys=True))
@@ -218,8 +215,7 @@ def cmd_probe(args) -> int:
     spec = _app_spec(args)
     with open(args.policy) as f:
         policy = Policy.from_json(json.load(f))
-    orch = Orchestrator(spec, AnalysisConfig(replicas=1, perf_runs=0,
-                                             timeout=args.timeout),
+    orch = Orchestrator(spec, _analysis_config(args, replicas=1, perf_runs=0),
                         tables=_tables(args))
     outcome = orch.probe_custom(policy)
     if args.json:

@@ -1,9 +1,11 @@
 """Workload harness: run one application attempt and judge it.
 
 Starts the application under the interposition engine, waits for readiness,
-drives it with the user's test script, samples resource usage of the
-measured processes via /proc, tears the tree down, and produces a
-WorkloadOutcome.
+drives it with the user's test script, has the tracer end the tree, and
+produces a WorkloadOutcome.  The outcome's peak RSS and descriptor count
+are the ones the tracer read (``RunTrace.peak_rss``, ``peak_fds``).  A run
+adds no thread to its caller: the harness polls the session in the
+calling thread.
 
 One clock and one verdict per run:
   - One deadline, ``started + limits.timeout``, covers readiness (port or
@@ -41,11 +43,10 @@ import shutil
 import socket
 import subprocess
 import tempfile
-import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Mapping
 
 from . import SlensError
 from .config import DEFAULT_TABLES, InterposerTables
@@ -66,8 +67,6 @@ REASON_SCRIPT_FAIL = "script_fail"
 REASON_CRASH = "crash"
 REASON_TIMEOUT = "timeout"
 REASON_TRACER_FAULT = "tracer_fault"
-
-SAMPLE_PERIOD = 0.1  # seconds between resource samples
 
 
 class ScriptMissing(SlensError):
@@ -126,19 +125,6 @@ class AppSpec:
 
 
 @dataclass(frozen=True)
-class ResourceSample:
-    """One aggregated reading over a set of processes."""
-
-    timestamp: float
-    rss: int  # bytes, sum of per-pid high-water marks (VmHWM)
-    fd_count: int  # sum of per-pid open descriptor counts
-
-    def __post_init__(self):
-        if self.rss < 0 or self.fd_count < 0:
-            raise ValueError("resource readings must be >= 0")
-
-
-@dataclass(frozen=True)
 class WorkloadOutcome:
     """One run's verdict."""
 
@@ -162,70 +148,6 @@ class WorkloadOutcome:
             "peak_fds": self.peak_fds,
             "duration": self.duration,
         }
-
-
-def _read_vm_hwm(pid: int) -> int | None:
-    try:
-        with open(f"/proc/{pid}/status") as f:
-            for line in f:
-                if line.startswith("VmHWM:"):
-                    return int(line.split()[1]) * 1024
-    except OSError:
-        return None
-    return 0  # kernel threads have no VmHWM line
-
-
-def sample_resources(pids: Iterable[int],
-                     on_warning: Callable[[str], None] | None = None) -> ResourceSample:
-    """Aggregate high-water RSS and open-descriptor counts over ``pids``.
-
-    Dead pids are skipped silently; unreadable /proc entries of live pids
-    are skipped and reported through ``on_warning``.
-    """
-    rss = 0
-    fds = 0
-    for pid in pids:
-        hwm = _read_vm_hwm(pid)
-        if hwm is None:
-            continue  # gone
-        rss += hwm
-        try:
-            fds += len(os.listdir(f"/proc/{pid}/fd"))
-        except OSError as exc:
-            if on_warning:
-                on_warning(f"pid {pid}: cannot read fd table: {exc}")
-    return ResourceSample(timestamp=time.monotonic(), rss=rss, fd_count=fds)
-
-
-class _Sampler:
-    """Periodic resource sampler over the session's measured pids."""
-
-    def __init__(self, session: TraceSession):
-        self.session = session
-        self.peak_rss = 0
-        self.peak_fds = 0
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._loop, daemon=True)
-
-    def _take(self) -> None:
-        pids = self.session.traced_pids()
-        if not pids:
-            return
-        s = sample_resources(pids)
-        self.peak_rss = max(self.peak_rss, s.rss)
-        self.peak_fds = max(self.peak_fds, s.fd_count)
-
-    def _loop(self) -> None:
-        while not self._stop.wait(SAMPLE_PERIOD):
-            self._take()
-
-    def start(self) -> None:
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._take()  # final reading before teardown
-        self._stop.set()
-        self._thread.join()
 
 
 def _allocate_port() -> int:
@@ -372,8 +294,6 @@ def _run_workload_in(spec: AppSpec, policy: Policy, limits: Limits,
     deadline = started + limits.timeout
     session = TraceSession.start(command, policy, spec.whitelist, tables, discovery)
     app_pid = session.app_pid  # raises LaunchFailure early
-    sampler = _Sampler(session)
-    sampler.start()
     perf_metric = None
     script_rc: int | None = None
     try:
@@ -398,7 +318,6 @@ def _run_workload_in(spec: AppSpec, policy: Policy, limits: Limits,
                 pass
         ended = time.monotonic()
     finally:
-        sampler.stop()
         trace = session.stop()
 
     reason = judge(trace, ready, script_rc, ended)
@@ -406,8 +325,8 @@ def _run_workload_in(spec: AppSpec, policy: Policy, limits: Limits,
         success=reason == REASON_OK,
         reason=reason,
         perf_metric=perf_metric,
-        peak_rss=sampler.peak_rss,
-        peak_fds=sampler.peak_fds,
+        peak_rss=trace.peak_rss,
+        peak_fds=trace.peak_fds,
         duration=ended - started,
     )
     return outcome, trace

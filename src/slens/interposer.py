@@ -35,6 +35,18 @@ caller died, since the tracer's PR_SET_PDEATHSIG is SIGTERM and the launched
 child's SIGKILL.  That signal follows the thread that forked, so the thread
 that starts a session must outlive it.
 
+Resource readings: the tracer takes them, since it already holds the pids
+of the measured processes.  A periodic SIGALRM reads the summed VmHWM and
+open-descriptor count of those processes every SAMPLE_PERIOD seconds, and
+the stop request takes one more reading before it sends SIGTERM to the
+tree; the peaks go into ``RunTrace.peak_rss`` and ``peak_fds``.  The stop
+request re-arms the same timer as a one-shot of KILL_GRACE, so that SIGALRM
+sends SIGKILL instead.  A session starts no thread: one thread uses it, and
+reads the tracer's pipe only inside its calls.  That is safe because the
+only messages before the result are ``launched`` and ``root_exit``, so the
+tracer never waits for a reader while the run goes on; the result may wait
+until ``wait`` or ``stop`` drains the pipe, and every caller calls one.
+
 Caveat: the filter requires no_new_privs, which is inherited and cannot be
 unset, so setuid and setgid binaries (and file capabilities) confer no
 privileges inside the workload.
@@ -51,8 +63,8 @@ import errno as _errno
 import json
 import logging
 import os
+import select
 import signal
-import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -70,6 +82,7 @@ STUB_RETURN = -ENOSYS
 _MAX_WARNINGS = 200
 
 KILL_GRACE = 2.0  # seconds from the stop request's SIGTERM to SIGKILL
+SAMPLE_PERIOD = 0.1  # seconds between resource readings
 _LAUNCH_WAIT = 30.0  # seconds the parent waits for the launch announcement
 
 
@@ -273,6 +286,52 @@ def classify_feature(
     return FeatureId(syscall_nr)
 
 
+@dataclass(frozen=True)
+class ResourceSample:
+    """One aggregated reading over a set of processes."""
+
+    timestamp: float
+    rss: int  # bytes, sum of per-pid high-water marks (VmHWM)
+    fd_count: int  # sum of per-pid open descriptor counts
+
+    def __post_init__(self):
+        if self.rss < 0 or self.fd_count < 0:
+            raise ValueError("resource readings must be >= 0")
+
+
+def _read_vm_hwm(pid: int) -> int | None:
+    try:
+        with open(f"/proc/{pid}/status") as f:
+            for line in f:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        return None
+    return 0  # kernel threads have no VmHWM line
+
+
+def sample_resources(pids: Iterable[int],
+                     on_warning: Callable[[str], None] | None = None) -> ResourceSample:
+    """Aggregate high-water RSS and open-descriptor counts over ``pids``.
+
+    Dead pids are skipped silently; unreadable /proc entries of live pids
+    are skipped and reported through ``on_warning``.
+    """
+    rss = 0
+    fds = 0
+    for pid in pids:
+        hwm = _read_vm_hwm(pid)
+        if hwm is None:
+            continue  # gone
+        rss += hwm
+        try:
+            fds += len(os.listdir(f"/proc/{pid}/fd"))
+        except OSError as exc:
+            if on_warning:
+                on_warning(f"pid {pid}: cannot read fd table: {exc}")
+    return ResourceSample(timestamp=time.monotonic(), rss=rss, fd_count=fds)
+
+
 @dataclass
 class RunTrace:
     """Everything one traced run produced.
@@ -281,8 +340,12 @@ class RunTrace:
     processes: of every call in a discovery run, of the calls to the
     policy's overridden syscalls otherwise.  ``root_exit_at`` is the
     CLOCK_MONOTONIC time (``time.monotonic()``) at which the tracer reaped
-    the root, or None if it never did.  Only ``trace_run`` sets
-    ``timed_out``: the tracer keeps no clock.
+    the root, or None if it never did.  ``peak_rss`` (bytes) and
+    ``peak_fds`` are the largest readings of ``sample_resources`` over the
+    measured processes, which the tracer takes every SAMPLE_PERIOD and at
+    the stop request; a run that ends within one period is read only if it
+    is stopped.  Only ``trace_run`` sets ``timed_out``: the tracer keeps no
+    clock.
     """
 
     observed: Counter  # FeatureId -> trapped invocation count
@@ -292,6 +355,8 @@ class RunTrace:
     timed_out: bool = False
     warnings: tuple[str, ...] = ()
     root_exit_at: float | None = None
+    peak_rss: int = 0
+    peak_fds: int = 0
 
     def to_json(self) -> dict:
         items = sorted(self.observed.items(), key=lambda kv: kv[0].sort_key())
@@ -302,6 +367,8 @@ class RunTrace:
             "whitelisted_pids_seen": self.whitelisted_pids_seen,
             "warnings": list(self.warnings),
             "root_exit_at": self.root_exit_at,
+            "peak_rss": self.peak_rss,
+            "peak_fds": self.peak_fds,
         }
 
     @staticmethod
@@ -316,6 +383,8 @@ class RunTrace:
             whitelisted_pids_seen=int(d["whitelisted_pids_seen"]),
             warnings=tuple(d.get("warnings", ())),
             root_exit_at=d["root_exit_at"],
+            peak_rss=int(d["peak_rss"]),
+            peak_fds=int(d["peak_fds"]),
         )
 
 
@@ -386,6 +455,8 @@ class _Engine:
         self.root_signal: int | None = None
         self.root_exit_at: float | None = None
         self.kill_signal: int | None = None  # last signal sent to the tree
+        self.peak_rss = 0
+        self.peak_fds = 0
         self._regs = pt.UserRegs()
 
     # -- helpers
@@ -393,10 +464,6 @@ class _Engine:
     def warn(self, message: str) -> None:
         if len(self.warnings) < _MAX_WARNINGS:
             self.warnings.append(message)
-
-    def _emit_pids(self) -> None:
-        traced = sorted(pid for pid, p in self.procs.items() if p.traced)
-        self.emit({"event": "pids", "pids": traced})
 
     def _read_string(self, pid: int):
         def reader(addr: int) -> str | None:
@@ -486,16 +553,15 @@ class _Engine:
                       | pt.PTRACE_O_TRACEVFORK | pt.PTRACE_O_TRACECLONE
                       | pt.PTRACE_O_TRACEEXEC | pt.PTRACE_O_EXITKILL)
         signal.signal(signal.SIGTERM, self._on_stop_request)
-        signal.signal(signal.SIGALRM, lambda *_: self._kill_tree(signal.SIGKILL))
+        signal.signal(signal.SIGALRM, self._on_alarm)
+        signal.setitimer(signal.ITIMER_REAL, SAMPLE_PERIOD, SAMPLE_PERIOD)
         self.emit({"event": "launched", "pid": pid})
         self._resume(pid)
 
     def _check_exec_error(self) -> None:
         try:
             data = os.read(self.exec_err_fd, 64)
-        except BlockingIOError:
-            return
-        except OSError:
+        except OSError:  # BlockingIOError included
             return
         if data:
             step, _, err = data.decode().partition(" ")
@@ -516,12 +582,9 @@ class _Engine:
             self.warn(f"pid {pid}: cannot resolve exec image: {exc}")
         first = not self.first_exec_done
         self.first_exec_done = True
-        was_traced = proc.traced
         proc.traced = resolve_exec(image, self.whitelist, first)
         if proc.traced:
             self.ever_traced.add(pid)
-        if proc.traced != was_traced or proc.traced:
-            self._emit_pids()
 
     def _on_child(self, parent_pid: int, child_pid: int) -> None:
         parent = self.procs.get(parent_pid)
@@ -532,7 +595,6 @@ class _Engine:
             self._kill(child_pid, self.kill_signal)
         if child.traced:
             self.ever_traced.add(child_pid)
-            self._emit_pids()
         pending = self.pending_stops.pop(child_pid, None)
         if pending is not None:
             # The child stopped before we learned about it: that stop is its
@@ -565,7 +627,6 @@ class _Engine:
                 self.root_signal = os.WTERMSIG(status)
             self.emit({"event": "root_exit", "exit_code": self.root_exit,
                        "signaled": self.root_signal})
-        self._emit_pids()
 
     def _handle_stop(self, pid: int, status: int) -> None:
         sig = os.WSTOPSIG(status)
@@ -595,13 +656,30 @@ class _Engine:
         else:
             self._resume(pid, sig)  # forward genuine signals
 
-    # -- kill: the signal handlers only send signals, so the event loop's
-    # waitpid resumes after them and reaps until no process is left.
+    # -- readings and kill: the signal handlers only read /proc and send
+    # signals, so the event loop's waitpid resumes after them and reaps
+    # until no process is left.
+
+    def _sample(self) -> None:
+        s = sample_resources([pid for pid, p in self.procs.items() if p.traced],
+                             self.warn)
+        self.peak_rss = max(self.peak_rss, s.rss)
+        self.peak_fds = max(self.peak_fds, s.fd_count)
+
+    def _on_alarm(self, signum, frame) -> None:
+        """SIGALRM: a periodic reading until the stop request; after it,
+        the end of the grace, when the re-armed one-shot timer has expired
+        (a periodic alarm still pending at the request finds it running)."""
+        if self.kill_signal is None:
+            self._sample()
+        elif signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0):
+            self._kill_tree(signal.SIGKILL)
 
     def _on_stop_request(self, signum, frame) -> None:
-        """SIGTERM from the parent (or its death): end the tree, SIGTERM
-        first, SIGKILL after KILL_GRACE (the SIGALRM handler)."""
+        """SIGTERM from the parent (or its death): take a last reading, then
+        end the tree, SIGTERM first, SIGKILL after KILL_GRACE."""
         if self.kill_signal is None:
+            self._sample()
             self._kill_tree(signal.SIGTERM)
             signal.setitimer(signal.ITIMER_REAL, KILL_GRACE)
 
@@ -642,6 +720,8 @@ class _Engine:
             whitelisted_pids_seen=len(self.ever_traced),
             warnings=tuple(self.warnings),
             root_exit_at=self.root_exit_at,
+            peak_rss=self.peak_rss,
+            peak_fds=self.peak_fds,
         )
 
 
@@ -654,8 +734,12 @@ def _tracer_process(parent, command, policy, whitelist, tables, discovery,
         os._exit(1)  # the parent died before the line above
 
     def emit(msg: dict) -> None:
+        # A stop request's SIGTERM can cut short a write that waits for
+        # the reader, which returns the bytes written so far.
+        data = (json.dumps(msg) + "\n").encode()
         try:
-            os.write(write_fd, (json.dumps(msg) + "\n").encode())
+            while data:
+                data = data[os.write(write_fd, data):]
         except OSError:
             pass
 
@@ -672,12 +756,7 @@ def _tracer_process(parent, command, policy, whitelist, tables, discovery,
               "message": f"{type(exc).__name__}: {exc}"})
         engine._kill_tree(signal.SIGKILL)
         code = 1
-    finally:
-        try:
-            os.close(write_fd)
-        except OSError:
-            pass
-    os._exit(code)
+    os._exit(code)  # closes the pipe
 
 
 # ---------------------------------------------------------------------------
@@ -688,22 +767,23 @@ class TraceSession:
     """Handle to a run executing under a dedicated tracer process.
 
     The tracer owns all tracee interactions; this object only reads its
-    event stream and can ask the tracer to end the run (``stop``).
+    event stream and can ask the tracer to end the run (``stop``).  It
+    starts no thread: one thread uses it, and each call reads the pipe in
+    that thread.  A session ends with ``wait`` or ``stop``, which drain the
+    pipe (see the module docstring), or with the error of ``app_pid``.
     """
 
     def __init__(self, tracer_pid: int, read_fd: int):
         self._tracer_pid = tracer_pid
         self._read_fd = read_fd
-        self._lock = threading.Lock()
-        self._launched = threading.Event()
-        self._done = threading.Event()
+        self._poll = select.poll()
+        self._poll.register(read_fd, select.POLLIN)
+        self._buf = b""
+        self._eof = False
         self._app_pid: int | None = None
-        self._traced_pids: frozenset[int] = frozenset()
         self._root_status: tuple[int | None, int | None] | None = None
         self._trace: RunTrace | None = None
         self._error: tuple[str, str] | None = None
-        self._reader = threading.Thread(target=self._read_loop, daemon=True)
-        self._reader.start()
 
     @classmethod
     def start(cls, command: Command, policy: Policy, whitelist: Whitelist,
@@ -729,80 +809,73 @@ class TraceSession:
             # inherited descriptor but stdio and its own pipe, since one it
             # kept could be another session's pipe or a test script's
             # output pipe, whose reader would then wait for this tracer.
-            os.closerange(3, write_fd)
-            os.closerange(max(3, write_fd + 1), os.sysconf("SC_OPEN_MAX"))
-            _tracer_process(parent, command, policy, whitelist, tables, discovery,
-                            write_fd)
-            os._exit(1)  # unreachable
+            # Whatever escapes, such as KeyboardInterrupt, must not unwind
+            # the caller's stack in this copy of it.
+            try:
+                os.closerange(3, write_fd)
+                os.closerange(max(3, write_fd + 1), os.sysconf("SC_OPEN_MAX"))
+                _tracer_process(parent, command, policy, whitelist, tables,
+                                discovery, write_fd)
+            finally:
+                os._exit(1)
         os.close(write_fd)
         return cls(tracer_pid, read_fd)
 
-    # -- reader thread
+    # -- the tracer's messages, read in the caller's thread
 
-    def _read_loop(self) -> None:
-        buf = b""
-        try:
-            while True:
-                chunk = os.read(self._read_fd, 65536)
-                if not chunk:
-                    break
-                buf += chunk
-                while b"\n" in buf:
-                    line, buf = buf.split(b"\n", 1)
-                    if line:
-                        self._handle_message(json.loads(line))
-        except OSError:
-            pass
-        finally:
-            try:
+    def _read(self, timeout: float | None, until: Callable[[], bool]) -> bool:
+        """Handle messages until ``until()`` holds, the pipe ends, or
+        ``timeout`` seconds pass (None: no limit).  Returns ``until()``."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while not until() and not self._eof:
+            left = None if deadline is None else max(0, deadline - time.monotonic())
+            if not self._poll.poll(None if left is None else left * 1000):
+                break
+            chunk = os.read(self._read_fd, 65536)
+            if not chunk:
+                self._eof = True
                 os.close(self._read_fd)
-            except OSError:
-                pass
-            self._launched.set()
-            self._done.set()
+                break
+            *lines, self._buf = (self._buf + chunk).split(b"\n")
+            for line in lines:
+                if line:
+                    self._handle_message(json.loads(line))
+        return until()
 
     def _handle_message(self, msg: dict) -> None:
         event = msg.get("event")
         if event == "launched":
-            with self._lock:
-                self._app_pid = msg["pid"]
-            self._launched.set()
-        elif event == "pids":
-            with self._lock:
-                self._traced_pids = frozenset(msg["pids"])
+            self._app_pid = msg["pid"]
         elif event == "root_exit":
-            with self._lock:
-                self._root_status = (msg["exit_code"], msg["signaled"])
+            self._root_status = (msg["exit_code"], msg["signaled"])
         elif event == "result":
-            with self._lock:
-                self._trace = RunTrace.from_json(msg["trace"])
+            self._trace = RunTrace.from_json(msg["trace"])
         elif event == "error":
-            with self._lock:
-                self._error = (msg.get("kind", "TracerFault"), msg.get("message", ""))
+            self._error = (msg.get("kind", "TracerFault"), msg.get("message", ""))
+
+    def _launched(self) -> bool:
+        return self._read(_LAUNCH_WAIT, lambda: self._app_pid is not None)
 
     # -- public API
 
     @property
     def app_pid(self) -> int:
         """Pid of the application root (also its process-group id)."""
-        self._launched.wait(timeout=_LAUNCH_WAIT)
-        with self._lock:
-            if self._app_pid is None:
-                kind, message = self._error or ("LaunchFailure", "tracer exited before launch")
-                raise LaunchFailure(message) if kind == "LaunchFailure" else TracerFault(message)
-            return self._app_pid
-
-    def traced_pids(self) -> frozenset[int]:
-        with self._lock:
-            return self._traced_pids
+        if not self._launched():
+            if self._eof:  # the tracer ended: reap it, as ``wait`` would
+                os.waitpid(self._tracer_pid, 0)
+            kind, message = self._error or ("LaunchFailure", "tracer exited before launch")
+            raise LaunchFailure(message) if kind == "LaunchFailure" else TracerFault(message)
+        return self._app_pid
 
     def root_status(self) -> tuple[int | None, int | None] | None:
         """(exit_code, signal) of the root once it exited, else None."""
-        with self._lock:
-            return self._root_status
+        self._read(0, lambda: self._root_status is not None)
+        return self._root_status
 
     def finished(self) -> bool:
-        return self._done.is_set()
+        """Whether the tracer has ended: no process of the run is left."""
+        return self._read(0, lambda: self._eof)
 
     def stop(self) -> RunTrace:
         """End the run and return its trace, as ``wait`` does.
@@ -812,13 +885,15 @@ class TraceSession:
         tracer that has not finished well after that is killed, and
         PTRACE_O_EXITKILL takes the tree with it; this raises TracerFault.
         """
-        self._launched.wait(timeout=_LAUNCH_WAIT)
-        if not self._done.is_set():  # so not reaped: the pid is still ours
+        self._launched()
+        if not self._eof:  # the tracer is not reaped, so the pid is still ours
             os.kill(self._tracer_pid, signal.SIGTERM)
         try:
             return self.wait(timeout=KILL_GRACE + 10)
         except TimeoutError:
             os.kill(self._tracer_pid, signal.SIGKILL)
+            self._read(None, lambda: False)  # to the end, which the kill brings
+            os.waitpid(self._tracer_pid, 0)
             raise TracerFault("process tree did not end after SIGKILL") from None
 
     def wait(self, timeout: float | None = None) -> RunTrace:
@@ -826,20 +901,18 @@ class TraceSession:
 
         Raises LaunchFailure or TracerFault when the tracer reported one.
         """
-        if not self._done.wait(timeout):
+        if not self._read(timeout, lambda: self._eof):
             raise TimeoutError("trace session still running")
-        self._reader.join()
         try:
             os.waitpid(self._tracer_pid, 0)
         except ChildProcessError:
             pass
-        with self._lock:
-            if self._error is not None:
-                kind, message = self._error
-                raise LaunchFailure(message) if kind == "LaunchFailure" else TracerFault(message)
-            if self._trace is None:
-                raise TracerFault("tracer exited without a result")
-            return self._trace
+        if self._error is not None:
+            kind, message = self._error
+            raise LaunchFailure(message) if kind == "LaunchFailure" else TracerFault(message)
+        if self._trace is None:
+            raise TracerFault("tracer exited without a result")
+        return self._trace
 
 
 def trace_run(command: Command, policy: Policy, whitelist: Whitelist,

@@ -137,6 +137,8 @@ class AnalysisConfig:
             raise ValueError("parallelism must be >= 1")
         if self.perf_runs < 0:
             raise ValueError("perf_runs must be >= 0")
+        if self.timeout is not None and self.timeout <= 0:
+            raise ValueError("timeout must be > 0")
 
 
 @dataclass(frozen=True)
@@ -432,24 +434,32 @@ class Orchestrator:
         Until a baseline exists, the phase also makes the ``perf_runs``
         baseline runs and records their statistics in ``baseline``; the
         statistics come from those runs only, so the sample size is
-        exactly ``perf_runs``.  Raises BaselineFailure when one fails.
+        exactly ``perf_runs``.  Baseline run j is run j * ceil(n / k) of
+        the n runs of the phase (k = ``perf_runs``), so host drift during
+        the phase reaches baseline and probes alike; but the phase opens
+        with one baseline run per worker (j < ``parallelism``), so that a
+        workload failing unmodified ends it before a probe run can finish
+        and start another.  Raises BaselineFailure when one fails.
         """
         r = self.config.replicas
         runs = []
-        if self.baseline is None:
-            runs = [(Policy.allow_all(), r + i, "baseline")
-                    for i in range(self.config.perf_runs)]
-        n_base = len(runs)
         for feature, mode in keys:
             policy = probe_policy(feature, mode, self.tables)
             runs += [(policy, i, f"{mode}:{feature_label(feature)}") for i in range(r)]
+        n_base = self.config.perf_runs if self.baseline is None else 0
+        step = -(-(len(runs) + n_base) // max(n_base, 1))
+        for j in range(n_base):
+            runs.insert(j if j < self.parallelism else j * step,
+                        (Policy.allow_all(), r + j, "baseline"))
         outcomes = self._run_all(runs)
         if n_base:
-            self.baseline = BaselineStats.from_outcomes(outcomes[:n_base])
+            self.baseline = BaselineStats.from_outcomes(
+                [o for (_, _, label), o in zip(runs, outcomes) if label == "baseline"])
+        outcomes = [o for (_, _, label), o in zip(runs, outcomes) if label != "baseline"]
 
         probes = []
         for k, (feature, mode) in enumerate(keys):
-            replicas = outcomes[n_base + k * r:n_base + (k + 1) * r]
+            replicas = outcomes[k * r:(k + 1) * r]
             works = all(o.success for o in replicas)
             result = ProbeResult(
                 feature=feature,

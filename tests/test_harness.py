@@ -13,20 +13,21 @@ from slens.harness import (
     AppSpec,
     Limits,
     Readiness,
-    ResourceSample,
     ScriptMissing,
     judge,
     run_workload,
-    sample_resources,
 )
 from slens.interposer import (
     KILL_GRACE,
     STUB,
     Command,
     FeatureId,
+    LaunchFailure,
     Policy,
+    ResourceSample,
     RunTrace,
     Whitelist,
+    sample_resources,
     trace_run,
 )
 from slens.syscalls import name_to_nr
@@ -195,15 +196,58 @@ def test_fresh_state_between_runs(fixtures, app_spec_factory):
 def test_peak_fd_count(fixtures, app_spec_factory):
     """The fd-holding fixture keeps 100 files + stdio open while sampled."""
     spec = app_spec_factory("fd_hold")  # script holds until app exit
-    outcome, _ = run_workload(spec, Policy.allow_all(), LIMITS)
+    outcome, trace = run_workload(spec, Policy.allow_all(), LIMITS)
     assert outcome.peak_fds >= 103
+    assert trace.peak_fds == outcome.peak_fds
 
 
 def test_peak_rss(fixtures, app_spec_factory):
     """The 64 MiB buffer must show up in the high-water RSS."""
     spec = app_spec_factory("mem_hold")  # script holds until app exit
-    outcome, _ = run_workload(spec, Policy.allow_all(), LIMITS)
+    outcome, trace = run_workload(spec, Policy.allow_all(), LIMITS)
     assert outcome.peak_rss >= 64 * 1024 * 1024
+    assert trace.peak_rss == outcome.peak_rss
+
+
+def _threads() -> int:
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("Threads:"))
+
+
+def test_run_adds_no_thread_to_its_caller(fixtures, app_spec_factory):
+    """While the test script runs, its caller has as many threads as after
+    the run: the session is read in the calling thread, and the tracer takes
+    the resource readings.  (Counted after, not before: a thread that the
+    previous test ended may still be exiting when this one starts.)"""
+    spec = app_spec_factory("sleeper", script="caller_threads.sh")
+    outcome, _ = run_workload(spec, Policy.allow_all(), LIMITS)
+    assert outcome.success, outcome
+    assert outcome.perf_metric == _threads()
+
+
+def _children() -> set[int]:
+    """This process's children, zombies included."""
+    kids = set()
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/stat") as f:
+                if int(f.read().rsplit(")", 1)[1].split()[1]) == os.getpid():
+                    kids.add(int(pid))
+        except OSError:
+            continue
+    return kids
+
+
+def test_failed_launch_leaves_no_child(app_spec_factory, tmp_path):
+    """A launch the tracer refuses before announcing it (a file without
+    execute permission) raises LaunchFailure, and the tracer is reaped."""
+    app = tmp_path / "not_executable"
+    app.write_text("")
+    spec = app_spec_factory("noop", command=(str(app),))
+    before = _children()
+    with pytest.raises(LaunchFailure):
+        run_workload(spec, Policy.allow_all(), LIMITS)
+    assert _children() <= before
 
 
 def test_teardown_leaves_no_survivors(fixtures, app_spec_factory):

@@ -1,6 +1,7 @@
 """Trace engine behavior on compiled fixtures."""
 
 import errno
+import json
 import os
 import signal
 import subprocess
@@ -19,6 +20,7 @@ from slens.interposer import (
     LaunchFailure,
     Limits,
     Policy,
+    RunTrace,
     STUB,
     TraceSession,
     Whitelist,
@@ -37,6 +39,7 @@ UNAME = name_to_nr("uname")
 OPENAT = name_to_nr("openat")
 GETPID = name_to_nr("getpid")
 PRCTL = name_to_nr("prctl")
+IOCTL = name_to_nr("ioctl")
 FORK = name_to_nr("fork")
 
 
@@ -206,6 +209,62 @@ def test_killed_caller_leaves_no_survivors(fixtures):
         caller.kill()
         caller.wait(timeout=10)
     assert within(3, lambda: not fixtures.running("sleeper"))
+
+
+def test_interrupted_tracer_does_not_unwind_the_caller(fixtures):
+    """A SIGINT to the tracer (a terminal's Ctrl-C reaches the whole process
+    group) ends the tracer only: the forked copy of the caller's stack is
+    never unwound, so the caller's ``finally`` runs once, in the caller."""
+    code = ("import os, signal, sys\n"
+            "from slens.interposer import (Command, Policy, TraceSession,\n"
+            "                              TracerFault, Whitelist)\n"
+            "try:\n"
+            "    session = TraceSession.start(Command(argv=(sys.argv[1],)),\n"
+            "                                 Policy.allow_all(), Whitelist())\n"
+            "    session.app_pid\n"
+            "    os.kill(session._tracer_pid, signal.SIGINT)\n"
+            "    try:\n"
+            "        session.wait(timeout=10)\n"
+            "    except TracerFault:\n"
+            "        pass\n"
+            "finally:\n"
+            "    print('finally', os.getpid(), flush=True)\n")
+    src = str(Path(slens._ptrace.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    caller = subprocess.Popen([sys.executable, "-c", code, fixtures.binary("sleeper")],
+                              env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True)
+    out, err = caller.communicate(timeout=30)
+    assert out.splitlines() == [f"finally {caller.pid}"], err
+    assert caller.returncode == 0, err
+
+
+def test_result_larger_than_the_pipe_survives_stop(fixtures):
+    """The result may wait for a reader.  A tree that ended by itself, with
+    a result larger than the pipe holds, is still returned whole by stop(),
+    whose SIGTERM reaches the tracer while it waits in that write."""
+    binary = fixtures.binary("many_ioctls")
+    session = TraceSession.start(Command(argv=(binary,)), Policy.allow_all(),
+                                 Whitelist.of_paths([binary]))
+    deadline = time.monotonic() + 10
+    while session.root_status() is None and time.monotonic() < deadline:
+        time.sleep(0.02)
+    time.sleep(0.5)  # the tracer encodes the result and fills the pipe
+    trace = session.stop()
+    assert trace.exit_code == 0
+    assert len(json.dumps(trace.to_json())) > 65536  # a Linux pipe's default capacity
+    assert sum(f.syscall_nr == IOCTL for f in trace.observed) == 4000
+
+
+def test_run_trace_json_round_trip():
+    trace = RunTrace(
+        observed=Counter({FeatureId(WRITE): 3, FeatureId(OPENAT, pseudofile="/proc"): 1,
+                          FeatureId(IOCTL, subfeature=0x5401): 2}),
+        exit_code=None, signaled=signal.SIGKILL, whitelisted_pids_seen=2,
+        warnings=("pid 7: cannot read fd table: gone",), root_exit_at=12.5,
+        peak_rss=64 * 1024 * 1024, peak_fds=103,
+    )
+    assert RunTrace.from_json(trace.to_json()) == trace
 
 
 def test_follow_fork_observes_child(fixtures, tmp_path):

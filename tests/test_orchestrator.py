@@ -265,6 +265,24 @@ def test_failed_baseline_stops_pending_runs(fixtures, app_spec_factory, monkeypa
     assert orch.executions == stub.calls <= 1 + 2  # discovery, then two workers
 
 
+def test_baseline_runs_interleave_with_probes(fixtures, app_spec_factory, monkeypatch):
+    """Baseline run j is run j * ceil(n / k) of the probe phase's n runs."""
+    kinds = []
+    stub = _StubRuns()
+
+    def record(spec, policy, limits, tables, discovery=True):
+        kinds.append("D" if discovery else "P" if policy.overrides else "B")
+        return stub(spec, policy, limits, tables, discovery)
+
+    monkeypatch.setattr(slens.orchestrator, "run_workload", record)
+    config = AnalysisConfig(replicas=1, perf_runs=3, parallelism=1)
+    orch = Orchestrator(app_spec_factory("noop"), config)
+    orch.full_analysis()
+    # Two features in two modes make four probe runs: n = 7, ceil(7 / 3) = 3.
+    assert kinds[:8] == ["D", "B", "P", "P", "B", "P", "P", "B"]
+    assert len(orch.baseline.rss) == 3
+
+
 def _descendants() -> list[int]:
     """Processes below this one, zombies included."""
     me = os.getpid()
