@@ -3,7 +3,7 @@
 
 Only what the trace engine needs: a seccomp filter that stops the tracee
 for its tracer at chosen syscalls, resumption, register read/write,
-child-follow, exec and seccomp notification options, event message
+child-follow, exec, exit and seccomp notification options, event message
 retrieval, and a parent-death signal.  The tracer must be the process
 (thread) that attached.
 """
@@ -29,6 +29,7 @@ PTRACE_O_TRACEFORK = 0x2
 PTRACE_O_TRACEVFORK = 0x4
 PTRACE_O_TRACECLONE = 0x8
 PTRACE_O_TRACEEXEC = 0x10
+PTRACE_O_TRACEEXIT = 0x40
 PTRACE_O_TRACESECCOMP = 0x80
 PTRACE_O_EXITKILL = 0x100000
 
@@ -36,6 +37,7 @@ PTRACE_EVENT_FORK = 1
 PTRACE_EVENT_VFORK = 2
 PTRACE_EVENT_CLONE = 3
 PTRACE_EVENT_EXEC = 4
+PTRACE_EVENT_EXIT = 6
 PTRACE_EVENT_SECCOMP = 7
 
 # waitpid option: wait for all children, including clones.

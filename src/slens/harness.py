@@ -12,8 +12,8 @@ One clock and one verdict per run:
     delay) and the test script.  It is the run's only clock.  Then the
     harness asks the tracer to end the tree (``TraceSession.stop``); the
     tracer sends SIGTERM to every process it follows, daemons that left the
-    process group included, and SIGKILL after KILL_GRACE.  The harness
-    itself sends no signal.
+    process group included, and SIGKILL when the session asks again
+    KILL_GRACE later.  The harness signals no process of the tree itself.
   - Live session state (the root's status, whether any process is left)
     only decides how long to keep waiting.
   - The final trace decides the reason: ``judge`` sets it once, after

@@ -26,26 +26,31 @@ though: unmeasured ones stop on the trapped syscalls too and are resumed at
 once, so in a discovery run every syscall of theirs stops.
 
 Ending a run: the tracer alone signals the application's tree and keeps no
-run timer; the caller's deadline is the only clock.  ``TraceSession.stop``
-sends one SIGTERM, to the tracer (a child not yet reaped, so its pid is not
-reused); the tracer sends SIGTERM to every process it follows, SIGKILL
-KILL_GRACE seconds later, and returns once none is left.  So no process
-outlives its run: not a daemon that left the process group, nor one whose
-caller died, since the tracer's PR_SET_PDEATHSIG is SIGTERM and the launched
-child's SIGKILL.  That signal follows the thread that forked, so the thread
-that starts a session must outlive it.
+clock.  A stop request is a SIGTERM to the tracer (an unreaped child, so
+its pid is not reused): on the first the tracer sends SIGTERM to every
+process it follows, on any later one SIGKILL, and it returns once none is
+left; ``TraceSession.stop`` sends the second KILL_GRACE seconds after the
+first.  So no process outlives its run: not a daemon that left the process
+group, nor one whose caller died, since the PR_SET_PDEATHSIG of the tracer
+and of the launched child is SIGKILL and PTRACE_O_EXITKILL takes the tree
+with the tracer.  That signal follows the thread that forked, so the
+thread that starts a session must outlive it.
 
-Resource readings: the tracer takes them, since it already holds the pids
-of the measured processes.  A periodic SIGALRM reads the summed VmHWM and
-open-descriptor count of those processes every SAMPLE_PERIOD seconds, and
-the stop request takes one more reading before it sends SIGTERM to the
-tree; the peaks go into ``RunTrace.peak_rss`` and ``peak_fds``.  The stop
-request re-arms the same timer as a one-shot of KILL_GRACE, so that SIGALRM
-sends SIGKILL instead.  A session starts no thread: one thread uses it, and
-reads the tracer's pipe only inside its calls.  That is safe because the
-only messages before the result are ``launched`` and ``root_exit``, so the
-tracer never waits for a reader while the run goes on; the result may wait
-until ``wait`` or ``stop`` drains the pipe, and every caller calls one.
+Resource readings sum VmHWM and open descriptors over the measured
+processes, each process once however many threads it has.  The tracer
+takes one when a process becomes measured at its exec, at each measured
+exit (PTRACE_EVENT_EXIT, while the process still holds its memory and
+descriptors) and at the first stop request.  VmHWM only grows, so the sum
+peaks just before an exit or at the stop: ``RunTrace.peak_rss`` is exact
+for a run of any length, except that the memory of an image replaced by a
+later exec counts only if an earlier event read it.  ``peak_fds`` is the
+largest count at those events.
+
+A session starts no thread: one thread uses it, and reads the tracer's pipe
+only inside its calls.  That is safe because the only messages before the
+result are ``launched`` and ``root_exit``, so the tracer never waits for a
+reader while the run goes on; the result may wait until ``wait`` or
+``stop`` drains the pipe, and every caller calls one.
 
 Caveat: the filter requires no_new_privs, which is inherited and cannot be
 unset, so setuid and setgid binaries (and file capabilities) confer no
@@ -82,7 +87,6 @@ STUB_RETURN = -ENOSYS
 _MAX_WARNINGS = 200
 
 KILL_GRACE = 2.0  # seconds from the stop request's SIGTERM to SIGKILL
-SAMPLE_PERIOD = 0.1  # seconds between resource readings
 _LAUNCH_WAIT = 30.0  # seconds the parent waits for the launch announcement
 
 
@@ -299,30 +303,39 @@ class ResourceSample:
             raise ValueError("resource readings must be >= 0")
 
 
-def _read_vm_hwm(pid: int) -> int | None:
+def _read_status(pid: int) -> tuple[int, int] | None:
+    """(Tgid, VmHWM in bytes) of ``pid``; None if it has no memory (gone,
+    zombie)."""
+    tgid = 0
     try:
         with open(f"/proc/{pid}/status") as f:
             for line in f:
-                if line.startswith("VmHWM:"):
-                    return int(line.split()[1]) * 1024
+                if line.startswith("Tgid:"):
+                    tgid = int(line.split()[1])
+                elif line.startswith("VmHWM:"):
+                    return tgid, int(line.split()[1]) * 1024
     except OSError:
-        return None
-    return 0  # kernel threads have no VmHWM line
+        pass
+    return None
 
 
 def sample_resources(pids: Iterable[int],
                      on_warning: Callable[[str], None] | None = None) -> ResourceSample:
-    """Aggregate high-water RSS and open-descriptor counts over ``pids``.
+    """Aggregate high-water RSS and open-descriptor counts over the
+    processes of ``pids``, each once however many of its threads are listed.
 
-    Dead pids are skipped silently; unreadable /proc entries of live pids
-    are skipped and reported through ``on_warning``.
+    Pids without memory are skipped silently; unreadable fd tables of live
+    ones are skipped and reported through ``on_warning``.
     """
     rss = 0
     fds = 0
+    seen: set[int] = set()
     for pid in pids:
-        hwm = _read_vm_hwm(pid)
-        if hwm is None:
-            continue  # gone
+        status = _read_status(pid)
+        if status is None or status[0] in seen:
+            continue  # no memory, or its process already read
+        tgid, hwm = status
+        seen.add(tgid)
         rss += hwm
         try:
             fds += len(os.listdir(f"/proc/{pid}/fd"))
@@ -341,11 +354,10 @@ class RunTrace:
     policy's overridden syscalls otherwise.  ``root_exit_at`` is the
     CLOCK_MONOTONIC time (``time.monotonic()``) at which the tracer reaped
     the root, or None if it never did.  ``peak_rss`` (bytes) and
-    ``peak_fds`` are the largest readings of ``sample_resources`` over the
-    measured processes, which the tracer takes every SAMPLE_PERIOD and at
-    the stop request; a run that ends within one period is read only if it
-    is stopped.  Only ``trace_run`` sets ``timed_out``: the tracer keeps no
-    clock.
+    ``peak_fds`` are the tracer's largest readings (see the module
+    docstring); ``peak_rss`` 0 means the run was never read, as when it is
+    stopped before its first measured exec.  Only ``trace_run`` sets
+    ``timed_out``: the tracer keeps no clock.
     """
 
     observed: Counter  # FeatureId -> trapped invocation count
@@ -551,10 +563,9 @@ class _Engine:
             raise TracerFault(f"unexpected initial status {status:#x}")
         pt.setoptions(pid, pt.PTRACE_O_TRACESECCOMP | pt.PTRACE_O_TRACEFORK
                       | pt.PTRACE_O_TRACEVFORK | pt.PTRACE_O_TRACECLONE
-                      | pt.PTRACE_O_TRACEEXEC | pt.PTRACE_O_EXITKILL)
+                      | pt.PTRACE_O_TRACEEXEC | pt.PTRACE_O_TRACEEXIT
+                      | pt.PTRACE_O_EXITKILL)
         signal.signal(signal.SIGTERM, self._on_stop_request)
-        signal.signal(signal.SIGALRM, self._on_alarm)
-        signal.setitimer(signal.ITIMER_REAL, SAMPLE_PERIOD, SAMPLE_PERIOD)
         self.emit({"event": "launched", "pid": pid})
         self._resume(pid)
 
@@ -585,6 +596,7 @@ class _Engine:
         proc.traced = resolve_exec(image, self.whitelist, first)
         if proc.traced:
             self.ever_traced.add(pid)
+            self._sample()
 
     def _on_child(self, parent_pid: int, child_pid: int) -> None:
         parent = self.procs.get(parent_pid)
@@ -647,17 +659,18 @@ class _Engine:
             if proc.traced:
                 self._on_seccomp_stop(pid)
             self._resume(pid)
+        elif event == pt.PTRACE_EVENT_EXIT:
+            if proc.traced:
+                self._sample()  # the exiting process still holds its resources
+            self._resume(pid)
         elif sig == signal.SIGSTOP and proc.attach_pending:
             proc.attach_pending = False
-            self._resume(pid)
-        elif sig == signal.SIGTRAP:
-            # Spurious trap (e.g. from the exec'd image); do not forward.
             self._resume(pid)
         else:
             self._resume(pid, sig)  # forward genuine signals
 
-    # -- readings and kill: the signal handlers only read /proc and send
-    # signals, so the event loop's waitpid resumes after them and reaps
+    # -- readings and kill: the stop request's handler only reads /proc and
+    # sends signals, so the event loop's waitpid resumes after it and reaps
     # until no process is left.
 
     def _sample(self) -> None:
@@ -666,22 +679,14 @@ class _Engine:
         self.peak_rss = max(self.peak_rss, s.rss)
         self.peak_fds = max(self.peak_fds, s.fd_count)
 
-    def _on_alarm(self, signum, frame) -> None:
-        """SIGALRM: a periodic reading until the stop request; after it,
-        the end of the grace, when the re-armed one-shot timer has expired
-        (a periodic alarm still pending at the request finds it running)."""
-        if self.kill_signal is None:
-            self._sample()
-        elif signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0):
-            self._kill_tree(signal.SIGKILL)
-
     def _on_stop_request(self, signum, frame) -> None:
-        """SIGTERM from the parent (or its death): take a last reading, then
-        end the tree, SIGTERM first, SIGKILL after KILL_GRACE."""
+        """SIGTERM from the caller: the first takes a last reading and sends
+        SIGTERM to the tree, any later one SIGKILL."""
         if self.kill_signal is None:
             self._sample()
             self._kill_tree(signal.SIGTERM)
-            signal.setitimer(signal.ITIMER_REAL, KILL_GRACE)
+        else:
+            self._kill_tree(signal.SIGKILL)
 
     def _kill_tree(self, sig: int) -> None:
         """Send ``sig`` to every followed process (none reaped, so no pid
@@ -711,7 +716,6 @@ class _Engine:
                 self._on_exit(pid, status)
             elif os.WIFSTOPPED(status):
                 self._handle_stop(pid, status)
-        signal.setitimer(signal.ITIMER_REAL, 0)  # a pid left in procs may be stale
         self._check_exec_error()
         return RunTrace(
             observed=self.observed,
@@ -729,7 +733,7 @@ def _tracer_process(parent, command, policy, whitelist, tables, discovery,
                     write_fd) -> None:
     """Entry point of the forked tracer process.  Never returns."""
     signal.signal(signal.SIGTERM, signal.SIG_DFL)  # until _launch takes requests
-    pt.set_pdeathsig(signal.SIGTERM)
+    pt.set_pdeathsig(signal.SIGKILL)
     if os.getppid() != parent:
         os._exit(1)  # the parent died before the line above
 
@@ -880,21 +884,23 @@ class TraceSession:
     def stop(self) -> RunTrace:
         """End the run and return its trace, as ``wait`` does.
 
-        Once the launch is announced, sends SIGTERM to the tracer, which
-        then ends the tree: SIGTERM, then SIGKILL after KILL_GRACE.  A
-        tracer that has not finished well after that is killed, and
+        Once the launch is announced, sends the tracer a stop request, and
+        a second one KILL_GRACE seconds later: the tree gets SIGTERM, then
+        SIGKILL.  A tracer not finished 10 s after that is killed, and
         PTRACE_O_EXITKILL takes the tree with it; this raises TracerFault.
         """
         self._launched()
-        if not self._eof:  # the tracer is not reaped, so the pid is still ours
-            os.kill(self._tracer_pid, signal.SIGTERM)
-        try:
-            return self.wait(timeout=KILL_GRACE + 10)
-        except TimeoutError:
-            os.kill(self._tracer_pid, signal.SIGKILL)
-            self._read(None, lambda: False)  # to the end, which the kill brings
-            os.waitpid(self._tracer_pid, 0)
-            raise TracerFault("process tree did not end after SIGKILL") from None
+        for grace in (KILL_GRACE, 10):
+            if not self._eof:  # the tracer is not reaped, so the pid is still ours
+                os.kill(self._tracer_pid, signal.SIGTERM)
+            try:
+                return self.wait(timeout=grace)
+            except TimeoutError:
+                pass
+        os.kill(self._tracer_pid, signal.SIGKILL)
+        self._read(None, lambda: False)  # to the end, which the kill brings
+        os.waitpid(self._tracer_pid, 0)
+        raise TracerFault("process tree did not end after SIGKILL")
 
     def wait(self, timeout: float | None = None) -> RunTrace:
         """Wait for the run to finish and return its RunTrace.

@@ -13,6 +13,8 @@ stops at each call of its probed syscall while a baseline run stops at
 none, and a difference in the test script's perf metric would measure the
 tracer.  So regression flags compare only a working probe's peak RSS and
 peak descriptor count with the baseline runs' (``detect_regressions``).
+The tracer reads those at every measured exit, so flags see real readings,
+but the test is still a margin and a 2σ gate with no false-discovery control.
 
 The runs fall into three phases, and the runs of one phase do not depend on
 each other:
@@ -145,7 +147,8 @@ class AnalysisConfig:
 class BaselineStats:
     """Metric samples from successful allow-all runs.
 
-    ``perf`` is kept for reporting; it feeds no regression flag.
+    ``perf`` is kept for reporting; it feeds no regression flag.  ``rss``
+    and ``fds`` are parallel: one entry per run.
     """
 
     perf: tuple[float, ...]
@@ -178,16 +181,16 @@ def detect_regressions(baseline: BaselineStats,
     A metric is flagged when the relative difference of means exceeds
     ``margin`` AND the means differ by more than twice the pooled standard
     deviation.  Returns {metric: signed relative delta} for flagged metrics
-    among {"rss", "fds"}.  A metric is skipped when either side has no
-    samples or the baseline mean is 0.  The perf metric is never compared
-    (see the module docstring).
+    among {"rss", "fds"}, over the runs that were read (``peak_rss`` > 0).
+    A metric is skipped when either side has no samples or the baseline
+    mean is 0.  The perf metric is never compared (see the module docstring).
     """
     flags: dict[str, float] = {}
-    series = {
-        "rss": (baseline.rss, [o.peak_rss for o in probe_outcomes]),
-        "fds": (baseline.fds, [o.peak_fds for o in probe_outcomes]),
-    }
-    for metric, (base, probe) in series.items():
+    base_read = [s for s in zip(baseline.rss, baseline.fds) if s[0] > 0]
+    probe_read = [(o.peak_rss, o.peak_fds) for o in probe_outcomes if o.peak_rss > 0]
+    for i, metric in enumerate(("rss", "fds")):
+        base = [s[i] for s in base_read]
+        probe = [s[i] for s in probe_read]
         if not base or not probe:
             continue
         mean_base = statistics.fmean(base)

@@ -1,28 +1,15 @@
-"""Syscall name <-> number mapping for the reference architecture (x86_64).
-
-The table ships as a data file; other architectures are additional data
-files, not code changes.
-"""
+"""Syscall name <-> number mapping for x86_64, the architecture the trace
+engine supports.  The table ships as a data file."""
 
 from __future__ import annotations
 
 import functools
 from importlib import resources
 
-_TABLE_FILES = {
-    "x86_64": "syscalls_x86_64.tsv",
-}
-
-REFERENCE_ARCH = "x86_64"
-
 
 @functools.lru_cache(maxsize=None)
-def _load(arch: str) -> tuple[dict[str, int], dict[int, str]]:
-    try:
-        fname = _TABLE_FILES[arch]
-    except KeyError:
-        raise ValueError(f"no syscall table for architecture {arch!r}") from None
-    text = resources.files("slens.data").joinpath(fname).read_text()
+def _load() -> tuple[dict[str, int], dict[int, str]]:
+    text = resources.files("slens.data").joinpath("syscalls_x86_64.tsv").read_text()
     by_name: dict[str, int] = {}
     by_nr: dict[int, str] = {}
     for line in text.splitlines():
@@ -36,18 +23,18 @@ def _load(arch: str) -> tuple[dict[str, int], dict[int, str]]:
     return by_name, by_nr
 
 
-def name_to_nr(name: str, arch: str = REFERENCE_ARCH) -> int:
+def name_to_nr(name: str) -> int:
     """Return the syscall number for a lowercase syscall name.
 
     Raises KeyError for unknown names.
     """
-    return _load(arch)[0][name]
+    return _load()[0][name]
 
 
-def nr_to_name(nr: int, arch: str = REFERENCE_ARCH) -> str | None:
+def nr_to_name(nr: int) -> str | None:
     """Return the syscall name for a number, or None if unknown."""
-    return _load(arch)[1].get(nr)
+    return _load()[1].get(nr)
 
 
-def known_names(arch: str = REFERENCE_ARCH) -> frozenset[str]:
-    return frozenset(_load(arch)[0])
+def known_names() -> frozenset[str]:
+    return frozenset(_load()[0])

@@ -3,6 +3,7 @@
 import os
 import signal
 import subprocess
+import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -383,6 +384,22 @@ def test_sample_sums_over_pids(fixtures, tmp_path):
         for p in procs:
             p.kill()
             p.wait()
+
+
+def test_sample_reads_each_process_once():
+    """A thread's tid names its whole process: listed beside the pid, it
+    adds neither memory nor descriptors."""
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        both = sample_resources([os.getpid(), thread.native_id])
+        after = sample_resources([os.getpid()])
+    finally:
+        done.set()
+        thread.join()
+    assert both.fd_count == after.fd_count
+    assert 0 < both.rss <= after.rss  # VmHWM never falls
 
 
 def test_resource_sample_validation():

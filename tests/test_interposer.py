@@ -68,6 +68,23 @@ def test_noop_fixture_observes_exit_group(fixtures):
     assert trace.whitelisted_pids_seen == 1
 
 
+def test_run_ending_at_once_is_read(fixtures):
+    """The tracer reads a measured process at its exit stop, so a run far
+    shorter than any sampling period still has its memory read."""
+    trace = run_fixture(fixtures, "noop")
+    assert trace.exit_code == 0
+    assert trace.peak_rss > 0
+
+
+@pytest.mark.parametrize("discovery", [True, False])
+def test_genuine_sigtrap_is_delivered(discovery):
+    """A SIGTRAP the workload sends itself kills it, as it does natively."""
+    trace = trace_run(Command(argv=("/bin/sh", "-c", "kill -TRAP $$; echo survived")),
+                      Policy.allow_all(), Whitelist(), LIMITS, discovery=discovery)
+    assert trace.signaled == signal.SIGTRAP
+    assert trace.exit_code is None
+
+
 def test_exact_footprint_of_static_fixture(fixtures):
     trace = run_fixture(fixtures, "uname_write")
     assert syscall_set(trace) == {UNAME, WRITE, EXIT_GROUP}

@@ -406,6 +406,31 @@ def test_regression_resource_flags():
     assert flags == {"rss": pytest.approx(0.4)}
 
 
+def test_runs_without_a_reading_are_left_out():
+    """peak_rss 0 means the tracer never read the run (stopped before its
+    first measured exec); such runs count on neither side."""
+    base = BaselineStats.from_outcomes(
+        [_outcome(rss=1000, fds=10) for _ in range(4)] + [_outcome(rss=0, fds=0)])
+    grown = [_outcome(rss=1100, fds=10) for _ in range(3)] + [_outcome(rss=0, fds=0)]
+    assert detect_regressions(base, grown, margin=0.03) == {"rss": pytest.approx(0.1)}
+    unread = [_outcome(rss=0, fds=0) for _ in range(3)]
+    assert detect_regressions(base, unread, margin=0.03) == {}
+
+
+def test_leaked_descriptor_is_flagged(fixtures, app_spec_factory):
+    """The writer closes the file it wrote; a stubbed or faked close leaves
+    it open at exit, one descriptor over the baseline's three.  (Its VmHWM
+    moves by a page from run to run with the stack's random placement, so
+    rss flags are not checked here.)"""
+    config = AnalysisConfig(replicas=2, perf_runs=3, timeout=5.0)
+    profile = Orchestrator(app_spec_factory("writer"), config).full_analysis()
+    close = FeatureId(name_to_nr("close"))
+    fds = {key: flags["fds"] for key, flags in profile.regressions.items()
+           if "fds" in flags}
+    assert fds == {(close, MODE_STUB): pytest.approx(1 / 3),
+                   (close, MODE_FAKE): pytest.approx(1 / 3)}
+
+
 def test_regression_zero_baseline_skipped():
     base = BaselineStats.from_outcomes([_outcome(rss=0, fds=0) for _ in range(5)])
     probes = [_outcome(rss=500, fds=5)]
