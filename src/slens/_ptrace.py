@@ -176,6 +176,17 @@ def set_pdeathsig(sig: int) -> None:
         raise OSError(err, f"prctl(PR_SET_PDEATHSIG): {os.strerror(err)}")
 
 
+_libc.personality.argtypes = [ctypes.c_ulong]
+ADDR_NO_RANDOMIZE = 0x0040000
+
+
+def disable_aslr() -> bool:
+    """Turn off address-space randomisation for the calling process's later
+    execs (kept across execve, inherited by children); False if refused."""
+    persona = _libc.personality(0xFFFFFFFF)  # query
+    return persona != -1 and _libc.personality(persona | ADDR_NO_RANDOMIZE) != -1
+
+
 def to_signed(value: int) -> int:
     """Interpret a 64-bit register value as a signed integer."""
     return ctypes.c_long(value).value

@@ -38,13 +38,16 @@ thread that starts a session must outlive it.
 
 Resource readings sum VmHWM and open descriptors over the measured
 processes, each process once however many threads it has.  The tracer
-takes one when a process becomes measured at its exec, at each measured
-exit (PTRACE_EVENT_EXIT, while the process still holds its memory and
-descriptors) and at the first stop request.  VmHWM only grows, so the sum
-peaks just before an exit or at the stop: ``RunTrace.peak_rss`` is exact
-for a run of any length, except that the memory of an image replaced by a
-later exec counts only if an earlier event read it.  ``peak_fds`` is the
-largest count at those events.
+reads when the last thread of a measured process stops at its exit
+(PTRACE_EVENT_EXIT: the process still holds its memory and descriptors)
+and at the first stop request.  VmHWM only grows, so ``RunTrace.peak_rss``
+is the measured processes' peak for a run of any length, except for an
+image that a measured process replaced by a later exec, and for a process
+that skips its exit stop and is gone at the stop request (on Linux 6.18
+even SIGKILL does not skip it).  ``peak_fds`` is the largest count at
+those events.  The tree runs without address-space randomisation
+(ADDR_NO_RANDOMIZE, as under gdb), so a deterministic program's readings
+repeat from run to run; where the kernel refuses, the run warns.
 
 A session starts no thread: one thread uses it, and reads the tracer's pipe
 only inside its calls.  That is safe because the only messages before the
@@ -437,8 +440,10 @@ class Limits:
 
 @dataclass
 class _Proc:
+    tgid: int  # the thread group (process) this tid belongs to
     traced: bool = False
     attach_pending: bool = False  # auto-attach SIGSTOP not yet consumed
+    exiting: bool = False  # reached its exit stop
 
 
 class _Engine:
@@ -508,6 +513,9 @@ class _Engine:
         trap_all = self.discovery or self.policy.default_action.suppresses
         prog = pt.seccomp_filter(
             None if trap_all else {f.syscall_nr for f in self.policy.overrides})
+        if not pt.disable_aslr():  # inherited by the child forked below
+            self.warn("address-space randomisation stays on: resource "
+                      "readings may vary by a page from run to run")
         err_r, err_w = os.pipe()
         tracer = os.getpid()
         pid = os.fork()
@@ -551,7 +559,7 @@ class _Engine:
         self.exec_err_fd = err_r
         os.set_blocking(err_r, False)
         self.root_pid = pid
-        self.procs[pid] = _Proc()
+        self.procs[pid] = _Proc(tgid=pid)
 
         # First stop is the child's own SIGSTOP; set options there, before
         # the child installs its filter (a trapped call with no tracer
@@ -585,7 +593,13 @@ class _Engine:
     # -- event handling
 
     def _on_exec(self, pid: int) -> None:
-        proc = self.procs.setdefault(pid, _Proc())
+        # An exec from a non-leader thread ends the leader (after its exit
+        # stop) and moves the caller to the leader's pid: drop its old tid.
+        former = pt.geteventmsg(pid)
+        if former != pid:
+            self.procs.pop(former, None)
+        proc = self.procs[pid]
+        proc.exiting = False
         try:
             image = os.readlink(f"/proc/{pid}/exe")
         except OSError as exc:
@@ -596,11 +610,10 @@ class _Engine:
         proc.traced = resolve_exec(image, self.whitelist, first)
         if proc.traced:
             self.ever_traced.add(pid)
-            self._sample()
 
-    def _on_child(self, parent_pid: int, child_pid: int) -> None:
+    def _on_child(self, parent_pid: int, child_pid: int, tgid: int) -> None:
         parent = self.procs.get(parent_pid)
-        child = self.procs.setdefault(child_pid, _Proc())
+        child = self.procs.setdefault(child_pid, _Proc(tgid=tgid))
         child.traced = bool(parent and parent.traced)
         child.attach_pending = True
         if self.kill_signal is not None:  # forked after the tree was signalled
@@ -650,7 +663,10 @@ class _Engine:
             return
         if event in (pt.PTRACE_EVENT_FORK, pt.PTRACE_EVENT_VFORK,
                      pt.PTRACE_EVENT_CLONE):
-            self._on_child(pid, pt.geteventmsg(pid))
+            child = pt.geteventmsg(pid)
+            # A clone may make a thread of the same process.
+            info = _read_status(child) if event == pt.PTRACE_EVENT_CLONE else None
+            self._on_child(pid, child, info[0] if info else child)
             self._resume(pid)
         elif event == pt.PTRACE_EVENT_EXEC:
             self._on_exec(pid)
@@ -660,8 +676,12 @@ class _Engine:
                 self._on_seccomp_stop(pid)
             self._resume(pid)
         elif event == pt.PTRACE_EVENT_EXIT:
-            if proc.traced:
-                self._sample()  # the exiting process still holds its resources
+            proc.exiting = True
+            # The last thread of a process to exit still holds its memory
+            # and descriptors; an earlier thread's exit frees neither.
+            if proc.traced and not any(p.tgid == proc.tgid and not p.exiting
+                                       for p in self.procs.values()):
+                self._sample(pid)
             self._resume(pid)
         elif sig == signal.SIGSTOP and proc.attach_pending:
             proc.attach_pending = False
@@ -673,9 +693,13 @@ class _Engine:
     # sends signals, so the event loop's waitpid resumes after it and reaps
     # until no process is left.
 
-    def _sample(self) -> None:
-        s = sample_resources([pid for pid, p in self.procs.items() if p.traced],
-                             self.warn)
+    def _sample(self, exiting: int | None = None) -> None:
+        # One thread per process: ``exiting``, or one not yet at its exit.
+        reps = {p.tgid: pid for pid, p in self.procs.items()
+                if p.traced and not p.exiting}
+        if exiting is not None:
+            reps[self.procs[exiting].tgid] = exiting
+        s = sample_resources(reps.values(), self.warn)
         self.peak_rss = max(self.peak_rss, s.rss)
         self.peak_fds = max(self.peak_fds, s.fd_count)
 

@@ -13,8 +13,9 @@ stops at each call of its probed syscall while a baseline run stops at
 none, and a difference in the test script's perf metric would measure the
 tracer.  So regression flags compare only a working probe's peak RSS and
 peak descriptor count with the baseline runs' (``detect_regressions``).
-The tracer reads those at every measured exit, so flags see real readings,
-but the test is still a margin and a 2σ gate with no false-discovery control.
+The tracer reads those at every measured exit, with address-space
+randomisation off, so flags see real and repeatable readings; but the test
+is still a margin and a 2σ gate with no false-discovery control.
 
 The runs fall into three phases, and the runs of one phase do not depend on
 each other:

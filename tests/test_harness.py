@@ -210,6 +210,16 @@ def test_peak_rss(fixtures, app_spec_factory):
     assert trace.peak_rss == outcome.peak_rss
 
 
+def test_sigkilled_app_reads_its_memory_or_nothing(fixtures, app_spec_factory):
+    """An app that its test script SIGKILLs after touching 64 MiB is read
+    at its exit stop, or not at all (0, which flags leave out): never as the
+    few KB of a freshly exec'd image."""
+    spec = app_spec_factory("mem_hold", script="kill_app.sh")
+    outcome, trace = run_workload(spec, Policy.allow_all(), LIMITS)
+    assert trace.signaled == signal.SIGKILL
+    assert outcome.peak_rss >= 64 * 1024 * 1024 or outcome.peak_rss == 0
+
+
 def _threads() -> int:
     with open("/proc/self/status") as f:
         return next(int(line.split()[1]) for line in f if line.startswith("Threads:"))

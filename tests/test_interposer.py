@@ -76,6 +76,42 @@ def test_run_ending_at_once_is_read(fixtures):
     assert trace.peak_rss > 0
 
 
+def test_static_fixture_reads_the_same_every_run(fixtures, tmp_path):
+    """The tracee runs without address-space randomisation, so a static
+    fixture's stack covers the same pages and its reading repeats."""
+    traces = [run_fixture(fixtures, "writer", cwd=tmp_path) for _ in range(20)]
+    if any("randomisation" in w for t in traces for w in t.warnings):
+        pytest.skip("this host refuses personality(ADDR_NO_RANDOMIZE)")
+    assert len({t.peak_rss for t in traces}) == 1
+
+
+def test_threaded_process_is_read_at_its_last_exit():
+    """Threads that end early free nothing; a process is read when its last
+    thread exits, here by exit_group while four threads sleep."""
+    code = ("import os, threading, time\n"
+            "for _ in range(4):\n"
+            "    t = threading.Thread(target=time.sleep, args=(0,)); t.start(); t.join()\n"
+            "for _ in range(4):\n"
+            "    threading.Thread(target=time.sleep, args=(60,), daemon=True).start()\n"
+            "buf = b'x' * (32 << 20)\n"
+            "os._exit(0)\n")
+    exe = os.path.realpath(sys.executable)
+    trace = trace_run(Command(argv=(exe, "-c", code)), Policy.allow_all(),
+                      Whitelist.of_paths([exe]), LIMITS, discovery=False)
+    assert trace.exit_code == 0
+    assert trace.peak_rss >= 32 << 20
+
+
+def test_exec_from_a_thread_is_read(fixtures):
+    """A thread that execs takes over its process's pid; the tracer drops
+    the thread's old tid, so the new image is read at its exit."""
+    names = ("thread_exec", "noop")
+    trace = run_fixture(fixtures, "thread_exec", cwd=fixtures.bindir,
+                        whitelist=Whitelist.of_paths([fixtures.binary(n) for n in names]))
+    assert trace.exit_code == 0
+    assert trace.peak_rss > 0
+
+
 @pytest.mark.parametrize("discovery", [True, False])
 def test_genuine_sigtrap_is_delivered(discovery):
     """A SIGTRAP the workload sends itself kills it, as it does natively."""

@@ -419,16 +419,13 @@ def test_runs_without_a_reading_are_left_out():
 
 def test_leaked_descriptor_is_flagged(fixtures, app_spec_factory):
     """The writer closes the file it wrote; a stubbed or faked close leaves
-    it open at exit, one descriptor over the baseline's three.  (Its VmHWM
-    moves by a page from run to run with the stack's random placement, so
-    rss flags are not checked here.)"""
+    it open at exit, one descriptor over the baseline's three.  Its memory
+    is the same in every run, so no probe is flagged on rss."""
     config = AnalysisConfig(replicas=2, perf_runs=3, timeout=5.0)
     profile = Orchestrator(app_spec_factory("writer"), config).full_analysis()
     close = FeatureId(name_to_nr("close"))
-    fds = {key: flags["fds"] for key, flags in profile.regressions.items()
-           if "fds" in flags}
-    assert fds == {(close, MODE_STUB): pytest.approx(1 / 3),
-                   (close, MODE_FAKE): pytest.approx(1 / 3)}
+    assert profile.regressions == {(close, MODE_STUB): {"fds": pytest.approx(1 / 3)},
+                                   (close, MODE_FAKE): {"fds": pytest.approx(1 / 3)}}
 
 
 def test_regression_zero_baseline_skipped():
