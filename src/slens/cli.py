@@ -214,9 +214,15 @@ def cmd_analyze(args) -> int:
 def cmd_probe(args) -> int:
     spec = _app_spec(args)
     with open(args.policy) as f:
-        policy = Policy.from_json(json.load(f))
-    orch = Orchestrator(spec, _analysis_config(args, replicas=1, perf_runs=0),
-                        tables=_tables(args))
+        try:
+            policy = Policy.from_json(json.load(f))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            return _fail(EXIT_USAGE, "parse", f"{args.policy}: {exc!r}")
+    named = policy.overrides  # classify calls as finely as these features
+    config = _analysis_config(args, replicas=1, perf_runs=0,
+                              subfeatures=any(f.subfeature is not None for f in named),
+                              pseudofiles=any(f.pseudofile is not None for f in named))
+    orch = Orchestrator(spec, config, tables=_tables(args))
     outcome = orch.probe_custom(policy)
     if args.json:
         print(json.dumps(outcome.to_json(), indent=2, sort_keys=True))
@@ -241,8 +247,6 @@ def cmd_plan(args) -> int:
 
 def cmd_importance(args) -> int:
     profiles = _load_profiles(args)
-    if not profiles:
-        return _fail(EXIT_USAGE, "usage", "empty database")
     report = planner.api_importance(profiles.values())
     if args.json:
         print(json.dumps(planner.render_importance_json(report),

@@ -173,7 +173,8 @@ class Action:
 
     @staticmethod
     def from_json(d: Mapping) -> "Action":
-        return Action(d["kind"], int(d.get("return_value", 0)))
+        default = STUB_RETURN if d["kind"] == "stub" else 0
+        return Action(d["kind"], int(d.get("return_value", default)))
 
 
 ALLOW = Action("allow")
@@ -408,7 +409,8 @@ class Command:
     """A command to launch: argv, environment, working directory.
 
     ``stdout_path``/``stderr_path`` redirect the tree's standard streams to
-    files; None inherits the caller's streams.
+    files; None inherits the caller's streams.  A relative ``argv[0]`` is
+    found from ``cwd``: the child execs it after changing directory.
     """
 
     argv: tuple[str, ...]
@@ -503,11 +505,6 @@ class _Engine:
 
     def _launch(self) -> None:
         argv = list(self.command.argv)
-        exe = argv[0]
-        if not os.path.exists(exe):
-            raise LaunchFailure(f"executable not found: {exe}")
-        if not os.access(exe, os.X_OK):
-            raise LaunchFailure(f"not executable: {exe}")
         # Built before the fork, so the child only installs it.  A default
         # action other than allow concerns every call, so it traps them all.
         trap_all = self.discovery or self.policy.default_action.suppresses
@@ -546,7 +543,7 @@ class _Engine:
                 step = "seccomp"
                 pt.install_seccomp(prog)
                 step = "exec"
-                os.execve(exe, argv, env)
+                os.execve(argv[0], argv, env)
             except OSError as exc:
                 try:
                     os.write(err_w, f"{step} {exc.errno or 0}".encode())
@@ -824,9 +821,6 @@ class TraceSession:
         calling thread must outlive the session: its exit is a stop request
         (see the module docstring).
         """
-        exe = command.argv[0]
-        if not os.path.exists(exe):
-            raise LaunchFailure(f"executable not found: {exe}")
         read_fd, write_fd = os.pipe()
         parent = os.getpid()
         tracer_pid = os.fork()

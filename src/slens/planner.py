@@ -5,38 +5,44 @@ stub, or fake next, and which application each step unlocks), per-syscall
 API-importance statistics, and effort-versus-apps curves comparing planning
 strategies.
 
-Each app is reduced once to a needs map: per observed syscall, the
-non-implement modes (stub, fake) that satisfy every feature of the app on
-that syscall.  An app is supported iff each of its syscalls is implemented
-or is declared in a mode its map accepts.
+Each app is reduced once to three int masks: its syscalls, and those all of
+whose features accept a stub, and a fake.  An OS state is three masks too:
+implemented, declared stubs, declared fakes.  Bit i stands for the i-th
+smallest syscall the profiles observe: a raw x32 number (0x40000000 + n)
+would make a 2^30-bit int.  A syscall outside this dense numbering concerns
+no app, so the state's masks leave it out.  The fold, ``app_supported`` and
+``replay_plan`` share one predicate, the syscalls an app misses (none iff it
+is supported):
 
-The plan and the compared strategies are one fold over these maps.  While
-some app is pending, the fold intersects the pending apps' maps into
-per-syscall mode constraints, lets a chooser pick an app and its delta, adds
-the delta to the OS state, and credits the chosen app, then every other
-pending app that is now supported.  A delta stubs an unsatisfied syscall
-when every pending app accepts a stub, else fakes it when every pending app
-accepts a fake, else implements it: a syscall is emitted at most once across
-a plan, so a stub or fake must suit every app still to come.  A syscall the
-state already declares in a mode the app cannot take is promoted: the delta
-implements it.
+    every & ~(implemented | stubs & stub_ok | fakes & fake_ok)
+
+The plan and the compared strategies are one fold.  While some app is
+pending, the fold ORs the pending apps' masks into the syscalls some of them
+cannot take as a stub, and as a fake; a chooser picks an app and its delta;
+the fold adds the delta to the state and credits the chosen app, then every
+other pending app now supported.  A delta stubs a missing syscall when every
+pending app accepts a stub, else fakes it when every pending app accepts a
+fake, else implements it: a syscall is emitted at most once across a plan,
+so a stub or fake must suit every app still to come.  A syscall the state
+declares in a mode the app cannot take is promoted: the delta implements it.
 
 The plan chooses the app with the cheapest weighted delta (implementing a
 syscall is expensive; declaring a stub or fake is a one-line change).  The
 external strategy takes apps in a given order.  The naive strategy is the
-plan over maps that accept no mode, from the implemented syscalls alone, so
+plan over apps that accept no mode, from the implemented syscalls alone, so
 every traced syscall costs an implementation.
 """
 
 from __future__ import annotations
 
 import io
+from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
 
 from . import SlensError
 from . import syscalls
-from .orchestrator import CLASS_MODES, AppProfile
+from .orchestrator import CLASS_MODES, MODE_FAKE, MODE_STUB, AppProfile
 from .store import OsSupportSet
 
 
@@ -139,93 +145,106 @@ class ImportanceReport:
 
 
 # ---------------------------------------------------------------------------
-# Needs maps and the support predicate
+# Syscall masks and the support predicate
 
-Needs = dict[int, frozenset[str]]
-Delta = tuple[frozenset[int], frozenset[int], frozenset[int]]
-
-
-def _needs(profile: AppProfile) -> Needs:
-    """Per observed syscall, the non-implement modes all its features accept."""
-    needs: Needs = {}
-    for feature in profile.observed:
-        modes = CLASS_MODES[profile.classes[feature]]
-        nr = feature.syscall_nr
-        # Store the shared CLASS_MODES sets where possible: a map per app is
-        # kept for a whole plan.
-        needs[nr] = needs[nr] & modes if nr in needs else modes
-    return needs
+Needs = tuple[int, int, int]  # every syscall the app uses, stub_ok, fake_ok
+State = tuple[int, int, int]  # implemented, declared stubs, declared fakes
 
 
-def _satisfied(nr: int, modes: frozenset[str], state: OsSupportSet) -> bool:
-    return (nr in state.implemented
-            or nr in state.declared_stubs and "stub" in modes
-            or nr in state.declared_fakes and "fake" in modes)
+def _numbering(profiles: Iterable[AppProfile]) -> dict[int, int]:
+    """The bit of each syscall the profiles observe, densely numbered."""
+    nrs = sorted({f.syscall_nr for p in profiles for f in p.observed})
+    return {nr: 1 << i for i, nr in enumerate(nrs)}
 
 
-def _supported(needs: Needs, state: OsSupportSet) -> bool:
-    return all(_satisfied(nr, modes, state) for nr, modes in needs.items())
+def _mask(nrs: AbstractSet[int], bits: Mapping[int, int]) -> int:
+    return sum(bits.get(nr, 0) for nr in nrs)  # distinct bits: the sum is the OR
+
+
+def _syscalls(mask: int, bits: Mapping[int, int]) -> frozenset[int]:
+    return frozenset(nr for nr, bit in bits.items() if mask & bit) if mask else frozenset()
+
+
+def _state(support: OsSupportSet, bits: Mapping[int, int]) -> State:
+    return (_mask(support.implemented, bits), _mask(support.declared_stubs, bits),
+            _mask(support.declared_fakes, bits))
+
+
+def _with_additions(state: State, implement: int, stub: int, fake: int) -> State:
+    """As ``OsSupportSet.with_additions``, on masks."""
+    implemented = state[0] | implement
+    return implemented, state[1] & ~implemented | stub, state[2] & ~implemented | fake
+
+
+def _needs(profile: AppProfile, bits: Mapping[int, int]) -> Needs:
+    """The app's syscalls, and those all of whose features accept a stub,
+    and a fake.  Refuses an unconfirmed profile."""
+    if not profile.confirmed:
+        raise UnconfirmedProfile(
+            f"profile for {profile.app} is unconfirmed; re-measure before planning")
+    every = _mask(profile.traced_syscalls(), bits)
+
+    def accepting(mode: str) -> int:
+        return every & ~_mask({f.syscall_nr for f, c in profile.classes.items()
+                               if mode not in CLASS_MODES[c]}, bits)
+
+    return every, accepting(MODE_STUB), accepting(MODE_FAKE)
+
+
+def _missing(needs: Needs, state: State) -> int:
+    """The app's syscalls that ``state`` does not satisfy: 0 iff supported."""
+    every, stub_ok, fake_ok = needs
+    implemented, stubs, fakes = state
+    return every & ~(implemented | stubs & stub_ok | fakes & fake_ok)
 
 
 def app_supported(profile: AppProfile, os_state: OsSupportSet) -> bool:
     """True iff every observed feature is satisfied by the OS state."""
-    if not profile.confirmed:
-        raise UnconfirmedProfile(
-            f"profile for {profile.app} is unconfirmed; re-measure before planning")
-    return _supported(_needs(profile), os_state)
+    bits = _numbering([profile])
+    return not _missing(_needs(profile, bits), _state(os_state, bits))
 
 
 # ---------------------------------------------------------------------------
 # The fold
 
 
-def _delta(needs: Needs, state: OsSupportSet,
-           constraints: Mapping[int, frozenset[str]]) -> Delta:
-    """Syscall sets to add so this app becomes supported, honoring constraints."""
-    implement: set[int] = set()
-    stub: set[int] = set()
-    fake: set[int] = set()
-    for nr, modes in needs.items():
-        if _satisfied(nr, modes, state):
-            continue
-        allowed = constraints[nr]
-        # A syscall declared in a mode this app cannot take is promoted.
-        if not allowed or nr in state.declared_stubs or nr in state.declared_fakes:
-            implement.add(nr)
-        elif "stub" in allowed:
-            stub.add(nr)
-        else:
-            fake.add(nr)
-    return frozenset(implement), frozenset(stub), frozenset(fake)
+def _delta(needs: Needs, state: State, no_stub: int, no_fake: int) -> State:
+    """Masks to implement, stub and fake that support this app, given the
+    syscalls some pending app refuses as a stub (``no_stub``) and as a fake."""
+    missing = _missing(needs, state)
+    # A syscall declared in a mode this app cannot take is promoted.
+    implement = missing & (state[1] | state[2] | no_stub & no_fake)
+    stub = missing & ~implement & ~no_stub
+    return implement, stub, missing & ~implement & ~stub
 
 
-Chooser = Callable[[Mapping[str, Needs], OsSupportSet, Mapping[int, frozenset[str]]],
-                   tuple[str, Delta]]
+Chooser = Callable[[Mapping[str, Needs], State, int, int], tuple[str, State]]
 
 
-def _fold(state: OsSupportSet, needs: Mapping[str, Needs],
+def _fold(state: State, needs: Mapping[str, Needs], bits: Mapping[int, int],
           choose: Chooser) -> SupportPlan:
     """Fold apps into ``state`` one chosen app at a time, until none is pending.
 
-    ``choose(pending, state, constraints)`` returns the next app and its
-    delta.  Each step unlocks the chosen app first, then by name every other
-    pending app the step supported incidentally.  The steps carry no notes.
+    ``choose(pending, state, no_stub, no_fake)`` returns the next app and
+    its delta.  Each step unlocks it first, then by name every other pending
+    app the step supported incidentally.  The steps carry no notes.
     """
-    initial = tuple(sorted(n for n, m in needs.items() if _supported(m, state)))
-    pending = {n: m for n, m in needs.items() if n not in initial}
+    pending = {n: m for n, m in needs.items() if _missing(m, state)}
+    initial = tuple(sorted(needs.keys() - pending.keys()))
     steps: list[PlanStep] = []
     while pending:
-        constraints: dict[int, frozenset[str]] = {}
-        for app_needs in pending.values():
-            for nr, modes in app_needs.items():
-                constraints[nr] = constraints[nr] & modes if nr in constraints else modes
-        chosen, (implement, stub, fake) = choose(pending, state, constraints)
-        state = state.with_additions(implement, stub, fake)
+        no_stub = no_fake = 0
+        for every, stub_ok, fake_ok in pending.values():
+            no_stub |= every & ~stub_ok
+            no_fake |= every & ~fake_ok
+        chosen, delta = choose(pending, state, no_stub, no_fake)
+        state = _with_additions(state, *delta)
         del pending[chosen]
         unlocks = [chosen] + [name for name in sorted(pending)
-                              if _supported(pending[name], state)]
+                              if not _missing(pending[name], state)]
         for name in unlocks[1:]:
             del pending[name]
+        implement, stub, fake = (_syscalls(mask, bits) for mask in delta)
         steps.append(PlanStep(index=len(steps) + 1, implement=implement, stub=stub,
                               fake=fake, unlocks=tuple(unlocks)))
     return SupportPlan(initial_supported=initial, steps=tuple(steps), unreachable=())
@@ -234,12 +253,13 @@ def _fold(state: OsSupportSet, needs: Mapping[str, Needs],
 def _cheapest(weights: PlanWeights) -> Chooser:
     """Choose the lowest weighted delta cost; ties: fewer implements, then name."""
 
-    def choose(pending, state, constraints):
+    def choose(pending, state, no_stub, no_fake):
         def ranked(name):
-            delta = implement, stub, fake = _delta(pending[name], state, constraints)
-            cost = (weights.implement * len(implement)
-                    + weights.stub * len(stub) + weights.fake * len(fake))
-            return (cost, len(implement), name), delta
+            delta = implement, stub, fake = _delta(pending[name], state, no_stub, no_fake)
+            implements = implement.bit_count()
+            cost = (weights.implement * implements
+                    + weights.stub * stub.bit_count() + weights.fake * fake.bit_count())
+            return (cost, implements, name), delta
 
         # min() over a lazy map keeps only the best delta alive.
         (_, _, name), delta = min(map(ranked, pending))
@@ -252,21 +272,15 @@ def _in_order(order: Sequence[str]) -> Chooser:
     """Choose the next pending app in ``order``."""
     names = iter(order)
 
-    def choose(pending, state, constraints):
+    def choose(pending, state, no_stub, no_fake):
         name = next(n for n in names if n in pending)
-        return name, _delta(pending[name], state, constraints)
+        return name, _delta(pending[name], state, no_stub, no_fake)
 
     return choose
 
 
 # ---------------------------------------------------------------------------
 # Greedy incremental plan
-
-
-def _by_name(profiles: Mapping[str, AppProfile] | Iterable[AppProfile]
-             ) -> dict[str, AppProfile]:
-    return (dict(profiles) if isinstance(profiles, Mapping)
-            else {p.app: p for p in profiles})
 
 
 def _subfeatures(profiles: Iterable[AppProfile]) -> dict[int, set[int]]:
@@ -291,7 +305,7 @@ def _subfeature_notes(subs: Mapping[int, set[int]], implement: Iterable[int]) ->
 
 
 def generate_plan(os_support: OsSupportSet,
-                  profiles: Mapping[str, AppProfile] | Iterable[AppProfile],
+                  profiles: Mapping[str, AppProfile],
                   targets: Sequence[str],
                   weights: PlanWeights = PlanWeights(),
                   wont_implement: frozenset[int] = frozenset()) -> SupportPlan:
@@ -304,23 +318,17 @@ def generate_plan(os_support: OsSupportSet,
     step.  Apps whose required syscalls intersect ``wont_implement`` are
     reported as unreachable instead of planned.
     """
-    by_name = _by_name(profiles)
-    missing = [t for t in targets if t not in by_name]
+    missing = [t for t in targets if t not in profiles]
     if missing:
         raise PlannerError(f"no profile for target apps: {', '.join(missing)}")
-    target_profiles = {t: by_name[t] for t in targets}
-    for name, profile in target_profiles.items():
-        if not profile.confirmed:
-            raise UnconfirmedProfile(
-                f"profile for {name} is unconfirmed; re-measure before planning")
-
-    unreachable = tuple(sorted(
-        name for name, p in target_profiles.items()
-        if p.required_syscalls() & wont_implement
-    ))
-    needs = {name: _needs(p) for name, p in target_profiles.items()
-             if name not in unreachable}
-    plan = _fold(os_support, needs, _cheapest(weights))
+    target_profiles = {t: profiles[t] for t in targets}
+    bits = _numbering(target_profiles.values())
+    needs = {name: _needs(p, bits) for name, p in target_profiles.items()}
+    unreachable = tuple(sorted(name for name, p in target_profiles.items()
+                               if p.required_syscalls() & wont_implement))
+    for name in unreachable:
+        del needs[name]
+    plan = _fold(_state(os_support, bits), needs, bits, _cheapest(weights))
     subs = _subfeatures(target_profiles.values())
     steps = tuple(replace(step, notes=_subfeature_notes(subs, step.implement))
                   for step in plan.steps)
@@ -336,13 +344,20 @@ def replay_plan(plan: SupportPlan, os_support: OsSupportSet,
     syscall already in ``os_support`` counts as emitted, except that a plan
     may implement a declared stub or fake once.
     """
-    state = os_support
+    bits = _numbering(profiles.values())
+    needs: dict[str, Needs] = {}  # of every app supported so far
+
+    def check(names: Iterable[str], state: State, when: str) -> None:
+        for name in names:
+            if name not in needs:
+                needs[name] = _needs(profiles[name], bits)
+            if _missing(needs[name], state):
+                raise PlannerError(f"{name} is not supported {when}")
+
+    state = _state(os_support, bits)
     promotable = os_support.declared_stubs | os_support.declared_fakes
     seen: set[int] = set(os_support.implemented | promotable)
-    supported_so_far = list(plan.initial_supported)
-    for name in supported_so_far:
-        if not app_supported(profiles[name], state):
-            raise PlannerError(f"{name} is not supported at step 0")
+    check(plan.initial_supported, state, "at step 0")
     for step in plan.steps:
         emitted = step.implement | step.stub | step.fake
         repeats = (emitted & seen) - (step.implement & promotable)
@@ -350,12 +365,9 @@ def replay_plan(plan: SupportPlan, os_support: OsSupportSet,
             raise PlannerError(f"step {step.index} repeats syscalls {sorted(repeats)}")
         seen |= emitted
         promotable -= emitted
-        state = state.with_additions(step.implement, step.stub, step.fake)
-        supported_so_far.extend(step.unlocks)
-        for name in supported_so_far:
-            if not app_supported(profiles[name], state):
-                raise PlannerError(
-                    f"{name} is not supported after step {step.index}")
+        state = _with_additions(state, *(_mask(s, bits) for s in
+                                         (step.implement, step.stub, step.fake)))
+        check([*needs, *step.unlocks], state, f"after step {step.index}")
 
 
 # ---------------------------------------------------------------------------
@@ -367,19 +379,11 @@ def api_importance(profiles: Iterable[AppProfile]) -> ImportanceReport:
     profiles = list(profiles)
     if not profiles:
         raise PlannerError("empty database: no profiles to analyze")
-    traced_counts: dict[int, int] = {}
-    required_counts: dict[int, int] = {}
-    for profile in profiles:
-        for nr in profile.traced_syscalls():
-            traced_counts[nr] = traced_counts.get(nr, 0) + 1
-        for nr in profile.required_syscalls():
-            required_counts[nr] = required_counts.get(nr, 0) + 1
+    traced = Counter(nr for p in profiles for nr in p.traced_syscalls())
+    required = Counter(nr for p in profiles for nr in p.required_syscalls())
     total = len(profiles)
-    rows = {
-        nr: ImportanceRow(traced=traced_counts[nr] / total,
-                          required=required_counts.get(nr, 0) / total)
-        for nr in traced_counts
-    }
+    rows = {nr: ImportanceRow(traced=traced[nr] / total, required=required[nr] / total)
+            for nr in traced}
     return ImportanceReport(apps_total=total, rows=rows)
 
 
@@ -396,7 +400,7 @@ def _curve(plan: SupportPlan) -> list[tuple[int, int]]:
     return points
 
 
-def compare_strategies(profiles: Mapping[str, AppProfile] | Iterable[AppProfile],
+def compare_strategies(profiles: Mapping[str, AppProfile],
                        os_support: OsSupportSet,
                        targets: Sequence[str] | None = None,
                        external_order: Sequence[str] | None = None,
@@ -411,24 +415,24 @@ def compare_strategies(profiles: Mapping[str, AppProfile] | Iterable[AppProfile]
     applies plan-style deltas in the supplied order.  All curves are
     monotone in both coordinates.
     """
-    by_name = _by_name(profiles)
     if targets is None:
-        targets = sorted(by_name)
+        targets = sorted(profiles)
     if not targets:
         return {}
 
-    curves = {"plan": _curve(generate_plan(os_support, by_name, targets, weights))}
-    needs = {name: _needs(by_name[name]) for name in targets}
-    no_modes = {name: dict.fromkeys(app_needs, frozenset())
-                for name, app_needs in needs.items()}
-    curves["naive"] = _curve(_fold(OsSupportSet(implemented=os_support.implemented),
-                                   no_modes, _cheapest(PlanWeights())))
+    curves = {"plan": _curve(generate_plan(os_support, profiles, targets, weights))}
+    bits = _numbering(profiles[name] for name in targets)
+    needs = {name: _needs(profiles[name], bits) for name in targets}
+    naive = {name: (every, 0, 0) for name, (every, _, _) in needs.items()}
+    curves["naive"] = _curve(_fold((_mask(os_support.implemented, bits), 0, 0), naive,
+                                   bits, _cheapest(PlanWeights())))
     if external_order is not None:
         missing = [t for t in targets if t not in external_order]
         if missing:
             raise IncompleteOrdering(
                 f"external ordering misses target apps: {', '.join(missing)}")
-        curves["external"] = _curve(_fold(os_support, needs, _in_order(external_order)))
+        curves["external"] = _curve(_fold(_state(os_support, bits), needs, bits,
+                                          _in_order(external_order)))
     return curves
 
 

@@ -173,11 +173,9 @@ def _atomic_write(path: str, data: str) -> None:
 
 def _profile_diff(old: AppProfile, new: AppProfile) -> str:
     lines = []
-    old_classes = {f: c for f, c in old.classes.items()}
-    new_classes = {f: c for f, c in new.classes.items()}
-    for f in sorted(set(old_classes) | set(new_classes), key=FeatureId.sort_key):
-        a = old_classes.get(f, "<absent>")
-        b = new_classes.get(f, "<absent>")
+    for f in sorted(set(old.classes) | set(new.classes), key=FeatureId.sort_key):
+        a = old.classes.get(f, "<absent>")
+        b = new.classes.get(f, "<absent>")
         if a != b:
             name = syscalls.nr_to_name(f.syscall_nr) or str(f.syscall_nr)
             lines.append(f"  {name}: {a} -> {b}")

@@ -123,6 +123,12 @@ def test_policy_json_round_trip():
     assert Policy.from_json(policy.to_json()) == policy
 
 
+def test_hand_written_stub_action_returns_enosys():
+    """A stub's return value is always -ENOSYS, so a policy may omit it."""
+    assert Action.from_json({"kind": "stub"}) == STUB
+    assert Action.from_json({"kind": "fake"}) == fake()
+
+
 # -- FeatureId ordering
 
 feature_ids = st.builds(

@@ -2,10 +2,18 @@
 ``error:`` line, never a traceback."""
 
 import json
+from collections import Counter
 
 import pytest
 
-from slens.cli import EXIT_USAGE, main
+import slens.orchestrator
+from slens.cli import EXIT_OK, EXIT_USAGE, main
+from slens.harness import REASON_OK, WorkloadOutcome
+from slens.interposer import RunTrace
+from slens.syscalls import name_to_nr
+
+IOCTL = name_to_nr("ioctl")
+OPENAT = name_to_nr("openat")
 
 
 @pytest.mark.parametrize("tables,flags", [
@@ -46,3 +54,47 @@ def test_bad_probe_timeout_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert code == EXIT_USAGE
     assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+def _probe(tmp_path, policy_text: str) -> list[str]:
+    policy = tmp_path / "policy.json"
+    policy.write_text(policy_text)
+    return ["probe", "--app-cmd", "/bin/true", "--test-script", "/bin/true",
+            "--policy", str(policy)]
+
+
+@pytest.mark.parametrize("text", [
+    "{not json", "[]", '{"overrides": [{"feature": {}}]}',
+    '{"default": {"kind": "skip"}}',
+], ids=["not-json", "not-an-object", "feature-without-syscall", "unknown-kind"])
+def test_malformed_policy_is_a_parse_error(tmp_path, capsys, text):
+    code = main(_probe(tmp_path, text))
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_USAGE
+    assert len(err) == 1 and err[0].startswith("error: parse: "), err
+
+
+@pytest.mark.parametrize("feature,subfeatures,pseudofiles", [
+    ({"syscall_nr": IOCTL, "subfeature": 0x5401}, True, False),
+    ({"syscall_nr": OPENAT, "pseudofile": "/dev"}, False, True),
+    ({"syscall_nr": IOCTL}, False, False),
+], ids=["subfeature", "pseudofile", "bare"])
+def test_probe_classifies_as_finely_as_its_policy(tmp_path, monkeypatch, feature,
+                                                  subfeatures, pseudofiles):
+    """A policy that names a sub-feature or a pseudo-file turns that
+    classification on, so its override can match a call."""
+    seen = []
+
+    def run_workload(spec, policy, limits, tables, discovery):
+        seen.append(tables)
+        return (WorkloadOutcome(success=True, reason=REASON_OK, perf_metric=None,
+                                peak_rss=0, peak_fds=0, duration=0.0),
+                RunTrace(observed=Counter(), exit_code=0, signaled=None,
+                         whitelisted_pids_seen=1))
+
+    monkeypatch.setattr(slens.orchestrator, "run_workload", run_workload)
+    policy = {"overrides": [{"feature": feature, "action": {"kind": "stub"}}]}
+    assert main(_probe(tmp_path, json.dumps(policy))) == EXIT_OK
+    [tables] = seen
+    assert bool(tables.subfeature_selectors) == subfeatures
+    assert bool(tables.pseudo_prefixes) == pseudofiles

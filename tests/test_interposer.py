@@ -335,6 +335,17 @@ def test_launch_failure_for_missing_binary():
                   Whitelist(), LIMITS)
 
 
+def test_relative_binary_is_found_from_the_command_cwd(fixtures, tmp_path):
+    """The child execs argv[0] after changing to Command.cwd, so a relative
+    path that exists only there runs."""
+    (tmp_path / "app").write_bytes(Path(fixtures.binary("noop")).read_bytes())
+    (tmp_path / "app").chmod(0o755)
+    trace = trace_run(Command(argv=("./app",), cwd=str(tmp_path)),
+                      Policy.allow_all(), Whitelist(), LIMITS)
+    assert trace.exit_code == 0
+    assert EXIT_GROUP in syscall_set(trace)
+
+
 def test_stdout_redirection(fixtures, tmp_path):
     out = tmp_path / "captured.log"
     binary = fixtures.binary("uname_write")

@@ -262,6 +262,42 @@ def test_declared_stub_the_app_cannot_take_is_implemented(cls, tmp_path, capsys)
     assert json.loads(capsys.readouterr().out)["steps"][0]["implement"] == [39]
 
 
+def test_x32_syscall_plans_like_a_small_number():
+    """The planner's masks number the profiles' syscalls densely, so an x32
+    number (0x40000000 + n) plans, replays and compares exactly as a small
+    number in the same place of the order does."""
+    x32 = 0x40000000 + 7
+
+    def instance(nr):
+        profiles = {
+            "A": profile_of("A", {1: "required", nr: "stub_only", 3: "any"}),
+            "B": profile_of("B", {nr: "any", 3: "fake_only", (16, 0x5401): "required"}),
+            "C": profile_of("C", {2: "any", nr: "required"}),
+            "D": profile_of("D", {2: "stub_only", nr: "any"}),
+        }
+        return profiles, OsSupportSet(implemented=frozenset({1}),
+                                      declared_stubs=frozenset({nr}))
+
+    def renumbered(obj):
+        if isinstance(obj, list):
+            return [renumbered(x) for x in obj]
+        if isinstance(obj, dict):
+            return {k: renumbered(v) for k, v in obj.items()}
+        return x32 if obj == 99 else obj
+
+    small, small_os = instance(99)
+    big, big_os = instance(x32)
+    small_plan = generate_plan(small_os, small, sorted(small))
+    big_plan = generate_plan(big_os, big, sorted(big))
+    assert any(99 in s.implement for s in small_plan.steps)  # a promotion
+    assert big_plan.to_json() == renumbered(small_plan.to_json())
+    replay_plan(big_plan, big_os, big)
+    assert (compare_strategies(big, big_os, external_order=["D", "C", "B", "A"])
+            == compare_strategies(small, small_os, external_order=["D", "C", "B", "A"]))
+    assert ([app_supported(p, big_os) for p in big.values()]
+            == [app_supported(p, small_os) for p in small.values()])
+
+
 def _emits(*sets: tuple[set, set, set]) -> SupportPlan:
     """A plan whose steps emit the given (implement, stub, fake) sets."""
     steps = tuple(PlanStep(index=i, implement=frozenset(imp), stub=frozenset(stub),
