@@ -49,11 +49,22 @@ those events.  The tree runs without address-space randomisation
 (ADDR_NO_RANDOMIZE, as under gdb), so a deterministic program's readings
 repeat from run to run; where the kernel refuses, the run warns.
 
-A session starts no thread: one thread uses it, and reads the tracer's pipe
-only inside its calls.  That is safe because the only messages before the
-result are ``launched`` and ``root_exit``, so the tracer never waits for a
-reader while the run goes on; the result may wait until ``wait`` or
-``stop`` drains the pipe, and every caller calls one.
+The tracer reports to its session over one pipe, each message a pickled
+``(event, value)`` pair behind its 4-byte length: ``("launched", pid)`` at
+the root's first exec, ``("root_exit", (exit_code, signal))`` when the
+tracer reaps the root, ``("result", RunTrace)`` once no process is left,
+and ``("error", LaunchFailure | TracerFault)``.  The launched child holds
+the pipe until its exec closes it (O_CLOEXEC) and reports a failed launch
+step on it as a LaunchFailure; the tracer reports a fault of its own in
+place of the result.  The first error wins.  Only slens code writes to
+the pipe, the workload never, so the session may unpickle what it reads.
+
+A session starts no thread: one thread uses it, and reads the pipe only
+inside its calls.  That is safe because at most two small messages come
+before the result: the child's ``error`` or ``launched``, then
+``root_exit``.  So the tracer never waits for a reader while the run goes
+on; the result may wait until ``wait`` or ``stop`` drains the pipe, and
+every caller calls one.
 
 Caveat: the filter requires no_new_privs, which is inherited and cannot be
 unset, so setuid and setgid binaries (and file capabilities) confer no
@@ -68,11 +79,12 @@ never classified; treat their absence from results accordingly.
 from __future__ import annotations
 
 import errno as _errno
-import json
 import logging
 import os
+import pickle
 import select
 import signal
+import struct
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -91,6 +103,7 @@ _MAX_WARNINGS = 200
 
 KILL_GRACE = 2.0  # seconds from the stop request's SIGTERM to SIGKILL
 _LAUNCH_WAIT = 30.0  # seconds the parent waits for the launch announcement
+_FRAME = struct.Struct("<I")  # the length of each pickled message on the pipe
 
 
 class LaunchFailure(SlensError):
@@ -361,7 +374,8 @@ class RunTrace:
     ``peak_fds`` are the tracer's largest readings (see the module
     docstring); ``peak_rss`` 0 means the run was never read, as when it is
     stopped before its first measured exec.  Only ``trace_run`` sets
-    ``timed_out``: the tracer keeps no clock.
+    ``timed_out``: the tracer keeps no clock.  The tracer sends the whole
+    object to its session pickled, so a new field needs no codec.
     """
 
     observed: Counter  # FeatureId -> trapped invocation count
@@ -373,35 +387,6 @@ class RunTrace:
     root_exit_at: float | None = None
     peak_rss: int = 0
     peak_fds: int = 0
-
-    def to_json(self) -> dict:
-        items = sorted(self.observed.items(), key=lambda kv: kv[0].sort_key())
-        return {
-            "observed": [{"feature": f.to_json(), "count": c} for f, c in items],
-            "exit_code": self.exit_code,
-            "signaled": self.signaled,
-            "whitelisted_pids_seen": self.whitelisted_pids_seen,
-            "warnings": list(self.warnings),
-            "root_exit_at": self.root_exit_at,
-            "peak_rss": self.peak_rss,
-            "peak_fds": self.peak_fds,
-        }
-
-    @staticmethod
-    def from_json(d: Mapping) -> "RunTrace":
-        observed: Counter = Counter()
-        for item in d["observed"]:
-            observed[FeatureId.from_json(item["feature"])] = int(item["count"])
-        return RunTrace(
-            observed=observed,
-            exit_code=d["exit_code"],
-            signaled=d["signaled"],
-            whitelisted_pids_seen=int(d["whitelisted_pids_seen"]),
-            warnings=tuple(d.get("warnings", ())),
-            root_exit_at=d["root_exit_at"],
-            peak_rss=int(d["peak_rss"]),
-            peak_fds=int(d["peak_fds"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -451,8 +436,8 @@ class _Proc:
 class _Engine:
     """Single-threaded tracer event loop owning one process tree.
 
-    Runs inside a dedicated forked process; communicates with the parent via
-    newline-delimited JSON on a pipe.
+    Runs inside a dedicated forked process and reports to its session
+    through ``emit(event, value)`` (see the module docstring).
     """
 
     def __init__(self, command: Command, policy: Policy, whitelist: Whitelist,
@@ -513,13 +498,13 @@ class _Engine:
         if not pt.disable_aslr():  # inherited by the child forked below
             self.warn("address-space randomisation stays on: resource "
                       "readings may vary by a page from run to run")
-        err_r, err_w = os.pipe()
         tracer = os.getpid()
         pid = os.fork()
         if pid == 0:
+            # The child reports a failed step on the session's pipe, which
+            # its exec closes (O_CLOEXEC), and never returns.
             step = "exec"
             try:
-                os.close(err_r)
                 pt.set_pdeathsig(signal.SIGKILL)
                 if os.getppid() != tracer:
                     os._exit(127)  # the tracer died before the line above
@@ -545,24 +530,22 @@ class _Engine:
                 step = "exec"
                 os.execve(argv[0], argv, env)
             except OSError as exc:
-                try:
-                    os.write(err_w, f"{step} {exc.errno or 0}".encode())
-                except OSError:
-                    pass
-            except Exception:
-                pass
-            os._exit(127)
-        os.close(err_w)
-        self.exec_err_fd = err_r
-        os.set_blocking(err_r, False)
+                err = exc.errno or 0
+                what = "seccomp filter install for" if step == "seccomp" else "exec of"
+                self.emit("error", LaunchFailure(
+                    f"{what} {argv[0]} failed: "
+                    f"{os.strerror(err) if err else 'unknown error'} (errno {err})"))
+            finally:
+                os._exit(127)
         self.root_pid = pid
         self.procs[pid] = _Proc(tgid=pid)
 
         # First stop is the child's own SIGSTOP; set options there, before
         # the child installs its filter (a trapped call with no tracer
         # listening for seccomp stops fails with ENOSYS).  Only then take
-        # stop requests and announce the pid: a signal sent before the child
-        # reached PTRACE_TRACEME would kill it untraced.
+        # stop requests: a signal sent before the child reached
+        # PTRACE_TRACEME would kill it untraced.  The pid is announced at
+        # the child's exec (``_on_exec``).
         _, status = os.waitpid(pid, pt.WALL)
         if not os.WIFSTOPPED(status):
             raise TracerFault(f"unexpected initial status {status:#x}")
@@ -571,21 +554,7 @@ class _Engine:
                       | pt.PTRACE_O_TRACEEXEC | pt.PTRACE_O_TRACEEXIT
                       | pt.PTRACE_O_EXITKILL)
         signal.signal(signal.SIGTERM, self._on_stop_request)
-        self.emit({"event": "launched", "pid": pid})
         self._resume(pid)
-
-    def _check_exec_error(self) -> None:
-        try:
-            data = os.read(self.exec_err_fd, 64)
-        except OSError:  # BlockingIOError included
-            return
-        if data:
-            step, _, err = data.decode().partition(" ")
-            err = int(err or "0")
-            what = "seccomp filter install for" if step == "seccomp" else "exec of"
-            raise LaunchFailure(
-                f"{what} {self.command.argv[0]} failed: "
-                f"{os.strerror(err) if err else 'unknown error'} (errno {err})")
 
     # -- event handling
 
@@ -607,6 +576,8 @@ class _Engine:
         proc.traced = resolve_exec(image, self.whitelist, first)
         if proc.traced:
             self.ever_traced.add(pid)
+        if first:  # the root's exec: the command has launched
+            self.emit("launched", pid)
 
     def _on_child(self, parent_pid: int, child_pid: int, tgid: int) -> None:
         parent = self.procs.get(parent_pid)
@@ -647,8 +618,7 @@ class _Engine:
                 self.root_exit = os.WEXITSTATUS(status)
             elif os.WIFSIGNALED(status):
                 self.root_signal = os.WTERMSIG(status)
-            self.emit({"event": "root_exit", "exit_code": self.root_exit,
-                       "signaled": self.root_signal})
+            self.emit("root_exit", (self.root_exit, self.root_signal))
 
     def _handle_stop(self, pid: int, status: int) -> None:
         sig = os.WSTOPSIG(status)
@@ -737,7 +707,6 @@ class _Engine:
                 self._on_exit(pid, status)
             elif os.WIFSTOPPED(status):
                 self._handle_stop(pid, status)
-        self._check_exec_error()
         return RunTrace(
             observed=self.observed,
             exit_code=self.root_exit,
@@ -758,27 +727,23 @@ def _tracer_process(parent, command, policy, whitelist, tables, discovery,
     if os.getppid() != parent:
         os._exit(1)  # the parent died before the line above
 
-    def emit(msg: dict) -> None:
+    def emit(event: str, value) -> None:
         # A stop request's SIGTERM can cut short a write that waits for
         # the reader, which returns the bytes written so far.
-        data = (json.dumps(msg) + "\n").encode()
+        data = pickle.dumps((event, value))
+        view = memoryview(_FRAME.pack(len(data)) + data)
         try:
-            while data:
-                data = data[os.write(write_fd, data):]
+            while view:
+                view = view[os.write(write_fd, view):]
         except OSError:
             pass
 
     engine = _Engine(command, policy, whitelist, tables, discovery, emit)
     code = 0
     try:
-        trace = engine.run()
-        emit({"event": "result", "trace": trace.to_json()})
-    except LaunchFailure as exc:
-        emit({"event": "error", "kind": "LaunchFailure", "message": str(exc)})
-        code = 1
+        emit("result", engine.run())
     except Exception as exc:  # noqa: BLE001 - report anything as a tracer fault
-        emit({"event": "error", "kind": "TracerFault",
-              "message": f"{type(exc).__name__}: {exc}"})
+        emit("error", TracerFault(f"{type(exc).__name__}: {exc}"))
         engine._kill_tree(signal.SIGKILL)
         code = 1
     os._exit(code)  # closes the pipe
@@ -792,10 +757,10 @@ class TraceSession:
     """Handle to a run executing under a dedicated tracer process.
 
     The tracer owns all tracee interactions; this object only reads its
-    event stream and can ask the tracer to end the run (``stop``).  It
-    starts no thread: one thread uses it, and each call reads the pipe in
-    that thread.  A session ends with ``wait`` or ``stop``, which drain the
-    pipe (see the module docstring), or with the error of ``app_pid``.
+    messages (see the module docstring) and can ask the tracer to end the
+    run (``stop``).  It starts no thread: one thread uses it, and each call
+    reads the pipe in that thread.  A session ends with ``wait`` or
+    ``stop``, which drain the pipe, or with the error of ``app_pid``.
     """
 
     def __init__(self, tracer_pid: int, read_fd: int):
@@ -803,12 +768,12 @@ class TraceSession:
         self._read_fd = read_fd
         self._poll = select.poll()
         self._poll.register(read_fd, select.POLLIN)
-        self._buf = b""
+        self._buf = bytearray()
         self._eof = False
         self._app_pid: int | None = None
         self._root_status: tuple[int | None, int | None] | None = None
         self._trace: RunTrace | None = None
-        self._error: tuple[str, str] | None = None
+        self._error: LaunchFailure | TracerFault | None = None
 
     @classmethod
     def start(cls, command: Command, policy: Policy, whitelist: Whitelist,
@@ -858,36 +823,46 @@ class TraceSession:
                 self._eof = True
                 os.close(self._read_fd)
                 break
-            *lines, self._buf = (self._buf + chunk).split(b"\n")
-            for line in lines:
-                if line:
-                    self._handle_message(json.loads(line))
+            self._buf += chunk
+            while len(self._buf) >= _FRAME.size:
+                end = _FRAME.size + _FRAME.unpack_from(self._buf)[0]
+                if len(self._buf) < end:
+                    break
+                self._handle_message(*pickle.loads(self._buf[_FRAME.size:end]))
+                del self._buf[:end]
         return until()
 
-    def _handle_message(self, msg: dict) -> None:
-        event = msg.get("event")
+    def _handle_message(self, event: str, value) -> None:
         if event == "launched":
-            self._app_pid = msg["pid"]
+            self._app_pid = value
         elif event == "root_exit":
-            self._root_status = (msg["exit_code"], msg["signaled"])
+            self._root_status = value
         elif event == "result":
-            self._trace = RunTrace.from_json(msg["trace"])
-        elif event == "error":
-            self._error = (msg.get("kind", "TracerFault"), msg.get("message", ""))
+            self._trace = value
+        elif self._error is None:  # an error: the first one wins
+            self._error = value
 
     def _launched(self) -> bool:
-        return self._read(_LAUNCH_WAIT, lambda: self._app_pid is not None)
+        """Wait until the root has exec'd or an error came; whether it exec'd."""
+        self._read(_LAUNCH_WAIT, lambda: self._app_pid is not None or self._error is not None)
+        return self._app_pid is not None
 
     # -- public API
 
     @property
     def app_pid(self) -> int:
-        """Pid of the application root (also its process-group id)."""
+        """Pid of the application root (also its process-group id), once the
+        root has exec'd the command.
+
+        Raises the run's LaunchFailure or TracerFault if it has none; after
+        an error the tracer ends at once, and this reaps it.
+        """
         if not self._launched():
+            if self._error is not None:
+                self._read(None, lambda: self._eof)
             if self._eof:  # the tracer ended: reap it, as ``wait`` would
                 os.waitpid(self._tracer_pid, 0)
-            kind, message = self._error or ("LaunchFailure", "tracer exited before launch")
-            raise LaunchFailure(message) if kind == "LaunchFailure" else TracerFault(message)
+            raise self._error or LaunchFailure("tracer exited before launch")
         return self._app_pid
 
     def root_status(self) -> tuple[int | None, int | None] | None:
@@ -932,8 +907,7 @@ class TraceSession:
         except ChildProcessError:
             pass
         if self._error is not None:
-            kind, message = self._error
-            raise LaunchFailure(message) if kind == "LaunchFailure" else TracerFault(message)
+            raise self._error
         if self._trace is None:
             raise TracerFault("tracer exited without a result")
         return self._trace

@@ -32,9 +32,10 @@ process, so threads suffice.  Runs are serialised when the spec holds a
 resource slens does not allocate per run: a fixed readiness port, or a
 readiness delay (a server on a port slens does not know).  Concurrent runs
 of such a spec could meet each other's server.  A run that hits a tracer
-fault is re-run once.  A second fault, or a failing discovery or baseline
-run, cancels the phase's pending runs, waits for those in flight and
-raises, so no run outlives the analysis.
+fault is re-run once.  A second fault, a failing discovery or baseline run,
+or a discovery run that measured no process (no exec'd binary matched the
+whitelist), cancels the phase's pending runs, waits for those in flight
+and raises, so no run outlives the analysis.
 """
 
 from __future__ import annotations
@@ -365,8 +366,8 @@ class Orchestrator:
     def _run_checked(self, policy: Policy, replica: int, label: str
                      ) -> tuple[WorkloadOutcome, RunTrace]:
         """One scheduled run.  A tracer fault is re-run once; a second one
-        raises TracerFault.  A failing discovery or baseline run raises
-        BaselineFailure."""
+        raises TracerFault.  A failing discovery or baseline run, or a
+        discovery run that measured no process, raises BaselineFailure."""
         outcome, trace = self._run_one(policy, replica, label)
         if outcome.reason == REASON_TRACER_FAULT:
             log.warning("replica %d of %s hit a tracer fault; re-running once",
@@ -379,6 +380,10 @@ class Orchestrator:
             raise BaselineFailure(
                 f"{label} run of the unmodified workload failed ({outcome.reason}); "
                 "nothing to classify")
+        if label == "discovery" and trace.whitelisted_pids_seen == 0:
+            raise BaselineFailure(
+                "discovery run measured no process: no exec'd binary matched "
+                "the whitelist; nothing to classify")
         return outcome, trace
 
     def _run_all(self, runs: Sequence[tuple[Policy, int, str]],

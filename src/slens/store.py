@@ -39,7 +39,7 @@ from typing import Iterable, Mapping
 from . import SlensError
 from . import syscalls
 from .interposer import FeatureId
-from .orchestrator import AppProfile
+from .orchestrator import AppProfile, feature_label
 
 EXPORT_CSV_HEADER = (
     "syscall_nr,name,subfeature,pseudofile,class,"
@@ -63,8 +63,12 @@ class DuplicateKey(SlensError):
 
 
 class ParseError(SlensError):
-    def __init__(self, path: str, line: int, column: int, message: str):
-        super().__init__(f"{path}:{line}:{column}: {message}")
+    """A malformed input file; ``line`` and ``column`` are None when the
+    fault is not at one place (a stored profile of the wrong shape)."""
+
+    def __init__(self, path: str, line: int | None, column: int | None, message: str):
+        where = path if line is None else f"{path}:{line}:{column}"
+        super().__init__(f"{where}: {message}")
         self.path = path
         self.line = line
         self.column = column
@@ -177,11 +181,22 @@ def _profile_diff(old: AppProfile, new: AppProfile) -> str:
         a = old.classes.get(f, "<absent>")
         b = new.classes.get(f, "<absent>")
         if a != b:
-            name = syscalls.nr_to_name(f.syscall_nr) or str(f.syscall_nr)
-            lines.append(f"  {name}: {a} -> {b}")
+            lines.append(f"  {feature_label(f)}: {a} -> {b}")
     if old.confirmed != new.confirmed:
         lines.append(f"  confirmed: {old.confirmed} -> {new.confirmed}")
     return "\n".join(lines)
+
+
+def _read_json(path: str, parse):
+    """``parse`` of the JSON document at ``path``; ParseError if either fails."""
+    try:
+        with open(path) as f:
+            return parse(json.load(f))
+    except json.JSONDecodeError as exc:
+        raise ParseError(path, exc.lineno, exc.colno, exc.msg) from None
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ParseError(path, None, None,
+                         f"malformed content ({type(exc).__name__}: {exc})") from None
 
 
 def save_profile(db_root: str, entry: DbEntry) -> str:
@@ -201,8 +216,7 @@ def save_profile(db_root: str, entry: DbEntry) -> str:
 
     with _Locked(os.path.join(entry_dir, ".lock")):
         if os.path.exists(profile_path):
-            with open(profile_path) as f:
-                old = AppProfile.from_json(json.load(f))
+            old = _read_json(profile_path, AppProfile.from_json)
             # A profile's classes are keyed by exactly its observed features.
             new = entry.profile
             if (old.classes, old.confirmed) == (new.classes, new.confirmed):
@@ -216,20 +230,20 @@ def save_profile(db_root: str, entry: DbEntry) -> str:
 
 
 def load_db(db_root: str) -> list[DbEntry]:
-    """Load every entry under a database root, in a stable order."""
+    """Load every entry under a database root, in a stable order.
+
+    A malformed stored file raises ParseError naming it."""
     entries = []
     if not os.path.isdir(db_root):
         return entries
     for dirpath, _dirnames, filenames in os.walk(db_root):
         if "profile.json" not in filenames:
             continue
-        with open(os.path.join(dirpath, "profile.json")) as f:
-            profile = AppProfile.from_json(json.load(f))
+        profile = _read_json(os.path.join(dirpath, "profile.json"), AppProfile.from_json)
         provenance: dict[str, str] = {}
         meta_path = os.path.join(dirpath, "meta.json")
         if os.path.exists(meta_path):
-            with open(meta_path) as f:
-                provenance = json.load(f)
+            provenance = _read_json(meta_path, dict)
         entries.append(DbEntry(profile=profile, provenance=provenance))
     entries.sort(key=lambda e: (e.key, e.provenance_fingerprint()))
     return entries

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 import slens.orchestrator
-from slens.cli import EXIT_OK, EXIT_USAGE, main
+from slens.cli import EXIT_BASELINE, EXIT_OK, EXIT_USAGE, main
 from slens.harness import REASON_OK, WorkloadOutcome
 from slens.interposer import RunTrace
 from slens.syscalls import name_to_nr
@@ -98,3 +98,34 @@ def test_probe_classifies_as_finely_as_its_policy(tmp_path, monkeypatch, feature
     [tables] = seen
     assert bool(tables.subfeature_selectors) == subfeatures
     assert bool(tables.pseudo_prefixes) == pseudofiles
+
+
+@pytest.mark.parametrize("command", ["importance", "plan"])
+@pytest.mark.parametrize("text,message", [
+    ("{bad", ":1:2: Expecting property name enclosed in double quotes"),
+    ('{"schema": 9}', ": malformed content (ValueError: unsupported profile schema: 9)"),
+], ids=["not-json", "unknown-schema"])
+def test_malformed_stored_profile_is_a_parse_error(tmp_path, capsys, command, text,
+                                                   message):
+    stored = tmp_path / "db" / "demo" / "0123456789abcdef" / "fp" / "profile.json"
+    stored.parent.mkdir(parents=True)
+    stored.write_text(text)
+    (tmp_path / "os.csv").write_text("read\n")
+    extra = ["--os-support", str(tmp_path / "os.csv")] if command == "plan" else []
+    code = main([command, "--db", str(tmp_path / "db"), *extra])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_USAGE
+    assert err == [f"error: parse: {stored}{message}"]
+
+
+def test_whitelist_that_matches_nothing_stores_no_profile(tmp_path, capsys):
+    """A discovery run that measured no process has nothing to classify; an
+    empty profile stored as confirmed would count as supported anywhere."""
+    db = tmp_path / "db"
+    code = main(["analyze", "--app-cmd", "/bin/true", "--test-script", "/bin/true",
+                 "--whitelist", "/bin/false", "--replicas", "1", "--perf-runs", "0",
+                 "--db", str(db)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_BASELINE
+    assert err[-1].startswith("error: baseline-failure: ") and "whitelist" in err[-1], err
+    assert not list(db.rglob("profile.json"))

@@ -261,6 +261,20 @@ def test_failed_launch_leaves_no_child(app_spec_factory, tmp_path):
     assert _children() <= before
 
 
+def test_failed_exec_runs_no_test_script(tmp_path):
+    """The launch is known only at the app's exec, so a missing binary
+    raises LaunchFailure before the test script could run once."""
+    marker = tmp_path / "marker"
+    script = tmp_path / "mark.sh"
+    script.write_text(f"#!/bin/sh\necho ran >> {marker}\n")
+    script.chmod(0o755)
+    spec = AppSpec(name="missing", app_command=("/nonexistent/binary",),
+                   test_script=str(script))
+    with pytest.raises(LaunchFailure, match="^exec of /nonexistent/binary failed"):
+        run_workload(spec, Policy.allow_all(), LIMITS)
+    assert not marker.exists()
+
+
 def test_teardown_leaves_no_survivors(fixtures, app_spec_factory):
     """After run_workload returns, the whole tree is gone."""
     binary = fixtures.binary("sleeper")

@@ -1,8 +1,8 @@
 """Trace engine behavior on compiled fixtures."""
 
 import errno
-import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -20,7 +20,6 @@ from slens.interposer import (
     LaunchFailure,
     Limits,
     Policy,
-    RunTrace,
     STUB,
     TraceSession,
     Whitelist,
@@ -223,8 +222,8 @@ def test_timeout_kills_tree(fixtures):
 def test_signal_right_after_launch_is_traced(fixtures):
     """A signal sent as soon as app_pid is known reaches a traced child.
 
-    The pid is announced only after the child stopped under ptrace, so the
-    signal is forwarded and ends the run as signaled, never as a tracer
+    The pid is announced only once the child has exec'd under ptrace, so
+    the signal is forwarded and ends the run as signaled, never as a tracer
     fault from a child killed before PTRACE_TRACEME.
     """
     binary = fixtures.binary("sleeper")
@@ -305,19 +304,8 @@ def test_result_larger_than_the_pipe_survives_stop(fixtures):
     time.sleep(0.5)  # the tracer encodes the result and fills the pipe
     trace = session.stop()
     assert trace.exit_code == 0
-    assert len(json.dumps(trace.to_json())) > 65536  # a Linux pipe's default capacity
+    assert len(pickle.dumps(trace)) > 65536  # a Linux pipe's default capacity
     assert sum(f.syscall_nr == IOCTL for f in trace.observed) == 4000
-
-
-def test_run_trace_json_round_trip():
-    trace = RunTrace(
-        observed=Counter({FeatureId(WRITE): 3, FeatureId(OPENAT, pseudofile="/proc"): 1,
-                          FeatureId(IOCTL, subfeature=0x5401): 2}),
-        exit_code=None, signaled=signal.SIGKILL, whitelisted_pids_seen=2,
-        warnings=("pid 7: cannot read fd table: gone",), root_exit_at=12.5,
-        peak_rss=64 * 1024 * 1024, peak_fds=103,
-    )
-    assert RunTrace.from_json(trace.to_json()) == trace
 
 
 def test_follow_fork_observes_child(fixtures, tmp_path):
@@ -333,6 +321,18 @@ def test_launch_failure_for_missing_binary():
     with pytest.raises(LaunchFailure):
         trace_run(Command(argv=("/nonexistent/binary",)), Policy.allow_all(),
                   Whitelist(), LIMITS)
+
+
+def test_app_pid_of_a_failed_exec_raises():
+    """The pid is announced only at the root's exec, so a launch whose exec
+    fails never has one; the tracer has ended and been reaped."""
+    session = TraceSession.start(Command(argv=("/nonexistent/binary",)),
+                                 Policy.allow_all(), Whitelist())
+    with pytest.raises(LaunchFailure, match=r"^exec of /nonexistent/binary failed: "
+                                            r"No such file or directory \(errno 2\)$"):
+        session.app_pid
+    with pytest.raises(ChildProcessError):
+        os.waitpid(session._tracer_pid, os.WNOHANG)
 
 
 def test_relative_binary_is_found_from_the_command_cwd(fixtures, tmp_path):

@@ -116,6 +116,27 @@ def test_conflicting_save_refused_with_diff(tmp_path):
     assert "required -> any" in str(exc.value)
 
 
+def test_conflicting_save_names_subfeatures(tmp_path):
+    """Two profiles that swap the classes of two ioctl requests: the diff
+    names each request, so its two lines can be told apart."""
+    first = FeatureId(name_to_nr("ioctl"), subfeature=0x5401)
+    second = FeatureId(name_to_nr("ioctl"), subfeature=0x5402)
+
+    def profile(classes):
+        return AppProfile(app="demo", workload_hash="0123456789abcdef",
+                          observed=(first, second), classes=classes,
+                          regressions={}, confirmed=True, metadata={})
+
+    save_profile(str(tmp_path), make_entry(profile({first: "any", second: "required"})))
+    with pytest.raises(DuplicateKey) as exc:
+        save_profile(str(tmp_path),
+                     make_entry(profile({first: "required", second: "any"})))
+    assert str(exc.value).splitlines()[1:] == [
+        "  ioctl[0x5401]: any -> required",
+        "  ioctl[0x5402]: required -> any",
+    ]
+
+
 def test_same_key_different_kernel_coexists(tmp_path):
     save_profile(str(tmp_path), make_entry(kernel="6.0"))
     save_profile(str(tmp_path), make_entry(kernel="6.1"))
