@@ -18,7 +18,9 @@ One clock and one verdict per run:
     only decides how long to keep waiting.
   - The final trace decides the reason: ``judge`` sets it once, after
     teardown, from the RunTrace, the readiness result and the script's
-    exit code and end time.
+    exit code and end time.  Its four reasons are the only ones.  A run
+    the tracer could not launch or observe gets no verdict: LaunchFailure
+    or TracerFault propagates to the caller, who may run it again.
 
 Test-script contract (stable):
   - argv[1] = application host, argv[2] = port when one applies;
@@ -37,14 +39,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
 import shutil
 import socket
 import subprocess
 import tempfile
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -55,17 +55,16 @@ from .interposer import (
     Limits,
     Policy,
     RunTrace,
-    TracerFault,
     TraceSession,
     Whitelist,
 )
-
-log = logging.getLogger(__name__)
 
 REASON_OK = "script_ok"
 REASON_SCRIPT_FAIL = "script_fail"
 REASON_CRASH = "crash"
 REASON_TIMEOUT = "timeout"
+# No run ends with this reason: a tracer fault raises TracerFault.  Kept for
+# perfbench/micro.py, its only reader.
 REASON_TRACER_FAULT = "tracer_fault"
 
 
@@ -87,6 +86,8 @@ class Readiness:
     def __post_init__(self):
         if self.delay < 0:
             raise ValueError("readiness delay must be >= 0")
+        if self.port is not None and not 0 <= self.port <= 65535:
+            raise ValueError(f"readiness port must be in 0..65535, not {self.port}")
 
 
 @dataclass(frozen=True)
@@ -126,18 +127,19 @@ class AppSpec:
 
 @dataclass(frozen=True)
 class WorkloadOutcome:
-    """One run's verdict."""
+    """One judged run's verdict: ``reason`` is one of the four that
+    ``judge`` gives, and the run succeeded exactly when it is script_ok.
+    A run the tracer failed to observe has no outcome (TracerFault)."""
 
-    success: bool
     reason: str
     perf_metric: float | None
     peak_rss: int
     peak_fds: int
     duration: float
 
-    def __post_init__(self):
-        if self.success != (self.reason == REASON_OK):
-            raise ValueError("success must hold exactly when reason is script_ok")
+    @property
+    def success(self) -> bool:
+        return self.reason == REASON_OK
 
     def to_json(self) -> dict:
         return {
@@ -247,29 +249,17 @@ def run_workload(spec: AppSpec, policy: Policy, limits: Limits,
     together.  Before returning, the tracer ends every process of the tree
     (SIGTERM, then SIGKILL after KILL_GRACE); none survives the run.  The
     calling thread must outlive the call (see ``slens.interposer``).
+
+    Raises LaunchFailure or TracerFault, with the tracer's own message,
+    when the app could not be launched or the tracer failed; the run then
+    has no outcome.
     """
     spec.validate()
     workdir = _fresh_workdir(spec)
-    keep = os.environ.get("SLENS_KEEP_WORKDIRS") == "1"
-    started = time.monotonic()
     try:
         return _run_workload_in(spec, policy, limits, tables, discovery, workdir)
-    except TracerFault as exc:
-        # The run is discarded, never classified; callers retry or abort.
-        log.warning("tracer fault for %s: %s", spec.name, exc)
-        outcome = WorkloadOutcome(
-            success=False, reason=REASON_TRACER_FAULT, perf_metric=None,
-            peak_rss=0, peak_fds=0, duration=time.monotonic() - started,
-        )
-        return outcome, RunTrace(
-            observed=Counter(), exit_code=None, signaled=None,
-            whitelisted_pids_seen=0, warnings=(str(exc),),
-        )
     finally:
-        if keep:
-            log.info("keeping workdir %s", workdir)
-        else:
-            shutil.rmtree(workdir, ignore_errors=True)
+        shutil.rmtree(workdir, ignore_errors=True)
 
 
 def _run_workload_in(spec: AppSpec, policy: Policy, limits: Limits,
@@ -322,7 +312,6 @@ def _run_workload_in(spec: AppSpec, policy: Policy, limits: Limits,
 
     reason = judge(trace, ready, script_rc, ended)
     outcome = WorkloadOutcome(
-        success=reason == REASON_OK,
         reason=reason,
         perf_metric=perf_metric,
         peak_rss=trace.peak_rss,

@@ -501,39 +501,38 @@ class _Engine:
         tracer = os.getpid()
         pid = os.fork()
         if pid == 0:
-            # The child reports a failed step on the session's pipe, which
-            # its exec closes (O_CLOEXEC), and never returns.
-            step = "exec"
+            # The child reports a failed step, named by ``step``, on the
+            # session's pipe, which its exec closes (O_CLOEXEC), and never
+            # returns.
+            step = f"launch of {argv[0]}"
             try:
                 pt.set_pdeathsig(signal.SIGKILL)
                 if os.getppid() != tracer:
                     os._exit(127)  # the tracer died before the line above
                 os.setpgid(0, 0)
                 if self.command.cwd:
+                    step = f"chdir to {self.command.cwd}"
                     os.chdir(self.command.cwd)
-                if self.command.stdout_path:
-                    fd = os.open(self.command.stdout_path,
-                                 os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-                    os.dup2(fd, 1)
-                    os.close(fd)
-                if self.command.stderr_path:
-                    fd = os.open(self.command.stderr_path,
-                                 os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-                    os.dup2(fd, 2)
-                    os.close(fd)
+                for target, path in ((1, self.command.stdout_path),
+                                     (2, self.command.stderr_path)):
+                    if path:
+                        step = f"open of {path}"
+                        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+                        os.dup2(fd, target)
+                        os.close(fd)
                 env = dict(self.command.env) if self.command.env is not None \
                     else dict(os.environ)
+                step = f"ptrace attach of {argv[0]}"
                 pt.traceme()
                 os.kill(os.getpid(), signal.SIGSTOP)
-                step = "seccomp"
+                step = f"seccomp filter install for {argv[0]}"
                 pt.install_seccomp(prog)
-                step = "exec"
+                step = f"exec of {argv[0]}"
                 os.execve(argv[0], argv, env)
             except OSError as exc:
                 err = exc.errno or 0
-                what = "seccomp filter install for" if step == "seccomp" else "exec of"
                 self.emit("error", LaunchFailure(
-                    f"{what} {argv[0]} failed: "
+                    f"{step} failed: "
                     f"{os.strerror(err) if err else 'unknown error'} (errno {err})"))
             finally:
                 os._exit(127)

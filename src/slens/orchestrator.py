@@ -57,7 +57,6 @@ from .config import DEFAULT_TABLES, InterposerTables
 from .harness import (
     AppSpec,
     Limits,
-    REASON_TRACER_FAULT,
     WorkloadOutcome,
     run_workload,
 )
@@ -351,10 +350,12 @@ class Orchestrator:
     def _run_one(self, policy: Policy, replica: int, label: str
                  ) -> tuple[WorkloadOutcome, RunTrace]:
         t0 = time.monotonic()
-        outcome, trace = run_workload(self.spec, policy, self._limits(), self.tables,
-                                      discovery=label.startswith("discovery"))
-        with self._lock:
-            self.executions += 1
+        try:
+            outcome, trace = run_workload(self.spec, policy, self._limits(), self.tables,
+                                          discovery=label.startswith("discovery"))
+        finally:
+            with self._lock:
+                self.executions += 1
         log.info("run app=%s replica=%d what=%s result=%s duration=%.3fs",
                  self.spec.name, replica, label, outcome.reason,
                  time.monotonic() - t0)
@@ -365,17 +366,16 @@ class Orchestrator:
 
     def _run_checked(self, policy: Policy, replica: int, label: str
                      ) -> tuple[WorkloadOutcome, RunTrace]:
-        """One scheduled run.  A tracer fault is re-run once; a second one
-        raises TracerFault.  A failing discovery or baseline run, or a
-        discovery run that measured no process, raises BaselineFailure."""
-        outcome, trace = self._run_one(policy, replica, label)
-        if outcome.reason == REASON_TRACER_FAULT:
-            log.warning("replica %d of %s hit a tracer fault; re-running once",
-                        replica, label)
+        """One scheduled run.  A run that raised TracerFault is re-run once;
+        the second fault's own TracerFault reaches the caller.  A failing
+        discovery or baseline run, or a discovery run that measured no
+        process, raises BaselineFailure."""
+        try:
+            outcome, trace = self._run_one(policy, replica, label)
+        except TracerFault as exc:
+            log.warning("replica %d of %s hit a tracer fault (%s); re-running once",
+                        replica, label, exc)
             outcome, trace = self._run_one(policy, replica, label + "/retry")
-            if outcome.reason == REASON_TRACER_FAULT:
-                raise TracerFault(
-                    f"persistent tracer fault while running {label} for {self.spec.name}")
         if label in ("discovery", "baseline") and not outcome.success:
             raise BaselineFailure(
                 f"{label} run of the unmodified workload failed ({outcome.reason}); "
@@ -492,7 +492,10 @@ class Orchestrator:
         return self._probe_all([(feature, mode)])[0]
 
     def probe_custom(self, policy: Policy) -> WorkloadOutcome:
-        """Single run under an arbitrary policy, for manual culprit hunting."""
+        """Single run under an arbitrary policy, for manual culprit hunting.
+
+        Not retried: a tracer fault raises TracerFault, a failed launch
+        LaunchFailure."""
         outcome, _ = self._run_one(policy, 0, "custom")
         return outcome
 

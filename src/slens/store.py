@@ -143,23 +143,6 @@ def _entry_dir(db_root: str, entry: DbEntry) -> str:
                         entry.provenance_fingerprint())
 
 
-class _Locked:
-    """Exclusive advisory lock on a file, for the duration of a with-block."""
-
-    def __init__(self, path: str):
-        self.path = path
-        self.fd = -1
-
-    def __enter__(self):
-        self.fd = os.open(self.path, os.O_CREAT | os.O_RDWR, 0o644)
-        fcntl.flock(self.fd, fcntl.LOCK_EX)
-        return self
-
-    def __exit__(self, *exc):
-        fcntl.flock(self.fd, fcntl.LOCK_UN)
-        os.close(self.fd)
-
-
 def _atomic_write(path: str, data: str) -> None:
     d = os.path.dirname(path)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".json")
@@ -214,7 +197,9 @@ def save_profile(db_root: str, entry: DbEntry) -> str:
     profile_data = canonical_json(entry.profile.to_json())
     meta_data = canonical_json(dict(entry.provenance))
 
-    with _Locked(os.path.join(entry_dir, ".lock")):
+    # The exclusive flock ends when the lock file closes.
+    with open(os.path.join(entry_dir, ".lock"), "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
         if os.path.exists(profile_path):
             old = _read_json(profile_path, AppProfile.from_json)
             # A profile's classes are keyed by exactly its observed features.

@@ -6,8 +6,9 @@ from collections import Counter
 
 import pytest
 
+import slens.interposer
 import slens.orchestrator
-from slens.cli import EXIT_BASELINE, EXIT_OK, EXIT_USAGE, main
+from slens.cli import EXIT_BASELINE, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from slens.harness import REASON_OK, WorkloadOutcome
 from slens.interposer import RunTrace
 from slens.syscalls import name_to_nr
@@ -23,8 +24,10 @@ OPENAT = name_to_nr("openat")
     (None, ["--parallel", "0"]),
     (None, ["--ready-delay", "-1"]),
     (None, ["--timeout", "0"]),
+    (None, ["--port", "70000"]),
+    (None, ["--port", "-1"]),
 ], ids=["fake-value-not-int", "relative-pseudo-prefix", "relative-whitelist",
-        "parallel-0", "negative-ready-delay", "timeout-0"])
+        "parallel-0", "negative-ready-delay", "timeout-0", "port-70000", "port-negative"])
 def test_bad_input_is_a_usage_error(tmp_path, capsys, tables, flags):
     argv = []
     if tables is not None:
@@ -74,6 +77,28 @@ def test_malformed_policy_is_a_parse_error(tmp_path, capsys, text):
     assert len(err) == 1 and err[0].startswith("error: parse: "), err
 
 
+@pytest.mark.parametrize("command", ["probe", "analyze"])
+def test_tracer_fault_fails_with_its_cause(tmp_path, capsys, monkeypatch, command):
+    """A run the tracer failed to observe gives no verdict: the command
+    fails with the tracer's own error.  The forked tracer inherits the
+    patched engine, which launches the app and then faults."""
+    def run(engine):
+        engine._launch()
+        raise RuntimeError("injected engine fault")
+
+    monkeypatch.setattr(slens.interposer._Engine, "run", run)
+    if command == "probe":
+        argv = _probe(tmp_path, "{}")
+    else:
+        argv = ["analyze", "--app-cmd", "/bin/true", "--test-script", "/bin/true",
+                "--replicas", "1", "--perf-runs", "0", "--db", str(tmp_path / "db")]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == EXIT_INTERNAL
+    assert err.splitlines()[-1] == "error: TracerFault: RuntimeError: injected engine fault"
+    assert "success:" not in out
+
+
 @pytest.mark.parametrize("feature,subfeatures,pseudofiles", [
     ({"syscall_nr": IOCTL, "subfeature": 0x5401}, True, False),
     ({"syscall_nr": OPENAT, "pseudofile": "/dev"}, False, True),
@@ -87,7 +112,7 @@ def test_probe_classifies_as_finely_as_its_policy(tmp_path, monkeypatch, feature
 
     def run_workload(spec, policy, limits, tables, discovery):
         seen.append(tables)
-        return (WorkloadOutcome(success=True, reason=REASON_OK, perf_metric=None,
+        return (WorkloadOutcome(reason=REASON_OK, perf_metric=None,
                                 peak_rss=0, peak_fds=0, duration=0.0),
                 RunTrace(observed=Counter(), exit_code=0, signaled=None,
                          whitelisted_pids_seen=1))

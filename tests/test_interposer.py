@@ -210,6 +210,20 @@ def test_failed_filter_install_names_the_step(fixtures, monkeypatch):
         run_fixture(fixtures, "noop")
 
 
+@pytest.mark.parametrize("command,step", [
+    (Command(argv=("/bin/true",), cwd="/nonexistent-dir"), "chdir to /nonexistent-dir"),
+    (Command(argv=("/bin/true",), stdout_path="/nonexistent-dir/out.log"),
+     "open of /nonexistent-dir/out.log"),
+    (Command(argv=("/bin/true",), stderr_path="/nonexistent-dir/err.log"),
+     "open of /nonexistent-dir/err.log"),
+], ids=["cwd", "stdout", "stderr"])
+def test_failed_launch_names_the_step(command, step):
+    """Two failures before the exec are told apart from a failed exec."""
+    with pytest.raises(LaunchFailure) as info:
+        trace_run(command, Policy.allow_all(), Whitelist(), LIMITS)
+    assert str(info.value) == f"{step} failed: No such file or directory (errno 2)"
+
+
 def test_timeout_kills_tree(fixtures):
     binary = fixtures.binary("sleeper")
     trace = trace_run(Command(argv=(binary,)), Policy.allow_all(),

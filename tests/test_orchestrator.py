@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 import slens.orchestrator
 from slens import store
 from slens.harness import Readiness, WorkloadOutcome
-from slens.interposer import FeatureId, Policy, RunTrace, STUB
+from slens.interposer import FeatureId, Policy, RunTrace, STUB, TracerFault
 from slens.orchestrator import (
     AnalysisConfig,
     AppProfile,
@@ -35,7 +35,7 @@ FAST = AnalysisConfig(replicas=1, perf_runs=0, timeout=5.0)
 
 def _outcome(success=True, perf=None, rss=0, fds=0):
     return WorkloadOutcome(
-        success=success, reason="script_ok" if success else "script_fail",
+        reason="script_ok" if success else "script_fail",
         perf_metric=perf, peak_rss=rss, peak_fds=fds, duration=0.1,
     )
 
@@ -208,11 +208,12 @@ def test_run_count_law_with_parallelism_above_replicas(fixtures, app_spec_factor
 
 class _StubRuns:
     """Stands in for ``run_workload``: every run observes getpid and
-    exit_group, passes unless ``fail`` says otherwise, and counts the runs
-    in flight."""
+    exit_group, passes unless ``fail`` says otherwise, raises TracerFault
+    where ``fault`` says so, and counts the runs in flight."""
 
-    def __init__(self, fail=lambda policy, call: False):
+    def __init__(self, fail=lambda policy, call: False, fault=lambda call: False):
         self.fail = fail
+        self.fault = fault
         self.lock = threading.Lock()
         self.calls = 0
         self.in_flight = 0
@@ -227,6 +228,8 @@ class _StubRuns:
         time.sleep(0.05)
         with self.lock:
             self.in_flight -= 1
+        if self.fault(call):
+            raise TracerFault(f"injected fault in call {call}")
         observed = Counter({FeatureId(name_to_nr("getpid")): 1,
                             FeatureId(name_to_nr("exit_group")): 1})
         return _outcome(success=not self.fail(policy, call)), RunTrace(
@@ -263,6 +266,28 @@ def test_failed_baseline_stops_pending_runs(fixtures, app_spec_factory, monkeypa
         orch.full_analysis()
     assert stub.in_flight == 0
     assert orch.executions == stub.calls <= 1 + 2  # discovery, then two workers
+
+
+def test_tracer_fault_is_run_again(fixtures, app_spec_factory, monkeypatch):
+    """A run whose tracer faulted is made once more and counted."""
+    stub = _StubRuns(fault=lambda call: call == 0)
+    monkeypatch.setattr(slens.orchestrator, "run_workload", stub)
+    config = AnalysisConfig(replicas=1, perf_runs=2, parallelism=1)
+    orch = Orchestrator(app_spec_factory("noop"), config)
+    profile = orch.full_analysis()
+    assert profile.confirmed and len(profile.observed) == 2
+    assert orch.executions == stub.calls == (2 + 2 * 2) * 1 + 2 + 1
+
+
+def test_second_tracer_fault_raises_its_own_error(fixtures, app_spec_factory,
+                                                  monkeypatch):
+    """The retry's fault reaches the caller as it is, cause included."""
+    stub = _StubRuns(fault=lambda call: True)
+    monkeypatch.setattr(slens.orchestrator, "run_workload", stub)
+    orch = Orchestrator(app_spec_factory("noop"), FAST)
+    with pytest.raises(TracerFault, match=r"^injected fault in call 1$"):
+        orch.full_analysis()
+    assert orch.executions == stub.calls == 2
 
 
 def test_baseline_runs_interleave_with_probes(fixtures, app_spec_factory, monkeypatch):
