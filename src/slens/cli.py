@@ -106,7 +106,8 @@ def _add_analyze_flags(p: _Parser) -> None:
                    help="TCP port to poll for readiness (0 = auto-allocate)")
     p.add_argument("--workdir-template", help="directory copied into each fresh workdir")
     p.add_argument("--timeout", type=float,
-                   help="per-run timeout in seconds (default: max(10, 3x baseline))")
+                   help="per-run timeout in seconds (default: max(10, 3x baseline)); "
+                        "runs after discovery may end sooner, at bounds it measured")
 
 
 def build_parser() -> _Parser:
@@ -162,11 +163,14 @@ def build_parser() -> _Parser:
 
 
 def _load_profiles(args) -> dict:
-    entries = store.load_db(_db_root(args))
-    profiles: dict = {}
-    for entry in entries:
-        profiles.setdefault(entry.profile.app, entry.profile)
-    return profiles
+    by_app: dict = {}
+    for entry in store.load_db(_db_root(args)):
+        by_app.setdefault(entry.profile.app, []).append(entry.profile)
+    for app, found in by_app.items():
+        if len(found) > 1:
+            print(f"warning: {len(found)} entries for {app!r}; using workload "
+                  f"{found[0].workload_hash}", file=sys.stderr)
+    return {app: found[0] for app, found in by_app.items()}
 
 
 def _select_targets(args, profiles: dict) -> list[str]:
@@ -229,7 +233,8 @@ def cmd_probe(args) -> int:
     else:
         print(f"success: {outcome.success}  reason: {outcome.reason}  "
               f"perf: {outcome.perf_metric}  peak_rss: {outcome.peak_rss}  "
-              f"peak_fds: {outcome.peak_fds}")
+              f"peak_fds: {outcome.peak_fds}  hits: {outcome.hits}  "
+              f"ready_s: {outcome.ready_s}")
     return EXIT_OK
 
 

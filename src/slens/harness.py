@@ -9,16 +9,18 @@ calling thread.
 
 One clock and one verdict per run:
   - One deadline, ``started + limits.timeout``, covers readiness (port or
-    delay) and the test script.  It is the run's only clock.  Then the
-    harness asks the tracer to end the tree (``TraceSession.stop``); the
-    tracer sends SIGTERM to every process it follows, daemons that left the
-    process group included, and SIGKILL when the session asks again
-    KILL_GRACE later.  The harness signals no process of the tree itself.
+    delay) and the test script; a port wait gives up sooner, at
+    ``limits.ready_timeout``, if set.  Then the harness asks the tracer to
+    end the tree (``TraceSession.stop``); the tracer sends SIGTERM to every
+    process it follows, daemons that left the process group included, and
+    SIGKILL when the session asks again KILL_GRACE later.  The harness
+    signals no process of the tree itself.  The tracer, which keeps no
+    clock, ends the tree on its own past ``limits.hit_cap`` trapped calls.
   - Live session state (the root's status, whether any process is left)
     only decides how long to keep waiting.
   - The final trace decides the reason: ``judge`` sets it once, after
     teardown, from the RunTrace, the readiness result and the script's
-    exit code and end time.  Its four reasons are the only ones.  A run
+    exit code and end time.  Its five reasons are the only ones.  A run
     the tracer could not launch or observe gets no verdict: LaunchFailure
     or TracerFault propagates to the caller, who may run it again.
 
@@ -63,6 +65,7 @@ REASON_OK = "script_ok"
 REASON_SCRIPT_FAIL = "script_fail"
 REASON_CRASH = "crash"
 REASON_TIMEOUT = "timeout"
+REASON_RUNAWAY = "runaway"
 # No run ends with this reason: a tracer fault raises TracerFault.  Kept for
 # perfbench/micro.py, its only reader.
 REASON_TRACER_FAULT = "tracer_fault"
@@ -127,15 +130,19 @@ class AppSpec:
 
 @dataclass(frozen=True)
 class WorkloadOutcome:
-    """One judged run's verdict: ``reason`` is one of the four that
+    """One judged run's verdict: ``reason`` is one of the five that
     ``judge`` gives, and the run succeeded exactly when it is script_ok.
-    A run the tracer failed to observe has no outcome (TracerFault)."""
+    A run the tracer failed to observe has no outcome (TracerFault).
+    ``hits`` counts the trapped calls of measured processes, and
+    ``ready_s`` is the time from launch to readiness (None: never ready)."""
 
     reason: str
     perf_metric: float | None
     peak_rss: int
     peak_fds: int
     duration: float
+    hits: int = 0
+    ready_s: float | None = None
 
     @property
     def success(self) -> bool:
@@ -149,6 +156,8 @@ class WorkloadOutcome:
             "peak_rss": self.peak_rss,
             "peak_fds": self.peak_fds,
             "duration": self.duration,
+            "hits": self.hits,
+            "ready_s": self.ready_s,
         }
 
 
@@ -181,7 +190,8 @@ def _wait_ready(port: int | None, until: float, deadline: float,
             return False
         else:
             try:
-                with socket.create_connection(("127.0.0.1", port), timeout=0.2):
+                with socket.create_connection(("127.0.0.1", port),
+                                              timeout=min(0.2, deadline - now)):
                     return True
             except OSError:
                 pass
@@ -197,6 +207,8 @@ def judge(trace: RunTrace, ready: bool, script_rc: int | None, ended: float) -> 
     readiness giving up).  A root that died by then crashed the run if it
     died abnormally, or, exiting 0, before the app became ready.
     """
+    if trace.runaway:
+        return REASON_RUNAWAY
     died = trace.root_exit_at is not None and trace.root_exit_at <= ended
     if died and (not ready or (trace.exit_code, trace.signaled) != (0, None)):
         return REASON_CRASH
@@ -245,10 +257,10 @@ def run_workload(spec: AppSpec, policy: Policy, limits: Limits,
     The app runs in a fresh working directory instantiated from the spec's
     template, so it never sees state from prior runs.  Success requires the
     test script to exit 0 and the application not to have crashed before the
-    script completed.  ``limits.timeout`` bounds readiness and the script
-    together.  Before returning, the tracer ends every process of the tree
-    (SIGTERM, then SIGKILL after KILL_GRACE); none survives the run.  The
-    calling thread must outlive the call (see ``slens.interposer``).
+    script completed.  ``limits`` bounds the run (see the module docstring).
+    Before returning, the tracer ends every process of the tree (SIGTERM,
+    then SIGKILL after KILL_GRACE); none survives the run.  The calling
+    thread must outlive the call (see ``slens.interposer``).
 
     Raises LaunchFailure or TracerFault, with the tracer's own message,
     when the app could not be launched or the tracer failed; the run then
@@ -282,12 +294,16 @@ def _run_workload_in(spec: AppSpec, policy: Policy, limits: Limits,
 
     started = time.monotonic()
     deadline = started + limits.timeout
-    session = TraceSession.start(command, policy, spec.whitelist, tables, discovery)
+    ready_by = deadline if port is None or limits.ready_timeout is None \
+        else min(deadline, started + limits.ready_timeout)
+    session = TraceSession.start(command, policy, spec.whitelist, tables, discovery,
+                                 limits.hit_cap)
     app_pid = session.app_pid  # raises LaunchFailure early
     perf_metric = None
     script_rc: int | None = None
     try:
-        ready = _wait_ready(port, started + spec.readiness.delay, deadline, session)
+        ready = _wait_ready(port, started + spec.readiness.delay, ready_by, session)
+        ready_s = time.monotonic() - started if ready else None
         if ready:
             script_env = dict(os.environ)
             script_env["SLENS_HOST"] = "127.0.0.1"
@@ -317,5 +333,7 @@ def _run_workload_in(spec: AppSpec, policy: Policy, limits: Limits,
         peak_rss=trace.peak_rss,
         peak_fds=trace.peak_fds,
         duration=ended - started,
+        hits=sum(trace.observed.values()),
+        ready_s=ready_s,
     )
     return outcome, trace

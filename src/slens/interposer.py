@@ -30,7 +30,9 @@ clock.  A stop request is a SIGTERM to the tracer (an unreaped child, so
 its pid is not reused): on the first the tracer sends SIGTERM to every
 process it follows, on any later one SIGKILL, and it returns once none is
 left; ``TraceSession.stop`` sends the second KILL_GRACE seconds after the
-first.  So no process outlives its run: not a daemon that left the process
+first.  The tracer makes the first request itself, and the trace says
+``runaway``, once the measured processes' trapped calls pass the run's hit
+cap.  So no process outlives its run: not a daemon that left the process
 group, nor one whose caller died, since the PR_SET_PDEATHSIG of the tracer
 and of the launched child is SIGKILL and PTRACE_O_EXITKILL takes the tree
 with the tracer.  That signal follows the thread that forked, so the
@@ -220,6 +222,12 @@ class Policy:
     def allow_all() -> "Policy":
         return Policy()
 
+    def trapped_syscalls(self) -> frozenset[int] | None:
+        """The syscalls a non-discovery run traps: the overridden ones, or
+        all (None) when the default action is not allow."""
+        return None if self.default_action.suppresses else frozenset(
+            f.syscall_nr for f in self.overrides)
+
     @staticmethod
     def single(feature: FeatureId, action: Action) -> "Policy":
         return Policy(overrides={feature: action})
@@ -373,9 +381,10 @@ class RunTrace:
     the root, or None if it never did.  ``peak_rss`` (bytes) and
     ``peak_fds`` are the tracer's largest readings (see the module
     docstring); ``peak_rss`` 0 means the run was never read, as when it is
-    stopped before its first measured exec.  Only ``trace_run`` sets
-    ``timed_out``: the tracer keeps no clock.  The tracer sends the whole
-    object to its session pickled, so a new field needs no codec.
+    stopped before its first measured exec.  ``runaway``: the tracer ended
+    the run at its hit cap.  Only ``trace_run`` sets ``timed_out``: the
+    tracer keeps no clock.  The tracer sends the whole object to its
+    session pickled, so a new field needs no codec.
     """
 
     observed: Counter  # FeatureId -> trapped invocation count
@@ -387,6 +396,7 @@ class RunTrace:
     root_exit_at: float | None = None
     peak_rss: int = 0
     peak_fds: int = 0
+    runaway: bool = False
 
 
 @dataclass(frozen=True)
@@ -412,9 +422,13 @@ class Command:
 @dataclass(frozen=True)
 class Limits:
     """Run limits: the caller stops the run ``timeout`` seconds after it
-    started the session (see ``trace_run`` and ``harness.run_workload``)."""
+    started the session (see ``trace_run`` and ``harness.run_workload``).
+    None sets no ``hit_cap`` (the most trapped calls of measured processes)
+    or ``ready_timeout`` (the harness's longest port wait)."""
 
     timeout: float = 10.0
+    hit_cap: int | None = None
+    ready_timeout: float | None = None
 
     def __post_init__(self):
         if self.timeout <= 0:
@@ -441,10 +455,12 @@ class _Engine:
     """
 
     def __init__(self, command: Command, policy: Policy, whitelist: Whitelist,
-                 tables: InterposerTables, discovery: bool, emit):
+                 tables: InterposerTables, discovery: bool, hit_cap: int | None, emit):
         self.command = command
         self.policy = policy
         self.discovery = discovery
+        self.hits_left = float("inf") if hit_cap is None else hit_cap
+        self.runaway = False
         self.whitelist = whitelist
         self.tables = tables
         self.emit = emit
@@ -490,11 +506,8 @@ class _Engine:
 
     def _launch(self) -> None:
         argv = list(self.command.argv)
-        # Built before the fork, so the child only installs it.  A default
-        # action other than allow concerns every call, so it traps them all.
-        trap_all = self.discovery or self.policy.default_action.suppresses
-        prog = pt.seccomp_filter(
-            None if trap_all else {f.syscall_nr for f in self.policy.overrides})
+        # Built before the fork, so the child only installs it.
+        prog = pt.seccomp_filter(None if self.discovery else self.policy.trapped_syscalls())
         if not pt.disable_aslr():  # inherited by the child forked below
             self.warn("address-space randomisation stays on: resource "
                       "readings may vary by a page from run to run")
@@ -603,6 +616,10 @@ class _Engine:
         feature = classify_feature(nr, self._regs.syscall_args(),
                                    self.tables, self._read_string(pid))
         self.observed[feature] += 1
+        self.hits_left -= 1
+        if self.hits_left < 0 and self.kill_signal is None:
+            self.runaway = True
+            self._on_stop_request(signal.SIGTERM, None)
         action = self.policy.action_for(feature)
         if action.suppresses:
             self._regs.orig_rax = pt.to_unsigned(-1)
@@ -715,11 +732,12 @@ class _Engine:
             root_exit_at=self.root_exit_at,
             peak_rss=self.peak_rss,
             peak_fds=self.peak_fds,
+            runaway=self.runaway,
         )
 
 
 def _tracer_process(parent, command, policy, whitelist, tables, discovery,
-                    write_fd) -> None:
+                    hit_cap, write_fd) -> None:
     """Entry point of the forked tracer process.  Never returns."""
     signal.signal(signal.SIGTERM, signal.SIG_DFL)  # until _launch takes requests
     pt.set_pdeathsig(signal.SIGKILL)
@@ -737,7 +755,7 @@ def _tracer_process(parent, command, policy, whitelist, tables, discovery,
         except OSError:
             pass
 
-    engine = _Engine(command, policy, whitelist, tables, discovery, emit)
+    engine = _Engine(command, policy, whitelist, tables, discovery, hit_cap, emit)
     code = 0
     try:
         emit("result", engine.run())
@@ -777,13 +795,13 @@ class TraceSession:
     @classmethod
     def start(cls, command: Command, policy: Policy, whitelist: Whitelist,
               tables: InterposerTables = DEFAULT_TABLES,
-              discovery: bool = True) -> "TraceSession":
+              discovery: bool = True, hit_cap: int | None = None) -> "TraceSession":
         """Launch ``command`` under a new tracer process.
 
         A ``discovery`` run traps, and so observes, every syscall; any
-        other run traps only the syscalls that ``policy`` overrides.  The
-        calling thread must outlive the session: its exit is a stop request
-        (see the module docstring).
+        other run traps only the syscalls that ``policy`` overrides.  A run
+        past ``hit_cap`` trapped calls ends (see the module docstring).  The
+        calling thread must outlive the session: its exit is a stop request.
         """
         read_fd, write_fd = os.pipe()
         parent = os.getpid()
@@ -801,7 +819,7 @@ class TraceSession:
                 os.closerange(3, write_fd)
                 os.closerange(max(3, write_fd + 1), os.sysconf("SC_OPEN_MAX"))
                 _tracer_process(parent, command, policy, whitelist, tables,
-                                discovery, write_fd)
+                                discovery, hit_cap, write_fd)
             finally:
                 os._exit(1)
         os.close(write_fd)
@@ -922,7 +940,7 @@ def trace_run(command: Command, policy: Policy, whitelist: Whitelist,
     finished ``limits.timeout`` seconds after the start is stopped
     (``TraceSession.stop``), and its trace has ``timed_out`` set.
     """
-    session = TraceSession.start(command, policy, whitelist, tables, discovery)
+    session = TraceSession.start(command, policy, whitelist, tables, discovery, limits.hit_cap)
     try:
         return session.wait(timeout=limits.timeout)
     except TimeoutError:

@@ -26,6 +26,12 @@ each other:
    load;
 3. confirmation: one run of the combined policy per replica.
 
+Discovery also bounds the later runs.  One whose measured processes make
+more trapped calls than HIT_CAP_FACTOR x discovery's most hits on the
+syscalls it traps (at least HIT_CAP_FLOOR) is ended as ``runaway``, and a
+port wait gives up after READY_FACTOR x discovery's slowest time to
+readiness (at least READY_FLOOR s).  ``probe_custom`` gets neither bound.
+
 One scheduler (``Orchestrator._run_all``) submits each phase's runs to a
 thread pool of ``parallelism`` workers.  Each run lives in its own tracer
 process, so threads suffice.  Runs are serialised when the spec holds a
@@ -49,6 +55,7 @@ import platform
 import statistics
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -98,6 +105,11 @@ PROFILE_SCHEMA = 1
 # Least relative change of a probe's mean metric that can flag a regression.
 REGRESSION_MARGIN = 0.03
 
+HIT_CAP_FLOOR = 1000
+HIT_CAP_FACTOR = 100
+READY_FLOOR = 1.0  # seconds
+READY_FACTOR = 10.0
+
 
 class BaselineFailure(SlensError):
     """The workload does not pass even unmodified; nothing to classify."""
@@ -122,8 +134,8 @@ class AnalysisConfig:
     lowers it to 1 for a spec with a fixed readiness port or a readiness
     delay (see the module docstring).  ``perf_runs`` extra allow-all runs
     collect baseline statistics for regression detection; 0 disables it.
-    ``timeout`` of None applies the default rule max(10 s, 3 x discovery
-    duration).
+    ``timeout`` bounds every run (None: max(10 s, 3 x discovery duration));
+    runs after discovery may end sooner (see the module docstring).
     """
 
     replicas: int = 3
@@ -333,31 +345,33 @@ class Orchestrator:
         self.executions = 0
         self.baseline: BaselineStats | None = None
         self.baseline_duration: float | None = None
-        self._discovered: tuple[FeatureId, ...] | None = None
+        self._counts: Counter | None = None  # discovery's most hits per feature
+        self._ready_s = 0.0  # discovery's slowest time to readiness
         self._lock = threading.Lock()
 
     # -- plumbing
 
-    def _limits(self) -> Limits:
-        timeout = self.config.timeout
-        if timeout is None:
-            if self.baseline_duration is not None:
-                timeout = max(10.0, 3.0 * self.baseline_duration)
-            else:
-                timeout = 10.0
-        return Limits(timeout=timeout)
+    def _limits(self, policy: Policy, label: str) -> Limits:
+        timeout = self.config.timeout or max(10.0, 3.0 * (self.baseline_duration or 0.0))
+        if self._counts is None or label.startswith(("discovery", "custom")):
+            return Limits(timeout=timeout)
+        trapped = policy.trapped_syscalls()
+        expected = sum(n for f, n in self._counts.items()
+                       if trapped is None or f.syscall_nr in trapped)
+        return Limits(timeout, hit_cap=max(HIT_CAP_FLOOR, HIT_CAP_FACTOR * expected),
+                      ready_timeout=min(timeout, max(READY_FLOOR, READY_FACTOR * self._ready_s)))
 
     def _run_one(self, policy: Policy, replica: int, label: str
                  ) -> tuple[WorkloadOutcome, RunTrace]:
         t0 = time.monotonic()
         try:
-            outcome, trace = run_workload(self.spec, policy, self._limits(), self.tables,
-                                          discovery=label.startswith("discovery"))
+            outcome, trace = run_workload(self.spec, policy, self._limits(policy, label),
+                                          self.tables, discovery=label.startswith("discovery"))
         finally:
             with self._lock:
                 self.executions += 1
-        log.info("run app=%s replica=%d what=%s result=%s duration=%.3fs",
-                 self.spec.name, replica, label, outcome.reason,
+        log.info("run app=%s replica=%d what=%s result=%s hits=%d duration=%.3fs",
+                 self.spec.name, replica, label, outcome.reason, outcome.hits,
                  time.monotonic() - t0)
         if trace.warnings:
             log.warning("run app=%s replica=%d what=%s tracer warnings: %s",
@@ -424,18 +438,18 @@ class Orchestrator:
     def discover(self) -> tuple[FeatureId, ...]:
         """Allow-all discovery: one run per replica, feature sets merged.
 
-        Also records the baseline duration for the default timeout rule.
+        Also records what bounds the later runs (``_limits``).
         Raises BaselineFailure when a discovery run fails.
         """
         r = self.config.replicas
         results = self._run_all([(Policy.allow_all(), i, "discovery") for i in range(r)],
                                 traces=True)
         self.baseline_duration = max(o.duration for o, _ in results)
-        features: set[FeatureId] = set()
+        self._ready_s = max(o.ready_s or 0.0 for o, _ in results)
+        self._counts = Counter()
         for _, trace in results:
-            features.update(trace.observed)
-        self._discovered = tuple(sorted(features, key=FeatureId.sort_key))
-        return self._discovered
+            self._counts |= trace.observed
+        return tuple(sorted(self._counts, key=FeatureId.sort_key))
 
     def _probe_all(self, keys: Sequence[tuple[FeatureId, str]]) -> list[ProbeResult]:
         """Probe each (feature, mode) over all replicas, as one phase.
@@ -487,15 +501,15 @@ class Orchestrator:
 
     def probe_feature(self, feature: FeatureId, mode: str) -> ProbeResult:
         """Probe one feature in stub or fake mode over all replicas."""
-        if self._discovered is not None and feature not in self._discovered:
+        if self._counts is not None and feature not in self._counts:
             raise ValueError(f"feature {feature_label(feature)} was not discovered")
         return self._probe_all([(feature, mode)])[0]
 
     def probe_custom(self, policy: Policy) -> WorkloadOutcome:
         """Single run under an arbitrary policy, for manual culprit hunting.
 
-        Not retried: a tracer fault raises TracerFault, a failed launch
-        LaunchFailure."""
+        Bounded by the timeout only.  Not retried: a tracer fault raises
+        TracerFault, a failed launch LaunchFailure."""
         outcome, _ = self._run_one(policy, 0, "custom")
         return outcome
 

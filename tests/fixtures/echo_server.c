@@ -1,5 +1,7 @@
 /* Minimal TCP echo server: accepts connections on the port given as
- * argv[1] and echoes one buffer back per connection, forever. */
+ * argv[1] and echoes one buffer back per connection, forever.  Given a
+ * delay in ms as argv[2], it first queries sysinfo and, when that call
+ * fails, takes the delay as a slow fallback before it binds. */
 #include "common.h"
 
 __attribute__((naked)) void _start(void)
@@ -24,7 +26,11 @@ void server_main(long *stack)
     char addr[16] = {0};
     char buf[512];
     long one = 1;
+    long info[16];
     long fd, conn, n;
+
+    if (argc > 2 && sys1(SYS_sysinfo, info) < 0)
+        sleep_ms(parse_port(argv[2]));
 
     addr[0] = 2;                      /* AF_INET */
     addr[2] = (port >> 8) & 0xff;     /* htons(port) */

@@ -10,7 +10,9 @@ import slens.interposer
 import slens.orchestrator
 from slens.cli import EXIT_BASELINE, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from slens.harness import REASON_OK, WorkloadOutcome
-from slens.interposer import RunTrace
+from slens.interposer import FeatureId, RunTrace
+from slens.orchestrator import HIT_CAP_FLOOR, AppProfile
+from slens.store import DbEntry, save_profile
 from slens.syscalls import name_to_nr
 
 IOCTL = name_to_nr("ioctl")
@@ -154,3 +156,34 @@ def test_whitelist_that_matches_nothing_stores_no_profile(tmp_path, capsys):
     assert code == EXIT_BASELINE
     assert err[-1].startswith("error: baseline-failure: ") and "whitelist" in err[-1], err
     assert not list(db.rglob("profile.json"))
+
+
+def test_duplicate_entries_warn_once_per_app(tmp_path, capsys):
+    """An app stored under two workloads plans from the first entry, and a
+    warning names the workload it uses; an app stored once warns nothing."""
+    db = str(tmp_path / "db")
+    getpid = FeatureId(name_to_nr("getpid"))
+    for app, workload in (("dup", "bbbbbbbbbbbbbbbb"), ("dup", "aaaaaaaaaaaaaaaa"),
+                          ("single", "cccccccccccccccc")):
+        save_profile(db, DbEntry(AppProfile(
+            app=app, workload_hash=workload, observed=(getpid,),
+            classes={getpid: "required"}, regressions={}, confirmed=True,
+            metadata={}), {"kernel": "k"}))
+    assert main(["importance", "--db", db, "--json"]) == EXIT_OK
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["warning: 2 entries for 'dup'; using workload aaaaaaaaaaaaaaaa"]
+
+
+def test_probe_has_no_hit_cap(fixtures, capsys):
+    """`slens probe` is bounded by its timeout only: a spinning run makes
+    far more trapped calls than any analysis cap and ends as a timeout."""
+    policy = {"overrides": [{"feature": {"syscall_nr": name_to_nr("write")},
+                             "action": {"kind": "fake"}}]}
+    policy_path = fixtures.bindir / "spin_policy.json"
+    policy_path.write_text(json.dumps(policy))
+    assert main(["probe", "--app-cmd", fixtures.binary("spinner"),
+                 "--test-script", fixtures.script("check_out.sh"),
+                 "--policy", str(policy_path), "--timeout", "0.5", "--json"]) == EXIT_OK
+    outcome = json.loads(capsys.readouterr().out)
+    assert outcome["reason"] == "timeout" and outcome["ready_s"] is not None
+    assert outcome["hits"] > HIT_CAP_FLOOR

@@ -7,6 +7,7 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 
@@ -79,6 +80,24 @@ def test_readiness_timeout_is_not_a_crash(fixtures, app_spec_factory):
         assert list(pool.map(run, range(10))) == [("timeout", False)] * 10
 
 
+@pytest.mark.parametrize("readiness,reason", [
+    (Readiness(port=0), "timeout"),
+    (Readiness(delay=0.5), "script_ok"),
+], ids=["port", "delay"])
+def test_ready_timeout_bounds_the_port_wait_only(fixtures, app_spec_factory,
+                                                  readiness, reason):
+    """``ready_timeout`` ends a port wait early; a readiness delay is always
+    waited out in full."""
+    spec = app_spec_factory("sleeper", script="pass.sh", readiness=readiness)
+    outcome, _ = run_workload(spec, Policy.allow_all(),
+                              Limits(timeout=5.0, ready_timeout=0.2))
+    assert outcome.reason == reason
+    if reason == "timeout":
+        assert outcome.ready_s is None and 0.2 <= outcome.duration < 0.5
+    else:
+        assert outcome.ready_s >= 0.5
+
+
 def test_clean_exit_under_port_readiness_is_a_crash_at_once(fixtures, app_spec_factory):
     """Once no process is left, no port can open: the run does not wait
     out its timeout."""
@@ -123,6 +142,8 @@ TERM = _trace(None, signal.SIGTERM, 100.1)  # alive until teardown
     (TERM, True, None, "timeout"),  # the script ran out of time
     (TERM, False, None, "timeout"),  # never ready
     (_trace(None, None, None), False, None, "timeout"),  # root never reaped
+    (replace(TERM, runaway=True), True, 0, "runaway"),  # past the hit cap
+    (replace(_trace(2, None, 99.0), runaway=True), False, None, "runaway"),
 ])
 def test_judge_sets_the_reason_from_the_final_trace(trace, ready, script_rc, reason):
     assert judge(trace, ready, script_rc, ENDED) == reason

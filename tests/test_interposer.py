@@ -233,6 +233,21 @@ def test_timeout_kills_tree(fixtures):
     assert trace.signaled == signal.SIGTERM
 
 
+def test_hit_cap_ends_a_spinning_tree(fixtures, tmp_path):
+    """A faked write makes the spinner retry forever.  The call past the cap
+    makes the tracer's own stop request: one reading, SIGTERM to the tree,
+    and no process left."""
+    binary = fixtures.binary("spinner")
+    trace = trace_run(Command(argv=(binary,), cwd=str(tmp_path)),
+                      Policy.single(FeatureId(WRITE), fake()),
+                      Whitelist.of_paths([binary]), Limits(timeout=5.0, hit_cap=10),
+                      discovery=False)
+    assert trace.runaway and not trace.timed_out
+    assert trace.observed == Counter({FeatureId(WRITE): 11})
+    assert trace.signaled == signal.SIGTERM and trace.peak_rss > 0
+    assert fixtures.running("spinner") == []
+
+
 def test_signal_right_after_launch_is_traced(fixtures):
     """A signal sent as soon as app_pid is known reaches a traced child.
 

@@ -23,8 +23,10 @@ from slens.orchestrator import (
     CLASS_FAKE_ONLY,
     CLASS_REQUIRED,
     CLASS_STUB_ONLY,
+    HIT_CAP_FLOOR,
     MODE_FAKE,
     MODE_STUB,
+    READY_FLOOR,
     Orchestrator,
     detect_regressions,
 )
@@ -457,6 +459,83 @@ def test_regression_zero_baseline_skipped():
     base = BaselineStats.from_outcomes([_outcome(rss=0, fds=0) for _ in range(5)])
     probes = [_outcome(rss=500, fds=5)]
     assert detect_regressions(base, probes, margin=0.03) == {}
+
+
+# -- bounds that discovery sets on the later runs
+
+WRITE = FeatureId(name_to_nr("write"))
+
+
+def _echo_spec(app_spec_factory, *argv_extra):
+    return app_spec_factory("echo_server", script="echo_client.sh",
+                            argv_extra=("{port}", *argv_extra),
+                            readiness=Readiness(port=0))
+
+
+def test_spinning_probe_ends_as_a_runaway(fixtures, app_spec_factory):
+    """The spinner writes once in discovery, and retries forever under a
+    faked write.  Its cap is the floor (1000 > 100 x 1), and the run ends
+    at the call past it, long before the run timeout."""
+    orch = Orchestrator(app_spec_factory("spinner"), FAST)
+    assert WRITE in orch.discover()
+    probe = orch.probe_feature(WRITE, MODE_FAKE)
+    [outcome] = probe.outcomes
+    assert not probe.works and outcome.reason == "runaway"
+    assert outcome.hits == HIT_CAP_FLOOR + 1
+    assert outcome.duration < 0.5 * FAST.timeout
+    assert fixtures.running("spinner") == []
+
+
+@pytest.mark.parametrize("delay_ms,reason", [(300, "script_ok"), (1500, "timeout")])
+def test_slow_fallback_is_judged_at_the_readiness_floor(fixtures, app_spec_factory,
+                                                        delay_ms, reason):
+    """A stubbed sysinfo makes the server wait ``delay_ms`` before it
+    listens.  Discovery was ready within milliseconds, so the readiness
+    deadline is its floor of 1 s: a 300 ms fallback still works, and a
+    1.5 s one gives up at the floor, not at the 5 s run timeout."""
+    orch = Orchestrator(_echo_spec(app_spec_factory, str(delay_ms)), FAST)
+    orch.discover()
+    [outcome] = orch.probe_feature(FeatureId(name_to_nr("sysinfo")), MODE_STUB).outcomes
+    assert outcome.reason == reason
+    if reason == "script_ok":
+        assert outcome.ready_s >= delay_ms / 1000
+    else:
+        assert outcome.ready_s is None
+        assert READY_FLOOR <= outcome.duration < READY_FLOOR + 0.5
+
+
+def test_server_that_never_listens_ends_at_the_readiness_deadline(fixtures,
+                                                                  app_spec_factory):
+    """With bind faked the server listens on a port of the kernel's choice,
+    so the polled port never opens.  The run gives up at the readiness
+    deadline, not at the default 10 s run timeout."""
+    config = AnalysisConfig(replicas=1, perf_runs=0)
+    orch = Orchestrator(_echo_spec(app_spec_factory), config)
+    orch.discover()
+    [outcome] = orch.probe_feature(FeatureId(name_to_nr("bind")), MODE_FAKE).outcomes
+    assert (outcome.reason, outcome.ready_s) == ("timeout", None)
+    assert READY_FLOOR <= outcome.duration < READY_FLOOR + 0.5
+    assert fixtures.running("echo_server") == []
+
+
+def test_discovery_and_custom_runs_are_not_bounded(fixtures, app_spec_factory,
+                                                   monkeypatch):
+    """Only the protocol's runs after discovery get the hit cap and the
+    readiness deadline; discovery and ``probe_custom`` runs have neither."""
+    seen = []
+    real = slens.orchestrator.run_workload
+
+    def spy(spec, policy, limits, tables, discovery=True):
+        seen.append((discovery, limits.hit_cap, limits.ready_timeout))
+        return real(spec, policy, limits, tables, discovery)
+
+    monkeypatch.setattr(slens.orchestrator, "run_workload", spy)
+    orch = Orchestrator(app_spec_factory("spinner"), FAST)
+    orch.discover()
+    orch.probe_custom(Policy.single(WRITE, STUB))
+    orch.probe_feature(WRITE, MODE_STUB)
+    assert seen == [(True, None, None), (False, None, None),
+                    (False, HIT_CAP_FLOOR, READY_FLOOR)]
 
 
 # -- config validation
