@@ -22,7 +22,6 @@ from .interposer import (  # noqa: E402
     FeatureId,
     LaunchFailure,
     Policy,
-    ResourceSample,
     RunTrace,
     TracerFault,
     Whitelist,
@@ -61,7 +60,6 @@ from .store import (  # noqa: E402
 from .planner import (  # noqa: E402
     ImportanceReport,
     PlanStep,
-    PlanWeights,
     SupportPlan,
     UnconfirmedProfile,
     api_importance,
@@ -76,7 +74,7 @@ __all__ = [
     # interposer
     "Action", "ALLOW", "STUB", "fake", "Command", "FeatureId", "Policy",
     "RunTrace", "Whitelist", "LaunchFailure", "TracerFault", "trace_run",
-    "ResourceSample", "sample_resources",
+    "sample_resources",
     # harness
     "AppSpec", "Limits", "Readiness", "ScriptMissing", "WorkloadOutcome",
     "run_workload",
@@ -88,7 +86,7 @@ __all__ = [
     "UnknownSyscallName", "export_profile_csv", "import_os_csv", "load_db",
     "save_profile",
     # planner
-    "ImportanceReport", "PlanStep", "PlanWeights", "SupportPlan",
+    "ImportanceReport", "PlanStep", "SupportPlan",
     "UnconfirmedProfile", "api_importance", "app_supported",
     "compare_strategies", "generate_plan",
 ]

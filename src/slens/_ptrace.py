@@ -197,15 +197,19 @@ def to_unsigned(value: int) -> int:
     return value & 0xFFFFFFFFFFFFFFFF
 
 
-def read_tracee_string(pid: int, addr: int, limit: int = 4096) -> str:
-    """Read a NUL-terminated string from a stopped tracee's memory.
+STRING_LIMIT = 4096  # bytes
+
+
+def read_tracee_string(pid: int, addr: int) -> str:
+    """Read a NUL-terminated string of at most STRING_LIMIT bytes from a
+    stopped tracee's memory.
 
     Raises OSError when the address is unreadable.
     """
     if addr == 0:
         raise OSError("NULL pointer")
     chunks = []
-    remaining = limit
+    remaining = STRING_LIMIT
     with open(f"/proc/{pid}/mem", "rb", buffering=0) as mem:
         while remaining > 0:
             mem.seek(addr)

@@ -20,7 +20,7 @@ import sys
 
 from . import SlensError, __version__
 from .config import DEFAULT_TABLES, ConfigError, load_tables
-from .harness import AppSpec, Limits, Readiness, ScriptMissing
+from .harness import AppSpec, Readiness, ScriptMissing
 from .interposer import LaunchFailure, Policy, Whitelist
 from .orchestrator import (
     AnalysisConfig,

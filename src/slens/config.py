@@ -40,20 +40,16 @@ _DEFAULT_SELECTORS = {
     "setsockopt": 2,
 }
 
-# Syscalls whose first path argument may name a pseudo-file, and the index
-# of that argument.
-_DEFAULT_OPEN_FAMILY = {
-    "open": 0,
-    "creat": 0,
-    "openat": 1,
-    "openat2": 1,
-}
-
 DEFAULT_PSEUDO_PREFIXES = ("/proc", "/dev", "/sys")
 
 
 def _by_nr(names: Mapping[str, int]) -> dict[int, int]:
     return {syscalls.name_to_nr(name): v for name, v in names.items()}
+
+
+# Syscalls whose first path argument may name a pseudo-file, by number, and
+# the index of that argument.
+OPEN_FAMILY = _by_nr({"open": 0, "creat": 0, "openat": 1, "openat2": 1})
 
 
 @dataclass(frozen=True)
@@ -68,9 +64,6 @@ class InterposerTables:
     )
     fake_values: Mapping[int, int] = field(default_factory=dict)
     pseudo_prefixes: tuple[str, ...] = DEFAULT_PSEUDO_PREFIXES
-    open_family: Mapping[int, int] = field(
-        default_factory=lambda: _by_nr(_DEFAULT_OPEN_FAMILY)
-    )
 
     def fake_value_for(self, syscall_nr: int) -> int:
         return self.fake_values.get(syscall_nr, 0)

@@ -33,22 +33,22 @@ Test-script contract (stable):
 
 The script runs with the run's working directory as cwd.  The application's
 stdout/stderr are captured to app_stdout.log / app_stderr.log there.  The
-tokens ``{port}`` and ``{workdir}`` in the app command and environment
-values are substituted before launch.
+tokens ``{port}`` and ``{workdir}`` in the app command are substituted
+before launch.  The application inherits the caller's environment.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import shutil
 import socket
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 from . import SlensError
 from .config import DEFAULT_TABLES, InterposerTables
@@ -87,20 +87,20 @@ class Readiness:
     port: int | None = None
 
     def __post_init__(self):
-        if self.delay < 0:
-            raise ValueError("readiness delay must be >= 0")
+        if not (math.isfinite(self.delay) and self.delay >= 0):
+            raise ValueError("readiness delay must be a finite number >= 0")
         if self.port is not None and not 0 <= self.port <= 65535:
             raise ValueError(f"readiness port must be in 0..65535, not {self.port}")
 
 
 @dataclass(frozen=True)
 class AppSpec:
-    """An application plus the workload that exercises it."""
+    """An application plus the workload that exercises it.  The application
+    runs with the caller's environment."""
 
     name: str
     app_command: tuple[str, ...]
     test_script: str
-    env: Mapping[str, str] = field(default_factory=dict)
     readiness: Readiness = Readiness()
     whitelist: Whitelist = Whitelist()
     workdir_template: str | None = None
@@ -118,7 +118,9 @@ class AppSpec:
         ident = {
             "name": self.name,
             "app_command": list(self.app_command),
-            "env": dict(sorted(self.env.items())),
+            # Without this always-empty entry every stored workload hash,
+            # and with it every stored key, would change.
+            "env": {},
             "readiness": {"delay": self.readiness.delay, "port": self.readiness.port},
             "whitelist": sorted(self.whitelist.binary_paths),
         }
@@ -233,19 +235,6 @@ def _substitute(value: str, port: int | None, workdir: str) -> str:
     return value.replace("{workdir}", workdir)
 
 
-def _fresh_workdir(spec: AppSpec) -> str:
-    workdir = tempfile.mkdtemp(prefix="slens-run-")
-    if spec.workdir_template:
-        for entry in os.listdir(spec.workdir_template):
-            src = os.path.join(spec.workdir_template, entry)
-            dst = os.path.join(workdir, entry)
-            if os.path.isdir(src):
-                shutil.copytree(src, dst, symlinks=True)
-            else:
-                shutil.copy2(src, dst)
-    return workdir
-
-
 def run_workload(spec: AppSpec, policy: Policy, limits: Limits,
                  tables: InterposerTables = DEFAULT_TABLES,
                  discovery: bool = True) -> tuple[WorkloadOutcome, RunTrace]:
@@ -267,8 +256,12 @@ def run_workload(spec: AppSpec, policy: Policy, limits: Limits,
     has no outcome.
     """
     spec.validate()
-    workdir = _fresh_workdir(spec)
+    workdir = tempfile.mkdtemp(prefix="slens-run-")
     try:
+        if spec.workdir_template:
+            shutil.copytree(spec.workdir_template, workdir, symlinks=True,
+                            dirs_exist_ok=True)
+            os.chmod(workdir, 0o700)  # as mkdtemp made it: copytree copies the mode
         return _run_workload_in(spec, policy, limits, tables, discovery, workdir)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
@@ -281,12 +274,8 @@ def _run_workload_in(spec: AppSpec, policy: Policy, limits: Limits,
     if port == 0:
         port = _allocate_port()
 
-    argv = tuple(_substitute(a, port, workdir) for a in spec.app_command)
-    env = dict(os.environ)
-    env.update({k: _substitute(v, port, workdir) for k, v in spec.env.items()})
     command = Command(
-        argv=argv,
-        env=env,
+        argv=tuple(_substitute(a, port, workdir) for a in spec.app_command),
         cwd=workdir,
         stdout_path=os.path.join(workdir, "app_stdout.log"),
         stderr_path=os.path.join(workdir, "app_stderr.log"),

@@ -82,6 +82,7 @@ from __future__ import annotations
 
 import errno as _errno
 import logging
+import math
 import os
 import pickle
 import select
@@ -94,7 +95,7 @@ from typing import Callable, Iterable, Mapping
 
 from . import SlensError
 from . import _ptrace as pt
-from .config import DEFAULT_TABLES, InterposerTables
+from .config import DEFAULT_TABLES, OPEN_FAMILY, InterposerTables
 
 log = logging.getLogger(__name__)
 
@@ -301,7 +302,7 @@ def classify_feature(
     degrades to the bare syscall.
     """
     if tables.pseudo_prefixes and read_string is not None:
-        arg_idx = tables.open_family.get(syscall_nr)
+        arg_idx = OPEN_FAMILY.get(syscall_nr)
         if arg_idx is not None:
             path = read_string(args[arg_idx])
             if path is not None and path.startswith("/"):
@@ -313,19 +314,6 @@ def classify_feature(
     if sel_idx is not None:
         return FeatureId(syscall_nr, subfeature=pt.to_signed(args[sel_idx]))
     return FeatureId(syscall_nr)
-
-
-@dataclass(frozen=True)
-class ResourceSample:
-    """One aggregated reading over a set of processes."""
-
-    timestamp: float
-    rss: int  # bytes, sum of per-pid high-water marks (VmHWM)
-    fd_count: int  # sum of per-pid open descriptor counts
-
-    def __post_init__(self):
-        if self.rss < 0 or self.fd_count < 0:
-            raise ValueError("resource readings must be >= 0")
 
 
 def _read_status(pid: int) -> tuple[int, int] | None:
@@ -345,9 +333,10 @@ def _read_status(pid: int) -> tuple[int, int] | None:
 
 
 def sample_resources(pids: Iterable[int],
-                     on_warning: Callable[[str], None] | None = None) -> ResourceSample:
-    """Aggregate high-water RSS and open-descriptor counts over the
-    processes of ``pids``, each once however many of its threads are listed.
+                     on_warning: Callable[[str], None] | None = None) -> tuple[int, int]:
+    """(rss, fds): the sum of high-water RSS (VmHWM, in bytes) and of open
+    descriptor counts over the processes of ``pids``, each once however
+    many of its threads are listed.
 
     Pids without memory are skipped silently; unreadable fd tables of live
     ones are skipped and reported through ``on_warning``.
@@ -367,7 +356,7 @@ def sample_resources(pids: Iterable[int],
         except OSError as exc:
             if on_warning:
                 on_warning(f"pid {pid}: cannot read fd table: {exc}")
-    return ResourceSample(timestamp=time.monotonic(), rss=rss, fd_count=fds)
+    return rss, fds
 
 
 @dataclass
@@ -401,7 +390,8 @@ class RunTrace:
 
 @dataclass(frozen=True)
 class Command:
-    """A command to launch: argv, environment, working directory.
+    """A command to launch: argv and working directory.  The launched
+    command inherits the caller's environment.
 
     ``stdout_path``/``stderr_path`` redirect the tree's standard streams to
     files; None inherits the caller's streams.  A relative ``argv[0]`` is
@@ -409,7 +399,6 @@ class Command:
     """
 
     argv: tuple[str, ...]
-    env: Mapping[str, str] | None = None
     cwd: str | None = None
     stdout_path: str | None = None
     stderr_path: str | None = None
@@ -431,8 +420,8 @@ class Limits:
     ready_timeout: float | None = None
 
     def __post_init__(self):
-        if self.timeout <= 0:
-            raise ValueError("timeout must be > 0")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError("timeout must be a finite number > 0")
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +454,7 @@ class _Engine:
         self.tables = tables
         self.emit = emit
         self.procs: dict[int, _Proc] = {}
-        self.pending_stops: dict[int, int] = {}
+        self.pending_stops: set[int] = set()  # stopped before their fork event
         self.observed: Counter = Counter()
         self.warnings: list[str] = []
         self.ever_traced: set[int] = set()
@@ -533,15 +522,13 @@ class _Engine:
                         fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
                         os.dup2(fd, target)
                         os.close(fd)
-                env = dict(self.command.env) if self.command.env is not None \
-                    else dict(os.environ)
                 step = f"ptrace attach of {argv[0]}"
                 pt.traceme()
                 os.kill(os.getpid(), signal.SIGSTOP)
                 step = f"seccomp filter install for {argv[0]}"
                 pt.install_seccomp(prog)
                 step = f"exec of {argv[0]}"
-                os.execve(argv[0], argv, env)
+                os.execve(argv[0], argv, os.environ)
             except OSError as exc:
                 err = exc.errno or 0
                 self.emit("error", LaunchFailure(
@@ -600,8 +587,8 @@ class _Engine:
             self._kill(child_pid, self.kill_signal)
         if child.traced:
             self.ever_traced.add(child_pid)
-        pending = self.pending_stops.pop(child_pid, None)
-        if pending is not None:
+        if child_pid in self.pending_stops:
+            self.pending_stops.remove(child_pid)
             # The child stopped before we learned about it: that stop is its
             # auto-attach SIGSTOP; consume it now.
             child.attach_pending = False
@@ -642,7 +629,7 @@ class _Engine:
         proc = self.procs.get(pid)
         if proc is None:
             # A child stopped before its fork event arrived.
-            self.pending_stops[pid] = status
+            self.pending_stops.add(pid)
             return
         if event in (pt.PTRACE_EVENT_FORK, pt.PTRACE_EVENT_VFORK,
                      pt.PTRACE_EVENT_CLONE):
@@ -682,9 +669,9 @@ class _Engine:
                 if p.traced and not p.exiting}
         if exiting is not None:
             reps[self.procs[exiting].tgid] = exiting
-        s = sample_resources(reps.values(), self.warn)
-        self.peak_rss = max(self.peak_rss, s.rss)
-        self.peak_fds = max(self.peak_fds, s.fd_count)
+        rss, fds = sample_resources(reps.values(), self.warn)
+        self.peak_rss = max(self.peak_rss, rss)
+        self.peak_fds = max(self.peak_fds, fds)
 
     def _on_stop_request(self, signum, frame) -> None:
         """SIGTERM from the caller: the first takes a last reading and sends

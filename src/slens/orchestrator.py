@@ -97,9 +97,6 @@ CLASS_MODES = {
 }
 _CLASS_OF_MODES = {modes: cls for cls, modes in CLASS_MODES.items()}
 
-VERDICT_WORKS = "works"
-VERDICT_BREAKS = "breaks"
-
 PROFILE_SCHEMA = 1
 
 # Least relative change of a probe's mean metric that can flag a regression.
@@ -152,8 +149,8 @@ class AnalysisConfig:
             raise ValueError("parallelism must be >= 1")
         if self.perf_runs < 0:
             raise ValueError("perf_runs must be >= 0")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError("timeout must be > 0")
+        if self.timeout is not None and not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError("timeout must be a finite number > 0")
 
 
 @dataclass(frozen=True)
@@ -187,14 +184,14 @@ def _pooled_std(a: Sequence[float], b: Sequence[float]) -> float:
 
 
 def detect_regressions(baseline: BaselineStats,
-                       probe_outcomes: Sequence[WorkloadOutcome],
-                       margin: float) -> dict[str, float]:
+                       probe_outcomes: Sequence[WorkloadOutcome]) -> dict[str, float]:
     """Flag probe resource metrics deviating from the baseline.
 
     A metric is flagged when the relative difference of means exceeds
-    ``margin`` AND the means differ by more than twice the pooled standard
-    deviation.  Returns {metric: signed relative delta} for flagged metrics
-    among {"rss", "fds"}, over the runs that were read (``peak_rss`` > 0).
+    REGRESSION_MARGIN AND the means differ by more than twice the pooled
+    standard deviation.  Returns {metric: signed relative delta} for flagged
+    metrics among {"rss", "fds"}, over the runs that were read
+    (``peak_rss`` > 0).
     A metric is skipped when either side has no samples or the baseline
     mean is 0.  The perf metric is never compared (see the module docstring).
     """
@@ -211,7 +208,7 @@ def detect_regressions(baseline: BaselineStats,
         if mean_base == 0:
             continue
         delta = (mean_probe - mean_base) / mean_base
-        if abs(delta) <= margin:
+        if abs(delta) <= REGRESSION_MARGIN:
             continue
         if abs(mean_probe - mean_base) > 2 * _pooled_std(base, probe):
             flags[metric] = delta
@@ -220,17 +217,14 @@ def detect_regressions(baseline: BaselineStats,
 
 @dataclass
 class ProbeResult:
-    """Replicated outcomes of probing one feature in one mode."""
+    """Replicated outcomes of probing one feature in one mode; the probe
+    ``works`` when every replica succeeded."""
 
     feature: FeatureId
     mode: str
     outcomes: list[WorkloadOutcome]
-    verdict: str  # works | breaks
+    works: bool
     regression_flags: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def works(self) -> bool:
-        return self.verdict == VERDICT_WORKS
 
 
 @dataclass
@@ -400,21 +394,15 @@ class Orchestrator:
                 "the whitelist; nothing to classify")
         return outcome, trace
 
-    def _run_all(self, runs: Sequence[tuple[Policy, int, str]],
-                 traces: bool = False) -> list:
+    def _run_all(self, runs: Sequence[tuple[Policy, int, str]]
+                 ) -> list[tuple[WorkloadOutcome, RunTrace]]:
         """Run one phase's independent (policy, replica, label) runs, at most
         ``parallelism`` at a time.
 
-        Returns each run's outcome in the order of ``runs``, or its
-        (outcome, trace) pair when ``traces`` is set; a phase may hold
-        hundreds of runs, so unwanted traces are dropped as each run ends.
+        Returns each run's (outcome, trace) pair in the order of ``runs``.
         The first run to raise cancels the runs not yet started; the call
         waits for the runs in flight, then re-raises.
         """
-        def run(policy: Policy, replica: int, label: str):
-            outcome, trace = self._run_checked(policy, replica, label)
-            return (outcome, trace) if traces else outcome
-
         pool = concurrent.futures.ThreadPoolExecutor(max_workers=self.parallelism)
 
         def cancel_rest(future: concurrent.futures.Future) -> None:
@@ -424,7 +412,7 @@ class Orchestrator:
                 pool.shutdown(wait=False, cancel_futures=True)
 
         try:
-            futures = [pool.submit(run, *r) for r in runs]
+            futures = [pool.submit(self._run_checked, *r) for r in runs]
             for future in futures:
                 future.add_done_callback(cancel_rest)
             concurrent.futures.wait(futures, return_when=concurrent.futures.FIRST_EXCEPTION)
@@ -442,8 +430,7 @@ class Orchestrator:
         Raises BaselineFailure when a discovery run fails.
         """
         r = self.config.replicas
-        results = self._run_all([(Policy.allow_all(), i, "discovery") for i in range(r)],
-                                traces=True)
+        results = self._run_all([(Policy.allow_all(), i, "discovery") for i in range(r)])
         self.baseline_duration = max(o.duration for o, _ in results)
         self._ready_s = max(o.ready_s or 0.0 for o, _ in results)
         self._counts = Counter()
@@ -474,7 +461,7 @@ class Orchestrator:
         for j in range(n_base):
             runs.insert(j if j < self.parallelism else j * step,
                         (Policy.allow_all(), r + j, "baseline"))
-        outcomes = self._run_all(runs)
+        outcomes = [o for o, _ in self._run_all(runs)]
         if n_base:
             self.baseline = BaselineStats.from_outcomes(
                 [o for (_, _, label), o in zip(runs, outcomes) if label == "baseline"])
@@ -483,19 +470,13 @@ class Orchestrator:
         probes = []
         for k, (feature, mode) in enumerate(keys):
             replicas = outcomes[k * r:(k + 1) * r]
-            works = all(o.success for o in replicas)
-            result = ProbeResult(
-                feature=feature,
-                mode=mode,
-                outcomes=replicas,
-                verdict=VERDICT_WORKS if works else VERDICT_BREAKS,
-            )
-            if works and self.baseline is not None:
-                result.regression_flags = detect_regressions(
-                    self.baseline, replicas, REGRESSION_MARGIN)
+            result = ProbeResult(feature=feature, mode=mode, outcomes=replicas,
+                                 works=all(o.success for o in replicas))
+            if result.works and self.baseline is not None:
+                result.regression_flags = detect_regressions(self.baseline, replicas)
             log.info("probe app=%s feature=%s mode=%s verdict=%s flags=%s",
-                     self.spec.name, feature_label(feature), mode, result.verdict,
-                     result.regression_flags or "-")
+                     self.spec.name, feature_label(feature), mode,
+                     "works" if result.works else "breaks", result.regression_flags or "-")
             probes.append(result)
         return probes
 
@@ -537,7 +518,7 @@ class Orchestrator:
         policy = confirmation_policy(classes, self.tables)
         confirm = self._run_all(
             [(policy, i, "confirmation") for i in range(self.config.replicas)])
-        confirmed = all(o.success for o in confirm)
+        confirmed = all(o.success for o, _ in confirm)
         if not confirmed:
             log.warning(
                 "confirmation run failed for %s: per-feature verdicts do not "

@@ -26,11 +26,13 @@ fake, else implements it: a syscall is emitted at most once across a plan,
 so a stub or fake must suit every app still to come.  A syscall the state
 declares in a mode the app cannot take is promoted: the delta implements it.
 
-The plan chooses the app with the cheapest weighted delta (implementing a
-syscall is expensive; declaring a stub or fake is a one-line change).  The
-external strategy takes apps in a given order.  The naive strategy is the
-plan over apps that accept no mode, from the implemented syscalls alone, so
-every traced syscall costs an implementation.
+The plan chooses the app with the cheapest delta, at IMPLEMENT_COST per
+implemented syscall and STUB_COST or FAKE_COST per stub or fake
+(implementing a syscall is expensive; declaring a stub or fake is a
+one-line change).  The external strategy takes apps in a given order.  The
+naive strategy is the plan over apps that accept no mode, from the
+implemented syscalls alone, so every traced syscall costs an
+implementation.
 """
 
 from __future__ import annotations
@@ -58,13 +60,10 @@ class PlannerError(SlensError):
     pass
 
 
-@dataclass(frozen=True)
-class PlanWeights:
-    """Relative cost of satisfying a syscall per mode."""
-
-    implement: float = 1.0
-    stub: float = 0.1
-    fake: float = 0.1
+# Relative cost of satisfying a syscall in each mode.
+IMPLEMENT_COST = 1.0
+STUB_COST = 0.1
+FAKE_COST = 0.1
 
 
 @dataclass(frozen=True)
@@ -250,22 +249,20 @@ def _fold(state: State, needs: Mapping[str, Needs], bits: Mapping[int, int],
     return SupportPlan(initial_supported=initial, steps=tuple(steps), unreachable=())
 
 
-def _cheapest(weights: PlanWeights) -> Chooser:
-    """Choose the lowest weighted delta cost; ties: fewer implements, then name."""
+def _cheapest(pending: Mapping[str, Needs], state: State, no_stub: int,
+              no_fake: int) -> tuple[str, State]:
+    """Choose the lowest delta cost; ties: fewer implements, then name."""
 
-    def choose(pending, state, no_stub, no_fake):
-        def ranked(name):
-            delta = implement, stub, fake = _delta(pending[name], state, no_stub, no_fake)
-            implements = implement.bit_count()
-            cost = (weights.implement * implements
-                    + weights.stub * stub.bit_count() + weights.fake * fake.bit_count())
-            return (cost, implements, name), delta
+    def ranked(name):
+        delta = implement, stub, fake = _delta(pending[name], state, no_stub, no_fake)
+        implements = implement.bit_count()
+        cost = (IMPLEMENT_COST * implements
+                + STUB_COST * stub.bit_count() + FAKE_COST * fake.bit_count())
+        return (cost, implements, name), delta
 
-        # min() over a lazy map keeps only the best delta alive.
-        (_, _, name), delta = min(map(ranked, pending))
-        return name, delta
-
-    return choose
+    # min() over a lazy map keeps only the best delta alive.
+    (_, _, name), delta = min(map(ranked, pending))
+    return name, delta
 
 
 def _in_order(order: Sequence[str]) -> Chooser:
@@ -307,12 +304,12 @@ def _subfeature_notes(subs: Mapping[int, set[int]], implement: Iterable[int]) ->
 def generate_plan(os_support: OsSupportSet,
                   profiles: Mapping[str, AppProfile],
                   targets: Sequence[str],
-                  weights: PlanWeights = PlanWeights(),
                   wont_implement: frozenset[int] = frozenset()) -> SupportPlan:
     """Greedy cheapest-app-next incremental support plan.
 
-    At every step the unsupported target app with the lowest weighted delta
-    cost is chosen (ties: fewer implements, then lexicographic app name),
+    At every step the unsupported target app with the lowest delta cost
+    (IMPLEMENT_COST, STUB_COST and FAKE_COST per syscall of its delta) is
+    chosen (ties: fewer implements, then lexicographic app name),
     its delta sets are emitted and folded into the running OS state, and any
     other app that incidentally became supported is credited to the same
     step.  Apps whose required syscalls intersect ``wont_implement`` are
@@ -328,7 +325,7 @@ def generate_plan(os_support: OsSupportSet,
                                if p.required_syscalls() & wont_implement))
     for name in unreachable:
         del needs[name]
-    plan = _fold(_state(os_support, bits), needs, bits, _cheapest(weights))
+    plan = _fold(_state(os_support, bits), needs, bits, _cheapest)
     subs = _subfeatures(target_profiles.values())
     steps = tuple(replace(step, notes=_subfeature_notes(subs, step.implement))
                   for step in plan.steps)
@@ -403,29 +400,28 @@ def _curve(plan: SupportPlan) -> list[tuple[int, int]]:
 def compare_strategies(profiles: Mapping[str, AppProfile],
                        os_support: OsSupportSet,
                        targets: Sequence[str] | None = None,
-                       external_order: Sequence[str] | None = None,
-                       weights: PlanWeights = PlanWeights()
+                       external_order: Sequence[str] | None = None
                        ) -> dict[str, list[tuple[int, int]]]:
     """Effort curves: cumulative syscalls implemented vs. apps supported.
 
     Strategies: ``plan`` follows generate_plan, charging only its implement
     sets on the x-axis (stubs and fakes are free effort-wise); ``naive``
     charges every traced syscall of each app as an implementation, taking
-    the cheapest app next; ``external`` (when an app ordering is given)
-    applies plan-style deltas in the supplied order.  All curves are
-    monotone in both coordinates.
+    the app that misses the fewest syscalls next; ``external`` (when an app
+    ordering is given) applies plan-style deltas in the supplied order.  All
+    curves are monotone in both coordinates.
     """
     if targets is None:
         targets = sorted(profiles)
     if not targets:
         return {}
 
-    curves = {"plan": _curve(generate_plan(os_support, profiles, targets, weights))}
+    curves = {"plan": _curve(generate_plan(os_support, profiles, targets))}
     bits = _numbering(profiles[name] for name in targets)
     needs = {name: _needs(profiles[name], bits) for name in targets}
     naive = {name: (every, 0, 0) for name, (every, _, _) in needs.items()}
     curves["naive"] = _curve(_fold((_mask(os_support.implemented, bits), 0, 0), naive,
-                                   bits, _cheapest(PlanWeights())))
+                                   bits, _cheapest))
     if external_order is not None:
         missing = [t for t in targets if t not in external_order]
         if missing:

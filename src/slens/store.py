@@ -9,7 +9,10 @@ Layout under a database root directory:
 of kernel + tool version) lets measurements of the same workload coexist
 across environments, which the key rules allow.  Writes are atomic (temp
 file + rename) under an exclusive per-key file lock.  The database root is
-the sharing unit: it is plain files, friendly to rsync or git.
+the sharing unit: it is plain files, friendly to rsync or git.  Each file
+is one line of compact JSON with sorted keys (``canonical_json``); files
+written indented by earlier versions load the same, and re-saving the same
+verdicts leaves them as they are.
 
 OS support CSV (input): one syscall per line, ``syscall[,status]``;
 syscall is a decimal number or lowercase name; status is one of
@@ -128,8 +131,9 @@ class DbEntry:
 
 
 def canonical_json(obj: dict) -> str:
-    """Stable serialization used for storage and content comparison."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Stable serialization used for storage: compact, one line, keys
+    sorted.  Without ``indent`` CPython encodes in C, several times faster."""
+    return json.dumps(obj, sort_keys=True) + "\n"
 
 
 def _safe_component(name: str) -> str:

@@ -28,8 +28,12 @@ OPENAT = name_to_nr("openat")
     (None, ["--timeout", "0"]),
     (None, ["--port", "70000"]),
     (None, ["--port", "-1"]),
+    (None, ["--timeout", "nan"]),
+    (None, ["--timeout", "inf"]),
+    (None, ["--ready-delay", "nan"]),
 ], ids=["fake-value-not-int", "relative-pseudo-prefix", "relative-whitelist",
-        "parallel-0", "negative-ready-delay", "timeout-0", "port-70000", "port-negative"])
+        "parallel-0", "negative-ready-delay", "timeout-0", "port-70000", "port-negative",
+        "timeout-nan", "timeout-inf", "ready-delay-nan"])
 def test_bad_input_is_a_usage_error(tmp_path, capsys, tables, flags):
     argv = []
     if tables is not None:
@@ -50,15 +54,16 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, tables, flags):
 def test_bad_probe_timeout_is_a_usage_error(tmp_path, capsys):
     policy = tmp_path / "policy.json"
     policy.write_text("{}")
-    argv = ["probe", "--app-cmd", "/bin/true", "--test-script", "/bin/true",
-            "--policy", str(policy), "--timeout", "-1"]
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    err = capsys.readouterr().err.splitlines()
-    assert code == EXIT_USAGE
-    assert len(err) == 1 and err[0].startswith("error: "), err
+    for timeout in ("-1", "nan"):
+        argv = ["probe", "--app-cmd", "/bin/true", "--test-script", "/bin/true",
+                "--policy", str(policy), "--timeout", timeout]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err.splitlines()
+        assert code == EXIT_USAGE, timeout
+        assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 def _probe(tmp_path, policy_text: str) -> list[str]:

@@ -3,6 +3,7 @@
 import os
 import signal
 import subprocess
+import tempfile
 import threading
 import time
 from collections import Counter
@@ -26,7 +27,6 @@ from slens.interposer import (
     FeatureId,
     LaunchFailure,
     Policy,
-    ResourceSample,
     RunTrace,
     Whitelist,
     sample_resources,
@@ -379,6 +379,30 @@ def test_workdir_template_is_copied(fixtures, tmp_path):
     assert outcome.success
 
 
+def test_workdir_stays_private_with_a_template(fixtures, tmp_path):
+    """Copying a 0755 template leaves the run directory 0700."""
+    template = tmp_path / "template"
+    template.mkdir()
+    template.chmod(0o755)
+    script = tmp_path / "check_mode.sh"
+    script.write_text("#!/bin/sh\ntest \"$(stat -c %a .)\" = 700\n")
+    script.chmod(0o755)
+    spec = AppSpec(name="private", app_command=(fixtures.binary("noop"),),
+                   test_script=str(script), workdir_template=str(template))
+    outcome, _ = run_workload(spec, Policy.allow_all(), LIMITS)
+    assert outcome.success
+
+
+def test_missing_template_leaves_no_workdir(fixtures, tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    spec = AppSpec(name="untemplated", app_command=(fixtures.binary("noop"),),
+                   test_script=fixtures.script("pass.sh"),
+                   workdir_template=str(tmp_path / "missing"))
+    with pytest.raises(FileNotFoundError):
+        run_workload(spec, Policy.allow_all(), LIMITS)
+    assert not list(tmp_path.glob("slens-run-*"))
+
+
 def test_echo_server_health_check(fixtures):
     """Server fixture: port readiness then one request/response."""
     binary = fixtures.binary("echo_server")
@@ -399,13 +423,11 @@ def test_echo_server_health_check(fixtures):
 
 
 def test_sample_empty_pid_set():
-    s = sample_resources([])
-    assert (s.rss, s.fd_count) == (0, 0)
+    assert sample_resources([]) == (0, 0)
 
 
 def test_sample_dead_pid_skipped():
-    s = sample_resources([2**22 - 1])
-    assert (s.rss, s.fd_count) == (0, 0)
+    assert sample_resources([2**22 - 1]) == (0, 0)
 
 
 def test_sample_sums_over_pids(fixtures, tmp_path):
@@ -420,11 +442,11 @@ def test_sample_sums_over_pids(fixtures, tmp_path):
         while (not all((d / "out.txt").exists() for d in dirs)
                and time.monotonic() < deadline):
             time.sleep(0.02)  # buffers fully touched once the marker appears
-        singles = [sample_resources([p.pid]) for p in procs]
-        combined = sample_resources([p.pid for p in procs])
-        assert combined.rss == singles[0].rss + singles[1].rss
-        assert combined.fd_count == singles[0].fd_count + singles[1].fd_count
-        assert combined.rss >= 2 * 64 * 1024 * 1024
+        (rss_a, fds_a), (rss_b, fds_b) = [sample_resources([p.pid]) for p in procs]
+        rss, fds = sample_resources([p.pid for p in procs])
+        assert rss == rss_a + rss_b
+        assert fds == fds_a + fds_b
+        assert rss >= 2 * 64 * 1024 * 1024
     finally:
         for p in procs:
             p.kill()
@@ -438,18 +460,13 @@ def test_sample_reads_each_process_once():
     thread = threading.Thread(target=done.wait)
     thread.start()
     try:
-        both = sample_resources([os.getpid(), thread.native_id])
-        after = sample_resources([os.getpid()])
+        both_rss, both_fds = sample_resources([os.getpid(), thread.native_id])
+        after_rss, after_fds = sample_resources([os.getpid()])
     finally:
         done.set()
         thread.join()
-    assert both.fd_count == after.fd_count
-    assert 0 < both.rss <= after.rss  # VmHWM never falls
-
-
-def test_resource_sample_validation():
-    with pytest.raises(ValueError):
-        ResourceSample(timestamp=0.0, rss=-1, fd_count=0)
+    assert both_fds == after_fds
+    assert 0 < both_rss <= after_rss  # VmHWM never falls
 
 
 def test_workload_hash_changes_with_script(fixtures, app_spec_factory, tmp_path):
@@ -458,3 +475,14 @@ def test_workload_hash_changes_with_script(fixtures, app_spec_factory, tmp_path)
     assert base == spec.workload_hash()  # stable
     other = app_spec_factory("writer", script="pass.sh")
     assert other.workload_hash() != base
+
+
+def test_workload_hash_is_pinned(tmp_path):
+    """Stored profiles are keyed by this hash: a change to what it covers
+    moves every stored key, so its value for a fixed spec is a literal."""
+    script = tmp_path / "pinned.sh"
+    script.write_bytes(b"#!/bin/sh\nexit 0\n")
+    script.chmod(0o755)
+    spec = AppSpec(name="pinned", app_command=("/bin/true", "{port}"),
+                   test_script=str(script), readiness=Readiness(port=0))
+    assert spec.workload_hash() == "6b48857748757408"

@@ -390,7 +390,7 @@ def test_regression_flags_clear_drop():
     base = BaselineStats.from_outcomes(
         [_outcome(rss=100 + d, fds=10) for d in (-1, 0, 1, 0, -1, 1, 0, 0, 1, -1)])
     probes = [_outcome(rss=96 + d, fds=10) for d in (-1, 0, 1)]
-    flags = detect_regressions(base, probes, margin=0.03)
+    flags = detect_regressions(base, probes)
     assert "rss" in flags
     assert flags["rss"] == pytest.approx(-0.04, abs=0.02)
     assert "fds" not in flags
@@ -400,7 +400,7 @@ def test_regression_below_margin_not_flagged():
     base = BaselineStats.from_outcomes(
         [_outcome(rss=100 + d) for d in (-1, 0, 1, 0, -1, 1, 0, 0, 1, -1)])
     probes = [_outcome(rss=99 + d) for d in (-1, 0, 1)]
-    assert detect_regressions(base, probes, margin=0.03) == {}
+    assert detect_regressions(base, probes) == {}
 
 
 def test_regression_noise_gate():
@@ -408,13 +408,13 @@ def test_regression_noise_gate():
     base = BaselineStats.from_outcomes([_outcome(rss=p) for p in
                                         (60, 140, 80, 120, 100, 90, 110, 70, 130, 100)])
     probes = [_outcome(rss=p) for p in (80, 100, 96)]
-    assert "rss" not in detect_regressions(base, probes, margin=0.03)
+    assert "rss" not in detect_regressions(base, probes)
 
 
 def test_regression_missing_metric_skipped():
     base = BaselineStats.from_outcomes([])
     probes = [_outcome(rss=1000, fds=10)]
-    assert detect_regressions(base, probes, margin=0.03) == {}
+    assert detect_regressions(base, probes) == {}
 
 
 def test_perf_metric_feeds_no_flag():
@@ -423,13 +423,13 @@ def test_perf_metric_feeds_no_flag():
     base = BaselineStats.from_outcomes(
         [_outcome(perf=100 + d, rss=1000, fds=10) for d in (-1, 0, 1, 0, -1)])
     probes = [_outcome(perf=50 + d, rss=1000, fds=10) for d in (-1, 0, 1)]
-    assert detect_regressions(base, probes, margin=0.03) == {}
+    assert detect_regressions(base, probes) == {}
 
 
 def test_regression_resource_flags():
     base = BaselineStats.from_outcomes([_outcome(rss=1000, fds=10) for _ in range(5)])
     probes = [_outcome(rss=1400, fds=10), _outcome(rss=1400, fds=10)]
-    flags = detect_regressions(base, probes, margin=0.03)
+    flags = detect_regressions(base, probes)
     assert flags == {"rss": pytest.approx(0.4)}
 
 
@@ -439,9 +439,9 @@ def test_runs_without_a_reading_are_left_out():
     base = BaselineStats.from_outcomes(
         [_outcome(rss=1000, fds=10) for _ in range(4)] + [_outcome(rss=0, fds=0)])
     grown = [_outcome(rss=1100, fds=10) for _ in range(3)] + [_outcome(rss=0, fds=0)]
-    assert detect_regressions(base, grown, margin=0.03) == {"rss": pytest.approx(0.1)}
+    assert detect_regressions(base, grown) == {"rss": pytest.approx(0.1)}
     unread = [_outcome(rss=0, fds=0) for _ in range(3)]
-    assert detect_regressions(base, unread, margin=0.03) == {}
+    assert detect_regressions(base, unread) == {}
 
 
 def test_leaked_descriptor_is_flagged(fixtures, app_spec_factory):
@@ -458,7 +458,7 @@ def test_leaked_descriptor_is_flagged(fixtures, app_spec_factory):
 def test_regression_zero_baseline_skipped():
     base = BaselineStats.from_outcomes([_outcome(rss=0, fds=0) for _ in range(5)])
     probes = [_outcome(rss=500, fds=5)]
-    assert detect_regressions(base, probes, margin=0.03) == {}
+    assert detect_regressions(base, probes) == {}
 
 
 # -- bounds that discovery sets on the later runs

@@ -22,8 +22,10 @@ from slens.planner import (
     ImportanceRow,
     IncompleteOrdering,
     PlannerError,
+    FAKE_COST,
+    IMPLEMENT_COST,
+    STUB_COST,
     PlanStep,
-    PlanWeights,
     SupportPlan,
     UnconfirmedProfile,
     api_importance,
@@ -85,8 +87,8 @@ def oracle_min_total_implements(profiles: dict[str, AppProfile],
 
 
 def oracle_delta_cost(profile: AppProfile, pending: dict[str, AppProfile],
-                      state: OsSupportSet, weights: PlanWeights) -> float:
-    """Weighted cost of supporting ``profile`` next from ``state``.
+                      state: OsSupportSet) -> float:
+    """The planner's cost of supporting ``profile`` next from ``state``.
 
     Each syscall of the app that ``state`` does not satisfy is stubbed when
     every pending app accepts a stub for it, else faked when every pending
@@ -110,8 +112,8 @@ def oracle_delta_cost(profile: AppProfile, pending: dict[str, AppProfile],
         mode = ("stub" if "stub" in allowed[nr]
                 else "fake" if "fake" in allowed[nr] else "implement")
         counts[mode] += 1
-    return (weights.implement * counts["implement"] + weights.stub * counts["stub"]
-            + weights.fake * counts["fake"])
+    return (IMPLEMENT_COST * counts["implement"] + STUB_COST * counts["stub"]
+            + FAKE_COST * counts["fake"])
 
 
 # ---------------------------------------------------------------------------
@@ -360,16 +362,15 @@ def test_greedy_local_optimality():
             observed = rng.sample(range(10), rng.randint(1, 10))
             profiles[f"app{i}"] = profile_of(
                 f"app{i}", {nr: rng.choice(classes) for nr in observed})
-        weights = PlanWeights()
         plan = generate_plan(EMPTY_OS, profiles, sorted(profiles))
         state = EMPTY_OS
         pending = dict(profiles)
         for step in plan.steps:
-            chosen_cost = (weights.implement * len(step.implement)
-                           + weights.stub * len(step.stub)
-                           + weights.fake * len(step.fake))
+            chosen_cost = (IMPLEMENT_COST * len(step.implement)
+                           + STUB_COST * len(step.stub)
+                           + FAKE_COST * len(step.fake))
             for profile in pending.values():
-                cost = oracle_delta_cost(profile, pending, state, weights)
+                cost = oracle_delta_cost(profile, pending, state)
                 assert cost >= chosen_cost - 1e-9
             state = state.with_additions(step.implement, step.stub, step.fake)
             for name in step.unlocks:

@@ -1,5 +1,7 @@
 """Database persistence, CSV import/export."""
 
+import json
+import os
 import threading
 
 import pytest
@@ -96,6 +98,28 @@ def test_save_and_reload_round_trip(tmp_path):
     again = save_profile(str(tmp_path), loaded[0])
     with open(again) as f:
         assert f.read() == stored
+
+
+def test_indented_profile_loads_and_is_kept(tmp_path):
+    """A profile is stored as one compact line.  One stored indented, as
+    earlier versions wrote it, loads the same, and a re-save with the same
+    verdicts leaves its file untouched."""
+    entry = make_entry()
+    path = save_profile(str(tmp_path), entry)
+    with open(path) as f:
+        assert len(f.read().splitlines()) == 1
+    for name, doc in (("profile.json", entry.profile.to_json()),
+                      ("meta.json", dict(entry.provenance))):
+        with open(os.path.join(os.path.dirname(path), name), "w") as f:
+            f.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    with open(path) as f:
+        indented = f.read()
+    loaded = load_db(str(tmp_path))
+    assert loaded[0].profile == entry.profile
+    assert dict(loaded[0].provenance) == dict(entry.provenance)
+    assert save_profile(str(tmp_path), loaded[0]) == path
+    with open(path) as f:
+        assert f.read() == indented
 
 
 def test_second_identical_save_is_noop(tmp_path):
