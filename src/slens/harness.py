@@ -31,7 +31,11 @@ Test-script contract (stable):
   - exit code 0 means the run succeeded;
   - the last stdout line, if numeric, is taken as the performance metric.
 
-The script runs with the run's working directory as cwd.  The application's
+The script runs with the run's working directory as cwd, in a session and
+process group of its own.  Its stdout goes to script_stdout.log there and
+its stderr is discarded.  The run waits for the script itself to exit, not
+for its output to close, and then SIGKILLs the script's process group, so
+no child it left behind outlives the run.  The application's
 stdout/stderr are captured to app_stdout.log / app_stderr.log there.  The
 tokens ``{port}`` and ``{workdir}`` in the app command are substituted
 before launch.  The application inherits the caller's environment.
@@ -43,7 +47,9 @@ import hashlib
 import json
 import math
 import os
+import select
 import shutil
+import signal
 import socket
 import subprocess
 import tempfile
@@ -80,7 +86,8 @@ class Readiness:
     """When the app is considered ready for the test script.
 
     Either a fixed delay, or polling a TCP port until it accepts
-    connections.  ``port=0`` requests a free port allocated per run.
+    connections, not both.  ``port=0`` requests a free port allocated per
+    run.
     """
 
     delay: float = 0.0
@@ -91,6 +98,8 @@ class Readiness:
             raise ValueError("readiness delay must be a finite number >= 0")
         if self.port is not None and not 0 <= self.port <= 65535:
             raise ValueError(f"readiness port must be in 0..65535, not {self.port}")
+        if self.port is not None and self.delay:
+            raise ValueError("readiness is a delay or a port, not both")
 
 
 @dataclass(frozen=True)
@@ -251,9 +260,9 @@ def run_workload(spec: AppSpec, policy: Policy, limits: Limits,
     then SIGKILL after KILL_GRACE); none survives the run.  The calling
     thread must outlive the call (see ``slens.interposer``).
 
-    Raises LaunchFailure or TracerFault, with the tracer's own message,
-    when the app could not be launched or the tracer failed; the run then
-    has no outcome.
+    Raises LaunchFailure, from ``TraceSession.start``, when the app could
+    not be launched, and TracerFault when the tracer failed, each with the
+    tracer's own message; the run then has no outcome.
     """
     spec.validate()
     workdir = tempfile.mkdtemp(prefix="slens-run-")
@@ -287,7 +296,6 @@ def _run_workload_in(spec: AppSpec, policy: Policy, limits: Limits,
         else min(deadline, started + limits.ready_timeout)
     session = TraceSession.start(command, policy, spec.whitelist, tables, discovery,
                                  limits.hit_cap)
-    app_pid = session.app_pid  # raises LaunchFailure early
     perf_metric = None
     script_rc: int | None = None
     try:
@@ -296,21 +304,32 @@ def _run_workload_in(spec: AppSpec, policy: Policy, limits: Limits,
         if ready:
             script_env = dict(os.environ)
             script_env["SLENS_HOST"] = "127.0.0.1"
-            script_env["SLENS_APP_PID"] = str(app_pid)
+            script_env["SLENS_APP_PID"] = str(session.app_pid)
             script_argv = [spec.test_script, "127.0.0.1"]
             if port is not None:
                 script_env["SLENS_PORT"] = str(port)
                 script_argv.append(str(port))
+            out_path = os.path.join(workdir, "script_stdout.log")
+            with open(out_path, "wb") as out:
+                proc = subprocess.Popen(script_argv, cwd=workdir, env=script_env,
+                                        stdout=out, stderr=subprocess.DEVNULL,
+                                        start_new_session=True)
             try:
-                proc = subprocess.run(
-                    script_argv, cwd=workdir, env=script_env,
-                    stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                    timeout=max(0.0, deadline - time.monotonic()),
-                )
+                with open(os.pidfd_open(proc.pid), "rb", buffering=0) as pidfd:
+                    exit_poll = select.poll()
+                    exit_poll.register(pidfd, select.POLLIN)
+                    exited = exit_poll.poll(max(0.0, deadline - time.monotonic()) * 1e3)
+            finally:
+                # The unreaped script keeps its pid, and so its group id, ours.
+                try:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                proc.wait()
+            if exited:
                 script_rc = proc.returncode
-                perf_metric = _parse_perf_metric(proc.stdout)
-            except subprocess.TimeoutExpired:
-                pass
+                with open(out_path, "rb") as out:
+                    perf_metric = _parse_perf_metric(out.read())
         ended = time.monotonic()
     finally:
         trace = session.stop()

@@ -51,22 +51,25 @@ those events.  The tree runs without address-space randomisation
 (ADDR_NO_RANDOMIZE, as under gdb), so a deterministic program's readings
 repeat from run to run; where the kernel refuses, the run warns.
 
-The tracer reports to its session over one pipe, each message a pickled
-``(event, value)`` pair behind its 4-byte length: ``("launched", pid)`` at
-the root's first exec, ``("root_exit", (exit_code, signal))`` when the
-tracer reaps the root, ``("result", RunTrace)`` once no process is left,
-and ``("error", LaunchFailure | TracerFault)``.  The launched child holds
-the pipe until its exec closes it (O_CLOEXEC) and reports a failed launch
-step on it as a LaunchFailure; the tracer reports a fault of its own in
-place of the result.  The first error wins.  Only slens code writes to
-the pipe, the workload never, so the session may unpickle what it reads.
+The tracer reports to its session over one ``multiprocessing.Pipe``,
+each message an ``(event, value)`` pair sent with ``Connection.send``:
+``("launched", pid)`` at the root's first exec, ``("root_exit",
+(exit_code, signal))`` when the tracer reaps the root, ``("result",
+RunTrace)`` once no process is left, and ``("error", LaunchFailure |
+TracerFault)``.  The launched child holds the pipe until its exec closes
+it (O_CLOEXEC) and reports a failed launch step on it as a LaunchFailure;
+the tracer reports a fault of its own in place of the result.  The first
+error wins.  Only slens code writes to the pipe, the workload never, so
+the session may unpickle what it reads.
 
-A session starts no thread: one thread uses it, and reads the pipe only
-inside its calls.  That is safe because at most two small messages come
-before the result: the child's ``error`` or ``launched``, then
-``root_exit``.  So the tracer never waits for a reader while the run goes
-on; the result may wait until ``wait`` or ``stop`` drains the pipe, and
-every caller calls one.
+A session exists only once launched: ``TraceSession.start`` returns when
+the root has exec'd the command, and raises the run's error, with the
+tracer reaped, when it does not.  A session starts no thread: one thread
+uses it, and reads the pipe only inside its calls.  That is safe because
+at most two small messages come before the result: the child's ``error``
+or ``launched``, then ``root_exit``.  So the tracer never waits for a
+reader while the run goes on; the result may wait until ``wait`` or
+``stop`` drains the pipe, and every caller calls one.
 
 Caveat: the filter requires no_new_privs, which is inherited and cannot be
 unset, so setuid and setgid binaries (and file capabilities) confer no
@@ -82,15 +85,12 @@ from __future__ import annotations
 
 import errno as _errno
 import logging
-import math
 import os
-import pickle
-import select
 import signal
-import struct
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from multiprocessing import Pipe
 from typing import Callable, Iterable, Mapping
 
 from . import SlensError
@@ -106,7 +106,15 @@ _MAX_WARNINGS = 200
 
 KILL_GRACE = 2.0  # seconds from the stop request's SIGTERM to SIGKILL
 _LAUNCH_WAIT = 30.0  # seconds the parent waits for the launch announcement
-_FRAME = struct.Struct("<I")  # the length of each pickled message on the pipe
+# Seconds: the longest wait that one poll(2) call takes (2**31 - 1 ms), for
+# a session's pipe and for the harness's test script.
+MAX_TIMEOUT = (2**31 - 1) / 1000
+
+
+def check_timeout(timeout: float) -> None:
+    """Refuse a run timeout that is not a number in (0, MAX_TIMEOUT]."""
+    if not 0 < timeout <= MAX_TIMEOUT:
+        raise ValueError(f"timeout must be a number in (0, {MAX_TIMEOUT}] seconds")
 
 
 class LaunchFailure(SlensError):
@@ -410,8 +418,9 @@ class Command:
 
 @dataclass(frozen=True)
 class Limits:
-    """Run limits: the caller stops the run ``timeout`` seconds after it
-    started the session (see ``trace_run`` and ``harness.run_workload``).
+    """Run limits: the caller stops the run ``timeout`` seconds (at most
+    MAX_TIMEOUT) after it started the session (see ``trace_run`` and
+    ``harness.run_workload``).
     None sets no ``hit_cap`` (the most trapped calls of measured processes)
     or ``ready_timeout`` (the harness's longest port wait)."""
 
@@ -420,8 +429,7 @@ class Limits:
     ready_timeout: float | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.timeout) and self.timeout > 0):
-            raise ValueError("timeout must be a finite number > 0")
+        check_timeout(self.timeout)
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +732,7 @@ class _Engine:
 
 
 def _tracer_process(parent, command, policy, whitelist, tables, discovery,
-                    hit_cap, write_fd) -> None:
+                    hit_cap, writer) -> None:
     """Entry point of the forked tracer process.  Never returns."""
     signal.signal(signal.SIGTERM, signal.SIG_DFL)  # until _launch takes requests
     pt.set_pdeathsig(signal.SIGKILL)
@@ -732,15 +740,10 @@ def _tracer_process(parent, command, policy, whitelist, tables, discovery,
         os._exit(1)  # the parent died before the line above
 
     def emit(event: str, value) -> None:
-        # A stop request's SIGTERM can cut short a write that waits for
-        # the reader, which returns the bytes written so far.
-        data = pickle.dumps((event, value))
-        view = memoryview(_FRAME.pack(len(data)) + data)
         try:
-            while view:
-                view = view[os.write(write_fd, view):]
+            writer.send((event, value))
         except OSError:
-            pass
+            pass  # the session is gone
 
     engine = _Engine(command, policy, whitelist, tables, discovery, hit_cap, emit)
     code = 0
@@ -758,23 +761,22 @@ def _tracer_process(parent, command, policy, whitelist, tables, discovery,
 
 
 class TraceSession:
-    """Handle to a run executing under a dedicated tracer process.
+    """Handle to a launched run executing under a dedicated tracer process.
 
     The tracer owns all tracee interactions; this object only reads its
     messages (see the module docstring) and can ask the tracer to end the
-    run (``stop``).  It starts no thread: one thread uses it, and each call
-    reads the pipe in that thread.  A session ends with ``wait`` or
-    ``stop``, which drain the pipe, or with the error of ``app_pid``.
+    run (``stop``).  ``app_pid`` is the pid of the application root, which
+    has exec'd the command, and also its process-group id.  The session
+    starts no thread: one thread uses it, and each call reads the pipe in
+    that thread.  A session ends with ``wait`` or ``stop``, which drain the
+    pipe.
     """
 
-    def __init__(self, tracer_pid: int, read_fd: int):
+    def __init__(self, tracer_pid: int, reader):
         self._tracer_pid = tracer_pid
-        self._read_fd = read_fd
-        self._poll = select.poll()
-        self._poll.register(read_fd, select.POLLIN)
-        self._buf = bytearray()
+        self._reader = reader
         self._eof = False
-        self._app_pid: int | None = None
+        self.app_pid: int | None = None
         self._root_status: tuple[int | None, int | None] | None = None
         self._trace: RunTrace | None = None
         self._error: LaunchFailure | TracerFault | None = None
@@ -783,34 +785,51 @@ class TraceSession:
     def start(cls, command: Command, policy: Policy, whitelist: Whitelist,
               tables: InterposerTables = DEFAULT_TABLES,
               discovery: bool = True, hit_cap: int | None = None) -> "TraceSession":
-        """Launch ``command`` under a new tracer process.
+        """Launch ``command`` under a new tracer process and return once the
+        root has exec'd it.
 
         A ``discovery`` run traps, and so observes, every syscall; any
         other run traps only the syscalls that ``policy`` overrides.  A run
         past ``hit_cap`` trapped calls ends (see the module docstring).  The
         calling thread must outlive the session: its exit is a stop request.
+
+        A command that does not launch raises the run's LaunchFailure or
+        TracerFault, with the tracer reaped.  A tracer that has not
+        announced the launch within _LAUNCH_WAIT seconds is killed first;
+        PTRACE_O_EXITKILL and the child's PR_SET_PDEATHSIG take the child
+        with it.
         """
-        read_fd, write_fd = os.pipe()
+        reader, writer = Pipe(duplex=False)
         parent = os.getpid()
         tracer_pid = os.fork()
         if tracer_pid == 0:
             # Other threads may be starting sessions of their own, so this
             # child must touch no lock another thread may hold: it never
-            # logs, and writes only with os.write.  It also closes every
-            # inherited descriptor but stdio and its own pipe, since one it
-            # kept could be another session's pipe or a test script's
-            # output pipe, whose reader would then wait for this tracer.
+            # logs, and writes only with its pipe's os.write.  It also
+            # closes every inherited descriptor but stdio and its own pipe,
+            # since one it kept could be another session's pipe or a test
+            # script's output, whose reader would then wait for this tracer.
             # Whatever escapes, such as KeyboardInterrupt, must not unwind
             # the caller's stack in this copy of it.
             try:
-                os.closerange(3, write_fd)
-                os.closerange(max(3, write_fd + 1), os.sysconf("SC_OPEN_MAX"))
+                fd = writer.fileno()
+                os.closerange(3, fd)
+                os.closerange(max(3, fd + 1), os.sysconf("SC_OPEN_MAX"))
                 _tracer_process(parent, command, policy, whitelist, tables,
-                                discovery, hit_cap, write_fd)
+                                discovery, hit_cap, writer)
             finally:
                 os._exit(1)
-        os.close(write_fd)
-        return cls(tracer_pid, read_fd)
+        writer.close()
+        session = cls(tracer_pid, reader)
+        session._read(_LAUNCH_WAIT, lambda: session.app_pid is not None
+                      or session._error is not None)
+        if session.app_pid is None:
+            if not session._eof:  # the pid is still ours: the tracer is not reaped
+                os.kill(tracer_pid, signal.SIGKILL)
+            session._read(None, lambda: False)  # to the end, which the kill brings
+            os.waitpid(tracer_pid, 0)
+            raise session._error or LaunchFailure("tracer exited before launch")
+        return session
 
     # -- the tracer's messages, read in the caller's thread
 
@@ -819,26 +838,19 @@ class TraceSession:
         ``timeout`` seconds pass (None: no limit).  Returns ``until()``."""
         deadline = None if timeout is None else time.monotonic() + timeout
         while not until() and not self._eof:
-            left = None if deadline is None else max(0, deadline - time.monotonic())
-            if not self._poll.poll(None if left is None else left * 1000):
-                break
-            chunk = os.read(self._read_fd, 65536)
-            if not chunk:
-                self._eof = True
-                os.close(self._read_fd)
-                break
-            self._buf += chunk
-            while len(self._buf) >= _FRAME.size:
-                end = _FRAME.size + _FRAME.unpack_from(self._buf)[0]
-                if len(self._buf) < end:
+            left = None if deadline is None else max(0.0, deadline - time.monotonic())
+            try:
+                if not self._reader.poll(left):
                     break
-                self._handle_message(*pickle.loads(self._buf[_FRAME.size:end]))
-                del self._buf[:end]
+                self._handle_message(*self._reader.recv())
+            except (EOFError, OSError):  # the tracer has ended
+                self._eof = True
+                self._reader.close()
         return until()
 
     def _handle_message(self, event: str, value) -> None:
         if event == "launched":
-            self._app_pid = value
+            self.app_pid = value
         elif event == "root_exit":
             self._root_status = value
         elif event == "result":
@@ -846,28 +858,7 @@ class TraceSession:
         elif self._error is None:  # an error: the first one wins
             self._error = value
 
-    def _launched(self) -> bool:
-        """Wait until the root has exec'd or an error came; whether it exec'd."""
-        self._read(_LAUNCH_WAIT, lambda: self._app_pid is not None or self._error is not None)
-        return self._app_pid is not None
-
     # -- public API
-
-    @property
-    def app_pid(self) -> int:
-        """Pid of the application root (also its process-group id), once the
-        root has exec'd the command.
-
-        Raises the run's LaunchFailure or TracerFault if it has none; after
-        an error the tracer ends at once, and this reaps it.
-        """
-        if not self._launched():
-            if self._error is not None:
-                self._read(None, lambda: self._eof)
-            if self._eof:  # the tracer ended: reap it, as ``wait`` would
-                os.waitpid(self._tracer_pid, 0)
-            raise self._error or LaunchFailure("tracer exited before launch")
-        return self._app_pid
 
     def root_status(self) -> tuple[int | None, int | None] | None:
         """(exit_code, signal) of the root once it exited, else None."""
@@ -881,12 +872,11 @@ class TraceSession:
     def stop(self) -> RunTrace:
         """End the run and return its trace, as ``wait`` does.
 
-        Once the launch is announced, sends the tracer a stop request, and
-        a second one KILL_GRACE seconds later: the tree gets SIGTERM, then
-        SIGKILL.  A tracer not finished 10 s after that is killed, and
-        PTRACE_O_EXITKILL takes the tree with it; this raises TracerFault.
+        Sends the tracer a stop request, and a second one KILL_GRACE
+        seconds later: the tree gets SIGTERM, then SIGKILL.  A tracer not
+        finished 10 s after that is killed, and PTRACE_O_EXITKILL takes the
+        tree with it; this raises TracerFault.
         """
-        self._launched()
         for grace in (KILL_GRACE, 10):
             if not self._eof:  # the tracer is not reaped, so the pid is still ours
                 os.kill(self._tracer_pid, signal.SIGTERM)
@@ -923,9 +913,10 @@ def trace_run(command: Command, policy: Policy, whitelist: Whitelist,
     """Run a command to completion under the interposition engine.
 
     Blocking convenience wrapper around TraceSession (see its ``start`` for
-    ``discovery``) for workloads that terminate by themselves.  A run not
-    finished ``limits.timeout`` seconds after the start is stopped
-    (``TraceSession.stop``), and its trace has ``timed_out`` set.
+    ``discovery`` and for a command that does not launch) for workloads
+    that terminate by themselves.  A run not finished ``limits.timeout``
+    seconds after its launch is stopped (``TraceSession.stop``), and its
+    trace has ``timed_out`` set.
     """
     session = TraceSession.start(command, policy, whitelist, tables, discovery, limits.hit_cap)
     try:

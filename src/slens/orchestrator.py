@@ -74,6 +74,7 @@ from .interposer import (
     Policy,
     RunTrace,
     TracerFault,
+    check_timeout,
     fake,
 )
 from . import syscalls
@@ -131,8 +132,9 @@ class AnalysisConfig:
     lowers it to 1 for a spec with a fixed readiness port or a readiness
     delay (see the module docstring).  ``perf_runs`` extra allow-all runs
     collect baseline statistics for regression detection; 0 disables it.
-    ``timeout`` bounds every run (None: max(10 s, 3 x discovery duration));
-    runs after discovery may end sooner (see the module docstring).
+    ``timeout`` bounds every run, at most ``interposer.MAX_TIMEOUT`` (None:
+    max(10 s, 3 x discovery duration)); runs after discovery may end sooner
+    (see the module docstring).
     """
 
     replicas: int = 3
@@ -149,8 +151,8 @@ class AnalysisConfig:
             raise ValueError("parallelism must be >= 1")
         if self.perf_runs < 0:
             raise ValueError("perf_runs must be >= 0")
-        if self.timeout is not None and not (math.isfinite(self.timeout) and self.timeout > 0):
-            raise ValueError("timeout must be a finite number > 0")
+        if self.timeout is not None:
+            check_timeout(self.timeout)
 
 
 @dataclass(frozen=True)

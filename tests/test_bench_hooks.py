@@ -36,6 +36,21 @@ def test_tracer_finds_every_hooked_name(perfbench):
         "self", "policy", "replica", "label"]
 
 
+def test_session_span_wraps_a_launched_session(perfbench):
+    """``--trace 1`` records one session span per run, from ``start`` to
+    the ``wait`` that finds the tracer ended."""
+    import spans
+
+    from slens.interposer import Command, Limits, Policy, Whitelist, trace_run
+
+    with spans.Tracer() as tracer:
+        trace = trace_run(Command(argv=("/bin/true",)), Policy.allow_all(),
+                          Whitelist(), Limits(timeout=10))
+    assert trace.exit_code == 0
+    sessions = [s for s in tracer.spans if s.name == "interposer.session"]
+    assert len(sessions) == 1 and sessions[0].end is not None
+
+
 def test_micro_imports(perfbench):
     import micro  # noqa: F401
     from slens import (STUB, AppSpec, Command, FeatureId, Limits, Policy,  # noqa: F401

@@ -31,9 +31,13 @@ OPENAT = name_to_nr("openat")
     (None, ["--timeout", "nan"]),
     (None, ["--timeout", "inf"]),
     (None, ["--ready-delay", "nan"]),
+    (None, ["--timeout", "3e6"]),
+    (None, ["--timeout", "1e308"]),
+    (None, ["--port", "0", "--ready-delay", "1"]),
 ], ids=["fake-value-not-int", "relative-pseudo-prefix", "relative-whitelist",
         "parallel-0", "negative-ready-delay", "timeout-0", "port-70000", "port-negative",
-        "timeout-nan", "timeout-inf", "ready-delay-nan"])
+        "timeout-nan", "timeout-inf", "ready-delay-nan", "timeout-3e6", "timeout-1e308",
+        "port-and-ready-delay"])
 def test_bad_input_is_a_usage_error(tmp_path, capsys, tables, flags):
     argv = []
     if tables is not None:
@@ -54,7 +58,7 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, tables, flags):
 def test_bad_probe_timeout_is_a_usage_error(tmp_path, capsys):
     policy = tmp_path / "policy.json"
     policy.write_text("{}")
-    for timeout in ("-1", "nan"):
+    for timeout in ("-1", "nan", "3e6", "1e308"):
         argv = ["probe", "--app-cmd", "/bin/true", "--test-script", "/bin/true",
                 "--policy", str(policy), "--timeout", timeout]
         try:

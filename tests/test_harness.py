@@ -9,6 +9,7 @@ import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +65,49 @@ def test_timeout_reason(fixtures, app_spec_factory):
     spec = app_spec_factory("sleeper", script="hang.sh")
     outcome, _ = run_workload(spec, Policy.allow_all(), Limits(timeout=0.6))
     assert not outcome.success and outcome.reason == "timeout"
+
+
+def _background_sleep(fixtures, tmp_path, tail: str) -> tuple[AppSpec, Path]:
+    """A spec whose script backgrounds ``sleep 600``, writes its pid to the
+    returned file and then runs ``tail``."""
+    pidfile = tmp_path / "sleep.pid"
+    script = tmp_path / "background.sh"
+    script.write_text(f"#!/bin/sh\nsleep 600 &\necho $! > {pidfile}\n{tail}\n")
+    script.chmod(0o755)
+    return AppSpec(name="background", app_command=(fixtures.binary("sleeper"),),
+                   test_script=str(script)), pidfile
+
+
+def _gone(pid: int, within: float = 1.0) -> bool:
+    """Whether ``pid`` has no /proc entry, or is a zombie, within ``within`` s."""
+    deadline = time.monotonic() + within
+    while True:
+        try:
+            with open(f"/proc/{pid}/stat") as f:
+                gone = f.read().rsplit(")", 1)[1].split()[0] == "Z"
+        except FileNotFoundError:
+            gone = True
+        if gone or time.monotonic() > deadline:
+            return gone
+        time.sleep(0.02)
+
+
+def test_script_exit_is_not_held_by_its_children(fixtures, tmp_path):
+    """The run waits for the script's exit, not for its stdout to close:
+    a background child that keeps the stdout open delays nothing, and it
+    ends with the run."""
+    spec, pidfile = _background_sleep(fixtures, tmp_path, "echo 42")
+    outcome, _ = run_workload(spec, Policy.allow_all(), Limits(timeout=5.0))
+    assert (outcome.reason, outcome.perf_metric) == ("script_ok", 42.0)
+    assert outcome.duration < 2.0
+    assert _gone(int(pidfile.read_text()))
+
+
+def test_script_timeout_ends_its_children(fixtures, tmp_path):
+    spec, pidfile = _background_sleep(fixtures, tmp_path, "wait")
+    outcome, _ = run_workload(spec, Policy.allow_all(), Limits(timeout=0.6))
+    assert outcome.reason == "timeout"
+    assert _gone(int(pidfile.read_text()))
 
 
 def test_readiness_timeout_is_not_a_crash(fixtures, app_spec_factory):
@@ -352,14 +396,13 @@ def test_workload_ignoring_sigterm_is_killed_after_the_grace(fixtures, app_spec_
     assert (trace.timed_out, trace.signaled) == (True, signal.SIGKILL)
 
 
-def test_workdir_is_isolated_and_cleaned(fixtures, app_spec_factory, tmp_path):
-    before = set(os.listdir("/tmp"))
+def test_workdir_is_isolated_and_cleaned(fixtures, app_spec_factory, tmp_path,
+                                        monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     outcome, _ = run_workload(app_spec_factory("writer"),
                               Policy.allow_all(), LIMITS)
     assert outcome.success
-    leftovers = [d for d in set(os.listdir("/tmp")) - before
-                 if d.startswith("slens-run-")]
-    assert leftovers == []
+    assert not list(tmp_path.glob("slens-run-*"))
 
 
 def test_workdir_template_is_copied(fixtures, tmp_path):

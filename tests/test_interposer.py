@@ -13,8 +13,10 @@ from pathlib import Path
 import pytest
 
 import slens._ptrace
+import slens.interposer
 from slens.interposer import (
     ALLOW,
+    MAX_TIMEOUT,
     Command,
     FeatureId,
     LaunchFailure,
@@ -354,14 +356,38 @@ def test_launch_failure_for_missing_binary():
 
 def test_app_pid_of_a_failed_exec_raises():
     """The pid is announced only at the root's exec, so a launch whose exec
-    fails never has one; the tracer has ended and been reaped."""
-    session = TraceSession.start(Command(argv=("/nonexistent/binary",)),
-                                 Policy.allow_all(), Whitelist())
+    fails never has one: ``start`` raises, and the tracer has ended and
+    been reaped."""
     with pytest.raises(LaunchFailure, match=r"^exec of /nonexistent/binary failed: "
                                             r"No such file or directory \(errno 2\)$"):
-        session.app_pid
+        TraceSession.start(Command(argv=("/nonexistent/binary",)),
+                           Policy.allow_all(), Whitelist())
     with pytest.raises(ChildProcessError):
-        os.waitpid(session._tracer_pid, os.WNOHANG)
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_launch_that_never_comes_is_killed(tmp_path, monkeypatch):
+    """A child that never reaches its exec, here blocked opening a FIFO for
+    its stdout, is waited for _LAUNCH_WAIT seconds only: ``start`` kills
+    the tracer, reaps it and raises LaunchFailure."""
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    monkeypatch.setattr(slens.interposer, "_LAUNCH_WAIT", 0.5)
+    t0 = time.monotonic()
+    with pytest.raises(LaunchFailure):
+        TraceSession.start(Command(argv=("/bin/true",), stdout_path=str(fifo)),
+                           Policy.allow_all(), Whitelist())
+    assert time.monotonic() - t0 < 1.0
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_timeout_past_one_poll_is_refused():
+    """One poll(2) waits at most 2**31 - 1 ms, so a longer run timeout is
+    refused up front, not met as an OverflowError in the run."""
+    assert Limits(timeout=MAX_TIMEOUT).timeout == MAX_TIMEOUT
+    with pytest.raises(ValueError):
+        Limits(timeout=3e6)
 
 
 def test_relative_binary_is_found_from_the_command_cwd(fixtures, tmp_path):
