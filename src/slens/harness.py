@@ -35,10 +35,13 @@ The script runs with the run's working directory as cwd, in a session and
 process group of its own.  Its stdout goes to script_stdout.log there and
 its stderr is discarded.  The run waits for the script itself to exit, not
 for its output to close, and then SIGKILLs the script's process group, so
-no child it left behind outlives the run.  The application's
-stdout/stderr are captured to app_stdout.log / app_stderr.log there.  The
-tokens ``{port}`` and ``{workdir}`` in the app command are substituted
-before launch.  The application inherits the caller's environment.
+no child it left behind in that group outlives the run.  A child that
+calls ``setsid`` leaves the group, so the kill misses it and it does
+outlive the run (ROADMAP.md item 10, step A, closes that gap).  The
+application's stdout/stderr are captured to app_stdout.log /
+app_stderr.log there.  The tokens ``{port}`` and ``{workdir}`` in the app
+command are substituted before launch.  The application inherits the
+caller's environment.
 """
 
 from __future__ import annotations

@@ -1,11 +1,15 @@
 """Analysis protocol: discovery, per-feature stub/fake probes, confirmation.
 
-For an application workload the orchestrator runs, per replica, one
-discovery run, one stub run and one fake run per observed feature, and one
-final combined confirmation run: exactly 2 + 2*s workload executions per
-replica for s discovered features, plus ``perf_runs`` allow-all baseline
-runs that feed regression detection.  Replica results merge conservatively
-(a feature probe "works" only if every replica succeeded).
+For an application workload with s discovered features the orchestrator
+runs r replicas of discovery, of a stub probe and a fake probe per feature,
+and of one final combined confirmation run, plus ``perf_runs`` allow-all
+baseline runs that feed regression detection.  Replica results merge
+conservatively (a feature probe "works" only if every replica succeeded),
+so a probe whose first replica failed runs no other replica, unless
+``parallelism`` covers every probe run at once.  For W working probes that
+makes exactly r + perf_runs + 2s + (r - 1) W + r workload executions (2 +
+2s + perf_runs with one replica), or (2 + 2s) r + perf_runs when
+``parallelism`` >= 2s r + perf_runs.
 
 Only discovery runs trap every syscall (see ``slens.interposer``); the
 orchestrator tells them from the others by their label.  A probe thus
@@ -17,13 +21,19 @@ The tracer reads those at every measured exit, with address-space
 randomisation off, so flags see real and repeatable readings; but the test
 is still a margin and a 2σ gate with no false-discovery control.
 
-The runs fall into three phases, and the runs of one phase do not depend on
-each other:
+The runs fall into phases, and the runs of one phase do not depend on each
+other:
 
 1. discovery: one allow-all run per replica;
-2. probes: the baseline runs together with every feature x mode x replica
-   probe, so that regression detection compares runs made under the same
-   load;
+2. probes, in two sub-phases that share out the baseline runs, so that
+   regression detection compares runs made under the same load:
+   a. replica 0 of every feature x mode probe, and ceil(perf_runs / 2)
+      baseline runs;
+   b. replicas 1..r-1 of the probes whose replica 0 succeeded, and the
+      other baseline runs.
+   With one replica, or when one round of ``parallelism`` runs holds every
+   probe and baseline run, sub-phase a runs every replica of every probe
+   and every baseline run, and there is no sub-phase b;
 3. confirmation: one run of the combined policy per replica.
 
 Discovery also bounds the later runs.  One whose measured processes make
@@ -220,7 +230,12 @@ def detect_regressions(baseline: BaselineStats,
 @dataclass
 class ProbeResult:
     """Replicated outcomes of probing one feature in one mode; the probe
-    ``works`` when every replica succeeded."""
+    ``works`` when every replica succeeded.
+
+    A working probe holds one outcome per replica.  A broken one may hold
+    fewer: a probe whose replica 0 failed runs no other replica, so it holds
+    that one outcome, unless its phase ran every replica at once
+    (``Orchestrator._probe_all``)."""
 
     feature: FeatureId
     mode: str
@@ -440,42 +455,71 @@ class Orchestrator:
             self._counts |= trace.observed
         return tuple(sorted(self._counts, key=FeatureId.sort_key))
 
-    def _probe_all(self, keys: Sequence[tuple[FeatureId, str]]) -> list[ProbeResult]:
-        """Probe each (feature, mode) over all replicas, as one phase.
+    def _phase(self, runs: Sequence[tuple[Policy, int, str]], n_base: int
+               ) -> tuple[list[WorkloadOutcome], list[WorkloadOutcome]]:
+        """Run ``runs`` and ``n_base`` baseline runs as one phase; return
+        their outcomes apart, each in order.
 
-        Until a baseline exists, the phase also makes the ``perf_runs``
-        baseline runs and records their statistics in ``baseline``; the
-        statistics come from those runs only, so the sample size is
-        exactly ``perf_runs``.  Baseline run j is run j * ceil(n / k) of
-        the n runs of the phase (k = ``perf_runs``), so host drift during
-        the phase reaches baseline and probes alike; but the phase opens
-        with one baseline run per worker (j < ``parallelism``), so that a
-        workload failing unmodified ends it before a probe run can finish
-        and start another.  Raises BaselineFailure when one fails.
+        Baseline run j (replica ``replicas + j``) is run j * ceil(n / n_base)
+        of the phase's n runs, so host drift during the phase reaches
+        baseline and probes alike; but the phase opens with its first
+        min(n_base, ``parallelism``) baseline runs (j < ``parallelism``), so
+        that a workload failing unmodified ends the phase before those
+        workers can finish a probe run and start another.  With fewer
+        baseline runs than workers, the other workers start probe runs
+        beside them.  Raises BaselineFailure when a baseline run fails.
         """
-        r = self.config.replicas
-        runs = []
-        for feature, mode in keys:
-            policy = probe_policy(feature, mode, self.tables)
-            runs += [(policy, i, f"{mode}:{feature_label(feature)}") for i in range(r)]
-        n_base = self.config.perf_runs if self.baseline is None else 0
+        runs = list(runs)
         step = -(-(len(runs) + n_base) // max(n_base, 1))
         for j in range(n_base):
             runs.insert(j if j < self.parallelism else j * step,
-                        (Policy.allow_all(), r + j, "baseline"))
+                        (Policy.allow_all(), self.config.replicas + j, "baseline"))
         outcomes = [o for o, _ in self._run_all(runs)]
-        if n_base:
-            self.baseline = BaselineStats.from_outcomes(
+        return ([o for (_, _, label), o in zip(runs, outcomes) if label != "baseline"],
                 [o for (_, _, label), o in zip(runs, outcomes) if label == "baseline"])
-        outcomes = [o for (_, _, label), o in zip(runs, outcomes) if label != "baseline"]
+
+    def _probe_all(self, keys: Sequence[tuple[FeatureId, str]]) -> list[ProbeResult]:
+        """Probe each (feature, mode), in two phases unless one round holds
+        every run.
+
+        A probe works only if every replica succeeds, so phase 1 runs
+        replica 0 of every probe, and phase 2 runs replicas 1..r-1 of the
+        probes whose replica 0 succeeded.  Until a baseline exists, the
+        phases also make the k = ``perf_runs`` baseline runs, ceil(k/2) in
+        phase 1 and the rest in phase 2, and record their statistics in
+        ``baseline``; the statistics come from those runs only, so the
+        sample size is exactly k however many probes work.  With one
+        replica, or with ``parallelism`` >= r * len(keys) + k, a second
+        phase could only add a round, so one phase runs every replica of
+        every probe and all k baseline runs.
+        Raises BaselineFailure when a baseline run fails.
+        """
+        r = self.config.replicas
+        k = self.config.perf_runs if self.baseline is None else 0
+        split = r > 1 and self.parallelism < r * len(keys) + k
+        r1, k1 = (1, -(-k // 2)) if split else (r, k)
+        labelled = [(probe_policy(feature, mode, self.tables), f"{mode}:{feature_label(feature)}")
+                    for feature, mode in keys]
+        first, base = self._phase(
+            [(policy, i, label) for policy, label in labelled for i in range(r1)], k1)
+        per_probe = [first[n * r1:(n + 1) * r1] for n in range(len(keys))]
+        if split:
+            again = [n for n, outcomes in enumerate(per_probe) if outcomes[0].success]
+            rest, more = self._phase(
+                [(labelled[n][0], i, labelled[n][1]) for n in again for i in range(1, r)],
+                k - k1)
+            base += more
+            for j, n in enumerate(again):
+                per_probe[n] += rest[j * (r - 1):(j + 1) * (r - 1)]
+        if k:
+            self.baseline = BaselineStats.from_outcomes(base)
 
         probes = []
-        for k, (feature, mode) in enumerate(keys):
-            replicas = outcomes[k * r:(k + 1) * r]
-            result = ProbeResult(feature=feature, mode=mode, outcomes=replicas,
-                                 works=all(o.success for o in replicas))
+        for (feature, mode), outcomes in zip(keys, per_probe):
+            result = ProbeResult(feature=feature, mode=mode, outcomes=outcomes,
+                                 works=all(o.success for o in outcomes))
             if result.works and self.baseline is not None:
-                result.regression_flags = detect_regressions(self.baseline, replicas)
+                result.regression_flags = detect_regressions(self.baseline, outcomes)
             log.info("probe app=%s feature=%s mode=%s verdict=%s flags=%s",
                      self.spec.name, feature_label(feature), mode,
                      "works" if result.works else "breaks", result.regression_flags or "-")
@@ -483,7 +527,7 @@ class Orchestrator:
         return probes
 
     def probe_feature(self, feature: FeatureId, mode: str) -> ProbeResult:
-        """Probe one feature in stub or fake mode over all replicas."""
+        """Probe one feature in stub or fake mode, as ``_probe_all`` does."""
         if self._counts is not None and feature not in self._counts:
             raise ValueError(f"feature {feature_label(feature)} was not discovered")
         return self._probe_all([(feature, mode)])[0]

@@ -1,0 +1,44 @@
+"""tools/bench.py: the code-line count and the tally of pairs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench.py"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    spec = importlib.util.spec_from_file_location("bench", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_code_lines_leave_out_blanks_comments_and_docstrings(bench):
+    source = '''"""Module doc."""
+
+# a comment
+x = 1  # a trailing comment
+
+
+def f():
+    """Two lines
+    of doc."""
+    "not a docstring"
+    return (1,
+            2)
+'''
+    # x = 1, def f():, the string statement and both lines of the return.
+    assert bench.code_lines(source) == 5
+
+
+def test_wins_count_neither_side_on_a_tie(bench):
+    def runs(*values):
+        return [{"metrics": {"wall_s": {"value": v}}} for v in values]
+
+    before, after = runs(1.0, 1.0, 1.0), runs(0.5, 1.0, 2.0)
+    assert bench.wins(before, after, "wall_s", "lower") == 1
+    assert bench.wins(before, after, "wall_s", "higher") == 1
+    assert bench.wins(before, before, "wall_s", "lower") == 0

@@ -21,6 +21,7 @@ from slens.orchestrator import (
     BaselineStats,
     CLASS_ANY,
     CLASS_FAKE_ONLY,
+    CLASS_MODES,
     CLASS_REQUIRED,
     CLASS_STUB_ONLY,
     HIT_CAP_FLOOR,
@@ -40,6 +41,18 @@ def _outcome(success=True, perf=None, rss=0, fds=0):
         reason="script_ok" if success else "script_fail",
         perf_metric=perf, peak_rss=rss, peak_fds=fds, duration=0.1,
     )
+
+
+def _run_count(config, profile):
+    """The runs of a full analysis: r + perf_runs + 2s + (r - 1) W + r, for
+    s features and W working probes (only those run replicas 1..r-1), or
+    (2 + 2s) r + perf_runs when one round of ``parallelism`` runs holds
+    every probe and baseline run."""
+    r, k, s = config.replicas, config.perf_runs, len(profile.observed)
+    if config.parallelism >= 2 * s * r + k:
+        return (2 + 2 * s) * r + k
+    w = sum(len(CLASS_MODES[c]) for c in profile.classes.values())
+    return r + k + 2 * s + (r - 1) * w + r
 
 
 # -- discovery
@@ -115,9 +128,8 @@ def test_run_count_law_with_replicas(fixtures, app_spec_factory):
     config = AnalysisConfig(replicas=3, perf_runs=0, timeout=5.0)
     orch = Orchestrator(app_spec_factory("feat3", script="wait_exit.sh"), config)
     profile = orch.full_analysis()
-    s = len(profile.observed)
-    assert s == 3
-    assert orch.executions == (2 + 2 * s) * 3
+    assert len(profile.observed) == 3
+    assert orch.executions == _run_count(config, profile) == 20
 
 
 def test_perf_runs_add_to_counter(fixtures, app_spec_factory):
@@ -181,19 +193,23 @@ def test_profile_json_round_trip(fixtures, app_spec_factory):
 # -- scheduling
 
 
-@pytest.mark.parametrize("binary,script", [
-    ("feat3", "wait_exit.sh"),
-    ("two_sources", "check_out.sh"),  # confirmation fails
-    ("getrlimit_fallback", "check_out.sh"),
-])
-def test_parallel_analysis_matches_sequential(fixtures, app_spec_factory, binary, script):
+@pytest.mark.parametrize("binary,script,replicas", [
+    ("feat3", "wait_exit.sh", 2),
+    ("two_sources", "check_out.sh", 2),  # confirmation fails
+    ("getrlimit_fallback", "check_out.sh", 2),
+    ("getrlimit_fallback", "check_out.sh", 3),
+], ids=["feat3-wait_exit.sh", "two_sources-check_out.sh",
+        "getrlimit_fallback-check_out.sh", "getrlimit_fallback-check_out.sh-replicas3"])
+def test_parallel_analysis_matches_sequential(fixtures, app_spec_factory, binary, script,
+                                              replicas):
     """Running a phase's runs concurrently changes no verdict and no count."""
     seen = []
     for parallelism in (1, 4):
-        config = AnalysisConfig(replicas=2, perf_runs=2, timeout=5.0,
+        config = AnalysisConfig(replicas=replicas, perf_runs=2, timeout=5.0,
                                 parallelism=parallelism)
         orch = Orchestrator(app_spec_factory(binary, script=script), config)
         profile = orch.full_analysis()
+        assert orch.executions == _run_count(config, profile)
         seen.append((profile.classes, profile.confirmed, orch.executions))
     assert seen[0] == seen[1]
 
@@ -202,9 +218,8 @@ def test_run_count_law_with_parallelism_above_replicas(fixtures, app_spec_factor
     config = AnalysisConfig(replicas=2, perf_runs=3, parallelism=5, timeout=5.0)
     orch = Orchestrator(app_spec_factory("feat3", script="wait_exit.sh"), config)
     profile = orch.full_analysis()
-    s = len(profile.observed)
-    assert s == 3
-    assert orch.executions == (2 + 2 * s) * 2 + 3
+    assert len(profile.observed) == 3
+    assert orch.executions == _run_count(config, profile) == 17
     assert len(orch.baseline.rss) == 3
 
 
@@ -310,6 +325,92 @@ def test_baseline_runs_interleave_with_probes(fixtures, app_spec_factory, monkey
     assert len(orch.baseline.rss) == 3
 
 
+GETPID = FeatureId(name_to_nr("getpid"))
+
+
+def _fails_under(policy):
+    """A ``_StubRuns`` fail rule: fail every run under exactly ``policy``."""
+    return lambda p, call: p == policy
+
+
+def test_probe_broken_at_replica_0_runs_no_other_replica(fixtures, app_spec_factory,
+                                                          monkeypatch):
+    """Once replica 0 breaks, the other replicas cannot change the verdict,
+    so they never run and the probe holds one outcome."""
+    stub = _StubRuns(fail=_fails_under(Policy.single(GETPID, STUB)))
+    monkeypatch.setattr(slens.orchestrator, "run_workload", stub)
+    config = AnalysisConfig(replicas=3, perf_runs=0, parallelism=1)
+    orch = Orchestrator(app_spec_factory("noop"), config)
+    orch.discover()
+    probe = orch.probe_feature(GETPID, MODE_STUB)
+    assert not probe.works and len(probe.outcomes) == 1
+    assert orch.executions == stub.calls == 3 + 1
+    works = orch.probe_feature(GETPID, MODE_FAKE)
+    assert works.works and len(works.outcomes) == 3
+
+
+def test_probe_broken_at_a_later_replica_keeps_every_outcome(fixtures, app_spec_factory,
+                                                             monkeypatch):
+    """A probe that passes replica 0 and fails replica 1 still breaks, and
+    holds all r outcomes."""
+    # Calls 0-2 are discovery, 3 is replica 0 of the probe, 4 and 5 the rest.
+    stub = _StubRuns(fail=lambda policy, call: call == 4)
+    monkeypatch.setattr(slens.orchestrator, "run_workload", stub)
+    config = AnalysisConfig(replicas=3, perf_runs=0, parallelism=1)
+    orch = Orchestrator(app_spec_factory("noop"), config)
+    orch.discover()
+    probe = orch.probe_feature(GETPID, MODE_STUB)
+    assert not probe.works
+    assert [o.success for o in probe.outcomes] == [True, False, True]
+    assert orch.executions == stub.calls == 3 + 3
+
+
+def test_baseline_runs_split_over_both_probe_phases(fixtures, app_spec_factory,
+                                                    monkeypatch):
+    """Each probe phase makes half the baseline runs, placed by the rule of
+    ``test_baseline_runs_interleave_with_probes``."""
+    kinds = []
+    stub = _StubRuns(fail=_fails_under(Policy.single(GETPID, STUB)))
+
+    def record(spec, policy, limits, tables, discovery=True):
+        kinds.append("D" if discovery else "P" if policy.overrides else "B")
+        return stub(spec, policy, limits, tables, discovery)
+
+    monkeypatch.setattr(slens.orchestrator, "run_workload", record)
+    config = AnalysisConfig(replicas=2, perf_runs=4, parallelism=1)
+    orch = Orchestrator(app_spec_factory("noop"), config)
+    profile = orch.full_analysis()
+    # Phase 1: four probes and two baseline runs, n = 6, ceil(6 / 2) = 3.
+    # Phase 2: the three working probes and two baseline runs, n = 5,
+    # ceil(5 / 2) = 3.  Then two confirmation runs.
+    assert kinds == ["D", "D",
+                     "B", "P", "P", "B", "P", "P",
+                     "B", "P", "P", "B", "P",
+                     "P", "P"]
+    assert len(orch.baseline.rss) == 4
+    assert profile.confirmed
+    assert orch.executions == _run_count(config, profile) == 15
+
+
+def test_probes_that_fit_one_round_run_as_one_phase(fixtures, app_spec_factory,
+                                                    monkeypatch):
+    """When ``parallelism`` covers every probe and baseline run, a second
+    phase could only add a round, so every replica of every probe runs."""
+    stub = _StubRuns(fail=_fails_under(Policy.single(GETPID, STUB)))
+    monkeypatch.setattr(slens.orchestrator, "run_workload", stub)
+    # Two features, so four probes: 4 * 2 replicas + 4 baseline runs = 12.
+    config = AnalysisConfig(replicas=2, perf_runs=4, parallelism=12)
+    orch = Orchestrator(app_spec_factory("noop"), config)
+    profile = orch.full_analysis()
+    assert profile.classes[GETPID] == CLASS_FAKE_ONLY
+    assert orch.executions == stub.calls == _run_count(config, profile) == 16
+    assert len(orch.baseline.rss) == 4
+    orch.parallelism = 2  # one probe, two replicas, no baseline runs left
+    assert len(orch.probe_feature(GETPID, MODE_STUB).outcomes) == 2
+    orch.parallelism = 1
+    assert len(orch.probe_feature(GETPID, MODE_STUB).outcomes) == 1
+
+
 def _descendants() -> list[int]:
     """Processes below this one, zombies included."""
     me = os.getpid()
@@ -335,7 +436,7 @@ def _descendants() -> list[int]:
 
 
 def test_concurrent_runs_stress(fixtures, app_spec_factory):
-    """40 short runs, 8 in flight, with INFO logging to stderr from every
+    """38 short runs, 8 in flight, with INFO logging to stderr from every
     thread.  Each tracer is forked from a worker thread while others log, so
     a tracer that took a lock held elsewhere would hang its run."""
     root = logging.getLogger()
@@ -357,9 +458,8 @@ def test_concurrent_runs_stress(fixtures, app_spec_factory):
         root.setLevel(level)
         root.removeHandler(handler)
     assert not worker.is_alive()
-    s = len(profiles[0].observed)
-    assert s == 8
-    assert orch.executions == (2 + 2 * s) * 2 + 4 == 40
+    assert len(profiles[0].observed) == 8
+    assert orch.executions == _run_count(config, profiles[0]) == 38
     assert _descendants() == []
 
 
