@@ -31,15 +31,18 @@ Test-script contract (stable):
   - exit code 0 means the run succeeded;
   - the last stdout line, if numeric, is taken as the performance metric.
 
-The script runs with the run's working directory as cwd, in a session and
-process group of its own.  Its stdout goes to script_stdout.log there and
-its stderr is discarded.  The run waits for the script itself to exit, not
-for its output to close, and then SIGKILLs the script's process group, so
-no child it left behind in that group outlives the run.  A child that
-calls ``setsid`` leaves the group, so the kill misses it and it does
-outlive the run (ROADMAP.md item 10, step A, closes that gap).  The
-application's stdout/stderr are captured to app_stdout.log /
-app_stderr.log there.  The tokens ``{port}`` and ``{workdir}`` in the app
+The script runs by the absolute path that ``AppSpec.validate`` checked, so
+a relative path names a file under the caller's cwd, not the run's.  A
+script the kernel cannot exec (no ``#!`` line, or a missing interpreter)
+raises ScriptMissing.  The script runs with the run's working directory as
+cwd, in a session and process group of its own.  Its stdout goes to
+script_stdout.log there and its stderr is discarded.  The run waits for the
+script itself to exit, not for its output to close, and then SIGKILLs the
+script's process group, so no child it left behind in that group outlives
+the run.  A child that calls ``setsid`` leaves the group, so the kill
+misses it and it does outlive the run (ROADMAP.md item 10, step A, closes
+that gap).  The application's stdout/stderr are captured to app_stdout.log
+/ app_stderr.log there.  The tokens ``{port}`` and ``{workdir}`` in the app
 command are substituted before launch.  The application inherits the
 caller's environment.
 """
@@ -81,7 +84,8 @@ REASON_TRACER_FAULT = "tracer_fault"
 
 
 class ScriptMissing(SlensError):
-    """The test script does not exist or is not executable."""
+    """The test script does not exist, is not executable, or cannot be
+    executed (the kernel refused its exec)."""
 
 
 @dataclass(frozen=True)
@@ -265,7 +269,8 @@ def run_workload(spec: AppSpec, policy: Policy, limits: Limits,
 
     Raises LaunchFailure, from ``TraceSession.start``, when the app could
     not be launched, and TracerFault when the tracer failed, each with the
-    tracer's own message; the run then has no outcome.
+    tracer's own message; the run then has no outcome.  Raises ScriptMissing
+    when the test script cannot be executed.
     """
     spec.validate()
     workdir = tempfile.mkdtemp(prefix="slens-run-")
@@ -308,15 +313,19 @@ def _run_workload_in(spec: AppSpec, policy: Policy, limits: Limits,
             script_env = dict(os.environ)
             script_env["SLENS_HOST"] = "127.0.0.1"
             script_env["SLENS_APP_PID"] = str(session.app_pid)
-            script_argv = [spec.test_script, "127.0.0.1"]
+            script_argv = [os.path.abspath(spec.test_script), "127.0.0.1"]
             if port is not None:
                 script_env["SLENS_PORT"] = str(port)
                 script_argv.append(str(port))
             out_path = os.path.join(workdir, "script_stdout.log")
             with open(out_path, "wb") as out:
-                proc = subprocess.Popen(script_argv, cwd=workdir, env=script_env,
-                                        stdout=out, stderr=subprocess.DEVNULL,
-                                        start_new_session=True)
+                try:
+                    proc = subprocess.Popen(script_argv, cwd=workdir, env=script_env,
+                                            stdout=out, stderr=subprocess.DEVNULL,
+                                            start_new_session=True)
+                except OSError as exc:
+                    raise ScriptMissing(f"test script {spec.test_script} cannot be "
+                                        f"executed: {exc.strerror}") from None
             try:
                 with open(os.pidfd_open(proc.pid), "rb", buffering=0) as pidfd:
                     exit_poll = select.poll()

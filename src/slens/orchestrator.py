@@ -108,7 +108,9 @@ CLASS_MODES = {
 }
 _CLASS_OF_MODES = {modes: cls for cls, modes in CLASS_MODES.items()}
 
-PROFILE_SCHEMA = 1
+# Schema 1 also stored every feature a second time, as the "observed" list,
+# and their number as metadata["feature_count"]; such files still load.
+PROFILE_SCHEMA = 2
 
 # Least relative change of a probe's mean metric that can flag a regression.
 REGRESSION_MARGIN = 0.03
@@ -276,7 +278,6 @@ class AppProfile:
             "schema": PROFILE_SCHEMA,
             "app": self.app,
             "workload_hash": self.workload_hash,
-            "observed": [f.to_json() for f in ordered],
             "classes": [
                 {"feature": f.to_json(), "class": self.classes[f]} for f in ordered
             ],
@@ -293,14 +294,17 @@ class AppProfile:
 
     @staticmethod
     def from_json(d: Mapping) -> "AppProfile":
-        if d.get("schema") != PROFILE_SCHEMA:
+        if d.get("schema") not in (1, PROFILE_SCHEMA):
             raise ValueError(f"unsupported profile schema: {d.get('schema')!r}")
+        classes = {FeatureId.from_json(e["feature"]): e["class"] for e in d["classes"]}
         return AppProfile(
             app=d["app"],
             workload_hash=d["workload_hash"],
-            observed=tuple(FeatureId.from_json(f) for f in d["observed"]),
-            classes={FeatureId.from_json(e["feature"]): e["class"]
-                     for e in d["classes"]},
+            # Schema 1's own list is parsed, so that __post_init__ refuses a
+            # file whose two lists disagree.
+            observed=(tuple(map(FeatureId.from_json, d["observed"])) if d["schema"] == 1
+                      else tuple(classes)),
+            classes=classes,
             regressions={
                 (FeatureId.from_json(e["feature"]), e["mode"]): dict(e["flags"])
                 for e in d.get("regressions", ())
@@ -589,7 +593,6 @@ class Orchestrator:
                 "replicas": self.config.replicas,
                 "parallelism": self.parallelism,
                 "baseline_duration": self.baseline_duration,
-                "feature_count": s,
             },
         )
         if db_root is not None:

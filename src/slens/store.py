@@ -14,6 +14,15 @@ is one line of compact JSON with sorted keys (``canonical_json``); files
 written indented by earlier versions load the same, and re-saving the same
 verdicts leaves them as they are.
 
+A profile file (``AppProfile.to_json``, schema 2) lists each observed
+feature once, with its class, in the ``classes`` list, sorted; the
+profile's observed features are that list's, in its order.  Schema-1 files,
+which listed every feature once more under ``observed``, still load, and a
+file whose two lists disagree is refused.  Re-saving a schema-1 profile
+with the same verdicts does not rewrite it, so no migration is needed.
+slens versions before schema 2 refuse a schema-2 file ("unsupported
+profile schema", exit 4).
+
 OS support CSV (input): one syscall per line, ``syscall[,status]``;
 syscall is a decimal number or lowercase name; status is one of
 implemented (default), stubbed, faked; ``#`` starts a comment.  The

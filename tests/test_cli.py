@@ -167,6 +167,20 @@ def test_whitelist_that_matches_nothing_stores_no_profile(tmp_path, capsys):
     assert not list(db.rglob("profile.json"))
 
 
+def test_script_the_kernel_cannot_exec_is_a_usage_error(tmp_path, capsys):
+    """An executable script without a ``#!`` line fails its exec: one usage
+    error line that names the script, no traceback."""
+    script = tmp_path / "check.sh"
+    script.write_text("exit 0\n")
+    script.chmod(0o755)
+    code = main(["analyze", "--app-cmd", "/bin/true", "--test-script", str(script),
+                 "--replicas", "1", "--perf-runs", "0", "--db", str(tmp_path / "db")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_USAGE
+    assert err == [f"error: usage: test script {script} cannot be executed: "
+                   "Exec format error"]
+
+
 def test_duplicate_entries_warn_once_per_app(tmp_path, capsys):
     """An app stored under two workloads plans from the first entry, and a
     warning names the workload it uses; an app stored once warns nothing."""

@@ -67,12 +67,13 @@ def test_timeout_reason(fixtures, app_spec_factory):
     assert not outcome.success and outcome.reason == "timeout"
 
 
-def _background_sleep(fixtures, tmp_path, tail: str) -> tuple[AppSpec, Path]:
-    """A spec whose script backgrounds ``sleep 600``, writes its pid to the
-    returned file and then runs ``tail``."""
+def _background_sleep(fixtures, tmp_path, tail: str,
+                      background: str = "sleep 600") -> tuple[AppSpec, Path]:
+    """A spec whose script runs ``background`` in the background, writes its
+    pid to the returned file and then runs ``tail``."""
     pidfile = tmp_path / "sleep.pid"
     script = tmp_path / "background.sh"
-    script.write_text(f"#!/bin/sh\nsleep 600 &\necho $! > {pidfile}\n{tail}\n")
+    script.write_text(f"#!/bin/sh\n{background} &\necho $! > {pidfile}\n{tail}\n")
     script.chmod(0o755)
     return AppSpec(name="background", app_command=(fixtures.binary("sleeper"),),
                    test_script=str(script)), pidfile
@@ -108,6 +109,25 @@ def test_script_timeout_ends_its_children(fixtures, tmp_path):
     outcome, _ = run_workload(spec, Policy.allow_all(), Limits(timeout=0.6))
     assert outcome.reason == "timeout"
     assert _gone(int(pidfile.read_text()))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 10 step A: a script child that "
+                   "calls setsid leaves the process group that the run kills")
+def test_setsid_script_child_ends_with_the_run(fixtures, tmp_path):
+    """A script child in a session of its own ends with the run too.  The
+    script waits until the child has left its group, so the group kill
+    cannot catch it first."""
+    spec, pidfile = _background_sleep(
+        fixtures, tmp_path,
+        'until [ "$(cut -d" " -f6 /proc/$!/stat)" = "$!" ]; do sleep 0.01; done',
+        background="setsid sleep 600")
+    try:
+        outcome, _ = run_workload(spec, Policy.allow_all(), LIMITS)
+        assert outcome.reason == "script_ok"
+        assert _gone(int(pidfile.read_text()))
+    finally:
+        if pidfile.exists() and not _gone(int(pidfile.read_text()), within=0):
+            os.kill(int(pidfile.read_text()), signal.SIGKILL)
 
 
 def test_readiness_timeout_is_not_a_crash(fixtures, app_spec_factory):
@@ -240,6 +260,39 @@ def test_missing_script_raises(fixtures):
                    test_script="/nonexistent/script.sh")
     with pytest.raises(ScriptMissing):
         run_workload(spec, Policy.allow_all(), LIMITS)
+
+
+def test_relative_script_is_the_one_validated(fixtures, tmp_path, monkeypatch):
+    """A relative test script names a file under the caller's cwd, where
+    ``validate`` found it, not under the run's working directory."""
+    script = tmp_path / "check.sh"
+    script.write_text("#!/bin/sh\necho 7\n")
+    script.chmod(0o755)
+    monkeypatch.chdir(tmp_path)
+    spec = AppSpec(name="relative", app_command=(fixtures.binary("noop"),),
+                   test_script="check.sh")
+    outcome, _ = run_workload(spec, Policy.allow_all(), LIMITS)
+    assert (outcome.reason, outcome.perf_metric) == ("script_ok", 7.0)
+
+
+@pytest.mark.parametrize("text,error", [
+    ("exit 0\n", "Exec format error"),
+    ("#!/nonexistent/sh\nexit 0\n", "No such file or directory"),
+], ids=["no-shebang", "missing-interpreter"])
+def test_script_the_kernel_cannot_exec_raises(fixtures, tmp_path, text, error):
+    """An executable script that exec refuses raises ScriptMissing naming
+    it, and the run's tree is still ended."""
+    script = tmp_path / "check.sh"
+    script.write_text(text)
+    script.chmod(0o755)
+    spec = AppSpec(name="noexec", app_command=(fixtures.binary("sleeper"),),
+                   test_script=str(script))
+    before = _children()
+    with pytest.raises(ScriptMissing, match=f"^test script {script} cannot be executed: "
+                                            f"{error}$"):
+        run_workload(spec, Policy.allow_all(), LIMITS)
+    assert _children() <= before
+    assert fixtures.running("sleeper") == []
 
 
 def test_perf_metric_round_trip(fixtures, app_spec_factory):

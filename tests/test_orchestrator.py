@@ -1,11 +1,13 @@
 """Analysis protocol: discovery, probes, classification, confirmation."""
 
+import json
 import logging
 import os
 import sys
 import threading
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -181,6 +183,12 @@ def test_reanalysis_into_same_root_keeps_profile(fixtures, app_spec_factory, tmp
     assert (second.classes, second.confirmed) == (first.classes, first.confirmed)
     [entry] = store.load_db(db)
     assert entry.profile == first
+    # Schema 2 lists each feature once: under "classes", not "observed".
+    [path] = Path(db).rglob("profile.json")
+    doc = json.loads(path.read_text())
+    assert doc["schema"] == 2 and "observed" not in doc
+    assert "feature_count" not in doc["metadata"]
+    assert first.observed == tuple(FeatureId.from_json(e["feature"]) for e in doc["classes"])
 
 
 def test_profile_json_round_trip(fixtures, app_spec_factory):

@@ -74,6 +74,22 @@ def make_profile(app="demo", confirmed=True, classes=None):
     )
 
 
+def _feature(nr):
+    return {"pseudofile": None, "subfeature": None, "syscall_nr": nr}
+
+
+# make_profile() as schema 1 stored it: every feature once under "observed"
+# and once more under "classes".
+SCHEMA_1_PROFILE = {
+    "schema": 1, "app": "demo", "workload_hash": "0123456789abcdef",
+    "observed": [_feature(nr) for nr in (0, 1, 3, 231, 257)],
+    "classes": [{"feature": _feature(nr), "class": "required"}
+                for nr in (0, 1, 3, 231, 257)],
+    "regressions": [], "confirmed": True,
+    "metadata": {"date": "2026-01-01", "kernel": "6.0", "tool_version": "0.1.0"},
+}
+
+
 def make_entry(profile=None, kernel="6.0"):
     profile = profile or make_profile()
     return DbEntry(profile=profile, provenance={
@@ -101,25 +117,41 @@ def test_save_and_reload_round_trip(tmp_path):
 
 
 def test_indented_profile_loads_and_is_kept(tmp_path):
-    """A profile is stored as one compact line.  One stored indented, as
-    earlier versions wrote it, loads the same, and a re-save with the same
-    verdicts leaves its file untouched."""
+    """A profile is stored as one compact line, in schema 2.  One stored
+    indented, as earlier versions wrote it, loads the same, and a re-save
+    with the same verdicts leaves its file untouched.  So does a schema-1
+    profile, which loads to what its schema-2 re-save loads to."""
     entry = make_entry()
-    path = save_profile(str(tmp_path), entry)
-    with open(path) as f:
-        assert len(f.read().splitlines()) == 1
-    for name, doc in (("profile.json", entry.profile.to_json()),
-                      ("meta.json", dict(entry.provenance))):
-        with open(os.path.join(os.path.dirname(path), name), "w") as f:
-            f.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    with open(path) as f:
-        indented = f.read()
-    loaded = load_db(str(tmp_path))
-    assert loaded[0].profile == entry.profile
-    assert dict(loaded[0].provenance) == dict(entry.provenance)
-    assert save_profile(str(tmp_path), loaded[0]) == path
-    with open(path) as f:
-        assert f.read() == indented
+    for profile_doc in (entry.profile.to_json(), SCHEMA_1_PROFILE):
+        root = tmp_path / f"schema{profile_doc['schema']}"
+        path = save_profile(str(root), entry)
+        with open(path) as f:
+            assert len(f.read().splitlines()) == 1
+        for name, doc in (("profile.json", profile_doc),
+                          ("meta.json", dict(entry.provenance))):
+            with open(os.path.join(os.path.dirname(path), name), "w") as f:
+                f.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        with open(path) as f:
+            indented = f.read()
+        loaded = load_db(str(root))
+        assert loaded[0].profile == entry.profile
+        assert dict(loaded[0].provenance) == dict(entry.provenance)
+        resaved = str(tmp_path / f"{root.name}-resaved")
+        save_profile(resaved, loaded[0])
+        assert load_db(resaved)[0].profile == loaded[0].profile
+        assert save_profile(str(root), loaded[0]) == path
+        with open(path) as f:
+            assert f.read() == indented
+
+
+def test_schema_1_profile_with_disagreeing_lists_is_refused(tmp_path):
+    """Schema 1 listed the features twice; a file whose lists disagree is
+    malformed."""
+    path = save_profile(str(tmp_path), make_entry())
+    with open(path, "w") as f:
+        json.dump(dict(SCHEMA_1_PROFILE, observed=SCHEMA_1_PROFILE["observed"][1:]), f)
+    with pytest.raises(ParseError, match="classes' domain must equal the observed"):
+        load_db(str(tmp_path))
 
 
 def test_second_identical_save_is_noop(tmp_path):
@@ -175,11 +207,28 @@ def test_round_trip_identity_randomized(profile):
 
     root = tempfile.mkdtemp(prefix="slens-db-")
     try:
-        save_profile(root, DbEntry(profile=profile, provenance={"kernel": "k"}))
+        path = save_profile(root, DbEntry(profile=profile, provenance={"kernel": "k"}))
         (loaded,) = load_db(root)
         assert loaded.profile == profile
+        with open(path) as f:
+            doc = json.load(f)
     finally:
         shutil.rmtree(root, ignore_errors=True)
+    # Schema 2 lists each feature once, and loading parses each entry once.
+    assert doc["schema"] == 2 and "observed" not in doc
+    parse, calls = FeatureId.from_json, []
+
+    def counted(d):
+        calls.append(d)
+        return parse(d)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FeatureId, "from_json", staticmethod(counted))
+        assert AppProfile.from_json(doc) == profile
+    assert len(calls) == len(profile.classes) + len(profile.regressions)
+    # The same profile as schema 1 stored it loads the same.
+    old = dict(doc, schema=1, observed=[e["feature"] for e in doc["classes"]])
+    assert AppProfile.from_json(old) == profile
 
 
 def test_concurrent_distinct_saves(tmp_path):
