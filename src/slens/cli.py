@@ -6,7 +6,8 @@ compare (strategy curves), export (profile as CSV), probe (single run under
 a custom policy).
 
 Exit codes: 0 ok, 1 internal error, 2 inconsistent profile, 3 baseline
-failure, 4 parse/usage error.  The database root defaults to $SLENS_DB.
+failure, 4 parse/usage error, which includes a named file that cannot be
+read or decoded.  The database root defaults to $SLENS_DB.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import shlex
 import sys
 
 from . import SlensError, __version__
-from .config import DEFAULT_TABLES, ConfigError, load_tables
+from .config import DEFAULT_TABLES, ParseError, load_tables, read_input
 from .harness import AppSpec, Readiness, ScriptMissing
 from .interposer import LaunchFailure, Policy, Whitelist
 from .orchestrator import (
@@ -92,24 +93,6 @@ def _analysis_config(args, **knobs) -> AnalysisConfig:
         raise SystemExit(_fail(EXIT_USAGE, "usage", str(exc))) from None
 
 
-def _add_analyze_flags(p: _Parser) -> None:
-    p.add_argument("--app-cmd", required=True,
-                   help="application command line (shell-quoted)")
-    p.add_argument("--test-script", required=True, help="workload test script")
-    p.add_argument("--whitelist", action="append", metavar="PATH",
-                   help="binary measured in the analysis (repeatable); "
-                        "default: the initially exec'd binary only")
-    p.add_argument("--name", help="application name (default: binary basename)")
-    p.add_argument("--ready-delay", type=float, default=0.0,
-                   help="seconds to wait before driving the app")
-    p.add_argument("--port", type=int,
-                   help="TCP port to poll for readiness (0 = auto-allocate)")
-    p.add_argument("--workdir-template", help="directory copied into each fresh workdir")
-    p.add_argument("--timeout", type=float,
-                   help="per-run timeout in seconds (default: max(10, 3x baseline)); "
-                        "runs after discovery may end sooner, at bounds it measured")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="slens", description=__doc__)
     parser.add_argument("--version", action="version", version=f"slens {__version__}")
@@ -117,8 +100,33 @@ def build_parser() -> _Parser:
     parser.add_argument("--config", help="JSON config file (selector/fake/pseudo tables)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="measure an application workload")
-    _add_analyze_flags(p)
+    # Flags shared by several subcommands, each declared once.
+    db = _Parser(add_help=False)
+    db.add_argument("--db", help="database root (default $SLENS_DB)")
+    as_json = _Parser(add_help=False)
+    as_json.add_argument("--json", action="store_true")
+    targets = _Parser(add_help=False)
+    targets.add_argument("--os-support", required=True, help="OS support CSV")
+    targets.add_argument("--apps", help="comma-separated target apps (default: all)")
+    run = _Parser(add_help=False)
+    run.add_argument("--app-cmd", required=True,
+                     help="application command line (shell-quoted)")
+    run.add_argument("--test-script", required=True, help="workload test script")
+    run.add_argument("--whitelist", action="append", metavar="PATH",
+                     help="binary measured in the analysis (repeatable); "
+                          "default: the initially exec'd binary only")
+    run.add_argument("--name", help="application name (default: binary basename)")
+    run.add_argument("--ready-delay", type=float, default=0.0,
+                     help="seconds to wait before driving the app")
+    run.add_argument("--port", type=int,
+                     help="TCP port to poll for readiness (0 = auto-allocate)")
+    run.add_argument("--workdir-template", help="directory copied into each fresh workdir")
+    run.add_argument("--timeout", type=float,
+                     help="per-run timeout in seconds (default: max(10, 3x baseline)); "
+                          "runs after discovery may end sooner, at bounds it measured")
+
+    p = sub.add_parser("analyze", parents=[run, db, as_json],
+                       help="measure an application workload")
     p.add_argument("--replicas", type=int, default=3)
     p.add_argument("--parallel", type=int, default=AnalysisConfig().parallelism,
                    help="most workload runs in flight at once (default: %(default)s, "
@@ -130,33 +138,19 @@ def build_parser() -> _Parser:
                    help="classify vectored syscalls per selector argument")
     p.add_argument("--pseudofiles", action="store_true",
                    help="classify open-family syscalls per pseudo-file prefix")
-    p.add_argument("--db", help="database root (default $SLENS_DB)")
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("probe", help="single run under a custom policy")
-    _add_analyze_flags(p)
+    p = sub.add_parser("probe", parents=[run, as_json],
+                       help="single run under a custom policy")
     p.add_argument("--policy", required=True, help="policy JSON file")
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("plan", help="incremental support plan for an OS")
-    p.add_argument("--db", help="database root (default $SLENS_DB)")
-    p.add_argument("--os-support", required=True, help="OS support CSV")
-    p.add_argument("--apps", help="comma-separated target apps (default: all)")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("importance", help="per-syscall API importance")
-    p.add_argument("--db", help="database root (default $SLENS_DB)")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("compare", help="effort curves for planning strategies")
-    p.add_argument("--db", help="database root (default $SLENS_DB)")
-    p.add_argument("--os-support", required=True, help="OS support CSV")
-    p.add_argument("--apps", help="comma-separated target apps (default: all)")
+    sub.add_parser("plan", parents=[db, targets, as_json],
+                   help="incremental support plan for an OS")
+    sub.add_parser("importance", parents=[db, as_json], help="per-syscall API importance")
+    p = sub.add_parser("compare", parents=[db, targets, as_json],
+                       help="effort curves for planning strategies")
     p.add_argument("--order", help="file with one app name per line (external strategy)")
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("export", help="export a stored profile as CSV")
-    p.add_argument("--db", help="database root (default $SLENS_DB)")
+    p = sub.add_parser("export", parents=[db], help="export a stored profile as CSV")
     p.add_argument("--apps", required=True, help="application name to export")
 
     return parser
@@ -217,11 +211,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_probe(args) -> int:
     spec = _app_spec(args)
-    with open(args.policy) as f:
-        try:
-            policy = Policy.from_json(json.load(f))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            return _fail(EXIT_USAGE, "parse", f"{args.policy}: {exc!r}")
+    policy = read_input(args.policy, lambda text: Policy.from_json(json.loads(text)))
     named = policy.overrides  # classify calls as finely as these features
     config = _analysis_config(args, replicas=1, perf_runs=0,
                               subfeatures=any(f.subfeature is not None for f in named),
@@ -267,8 +257,8 @@ def cmd_compare(args) -> int:
     targets = _select_targets(args, profiles)
     external = None
     if args.order:
-        with open(args.order) as f:
-            external = [line.strip() for line in f if line.strip()]
+        external = read_input(args.order, lambda text: [
+            line.strip() for line in text.splitlines() if line.strip()])
     curves = planner.compare_strategies(profiles, os_support, targets,
                                         external_order=external)
     if args.json:
@@ -311,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(EXIT_BASELINE, "baseline-failure", str(exc))
     except (ScriptMissing, LaunchFailure) as exc:
         return _fail(EXIT_USAGE, "usage", str(exc))
-    except (store.ParseError, ConfigError) as exc:
+    except ParseError as exc:
         return _fail(EXIT_USAGE, "parse", str(exc))
     except (planner.UnconfirmedProfile, planner.IncompleteOrdering,
             planner.PlannerError) as exc:

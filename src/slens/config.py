@@ -10,9 +10,15 @@ The configuration file is JSON with three documented keys, all optional:
 
 ``subfeature_selectors`` maps a vectored syscall to the 0-based index of the
 argument that selects the sub-feature.  ``fake_values`` overrides the value
-injected when a syscall is faked (default 0).  Keys may be syscall names or
-decimal numbers.  Values given in a config file replace the built-in default
+injected when a syscall is faked (default 0).  Keys are read as the OS
+support CSV reads a syscall (``syscalls.parse_nr``): a decimal number or a
+lowercase name.  Values given in a config file replace the built-in default
 for that key entirely.
+
+This module also holds ``read_input``, the one way a file the user names
+(config, policy, OS support CSV, app ordering) or a stored database file
+becomes data: every fault in reading, decoding or parsing it is a
+``ParseError`` that names the file.
 """
 
 from __future__ import annotations
@@ -25,8 +31,36 @@ from . import SlensError
 from . import syscalls
 
 
-class ConfigError(SlensError):
-    """The configuration file could not be parsed or references unknown names."""
+class ParseError(SlensError):
+    """An input file that cannot be read, decoded or parsed; ``line`` and
+    ``column`` are None when the fault is not at one place (an unreadable
+    file, a stored profile of the wrong shape)."""
+
+    def __init__(self, path: str, line: int | None, column: int | None, message: str):
+        where = path if line is None else f"{path}:{line}:{column}"
+        super().__init__(f"{where}: {message}")
+        self.path = path
+        self.line = line
+        self.column = column
+        self.reason = message
+
+
+def read_input(path: str, parse):
+    """``parse`` of the UTF-8 text of the file at ``path``.
+
+    A file that cannot be read or decoded, JSON that does not parse, and a
+    ValueError, KeyError, TypeError or AttributeError from ``parse`` raise
+    ParseError naming ``path``; a ParseError from ``parse`` passes as is."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return parse(f.read())
+    except OSError as exc:
+        raise ParseError(path, None, None, f"cannot read: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(path, exc.lineno, exc.colno, exc.msg) from None
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ParseError(path, None, None,
+                         f"malformed content ({type(exc).__name__}: {exc})") from None
 
 
 # Argument index carrying the sub-feature selector, for vectored syscalls.
@@ -81,36 +115,25 @@ class InterposerTables:
 DEFAULT_TABLES = InterposerTables()
 
 
-def _parse_syscall_key(key: str, where: str) -> int:
-    if key.isdigit():
-        return int(key)
-    try:
-        return syscalls.name_to_nr(key)
-    except KeyError:
-        raise ConfigError(f"{where}: unknown syscall name {key!r}") from None
-
-
 def _int_table(raw: dict, key: str) -> dict[int, int]:
     """The ``{syscall: integer}`` table under ``key``, keyed by number."""
     try:
-        return {_parse_syscall_key(k, key): int(v) for k, v in raw[key].items()}
+        return {syscalls.parse_nr(k): int(v) for k, v in raw[key].items()}
+    except KeyError as exc:
+        raise ValueError(f"{key}: unknown syscall name {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: expected an object of integers: {exc}") from None
+        raise ValueError(f"{key}: expected an object of integers: {exc}") from None
 
 
 def load_tables(path: str) -> InterposerTables:
     """Load InterposerTables from a JSON config file, merged over defaults;
-    raises ConfigError for an unreadable file or a malformed value."""
-    try:
-        with open(path) as f:
-            raw = json.load(f)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config file {path}: top-level value must be an object")
+    raises ParseError for an unreadable file or a malformed value."""
+    return read_input(path, lambda text: _tables_of(json.loads(text)))
 
+
+def _tables_of(raw) -> InterposerTables:
+    if not isinstance(raw, dict):
+        raise TypeError("top-level value must be an object")
     tables = InterposerTables()
     if "subfeature_selectors" in raw:
         tables = replace(tables,
@@ -121,6 +144,6 @@ def load_tables(path: str) -> InterposerTables:
         prefixes = tuple(str(p) for p in raw["pseudo_prefixes"])
         for p in prefixes:
             if not p.startswith("/"):
-                raise ConfigError(f"pseudo_prefixes: {p!r} is not an absolute path")
+                raise ValueError(f"pseudo_prefixes: {p!r} is not an absolute path")
         tables = replace(tables, pseudo_prefixes=prefixes)
     return tables

@@ -544,8 +544,7 @@ class Orchestrator:
         outcome, _ = self._run_one(policy, 0, "custom")
         return outcome
 
-    def full_analysis(self, db_root: str | None = None,
-                      provenance: Mapping[str, str] | None = None) -> AppProfile:
+    def full_analysis(self, db_root: str | None = None) -> AppProfile:
         """Run the whole protocol and return (and optionally persist) a profile.
 
         On a failed confirmation run the profile is still produced and
@@ -598,11 +597,11 @@ class Orchestrator:
         if db_root is not None:
             from . import store  # local import: store deserializes AppProfile
 
-            entry = store.DbEntry(profile=profile, provenance=dict(provenance or {
+            entry = store.DbEntry(profile=profile, provenance={
                 "submitter": "",
                 "date": profile.metadata["date"],
                 "kernel": profile.metadata["kernel"],
                 "tool_version": profile.metadata["tool_version"],
-            }))
+            })
             store.save_profile(db_root, entry)
         return profile

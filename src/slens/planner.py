@@ -129,18 +129,11 @@ class ImportanceRow:
 
 @dataclass(frozen=True)
 class ImportanceReport:
-    """Fraction of apps tracing / requiring each syscall."""
+    """Fraction of apps tracing / requiring each syscall, in ``rows``; a
+    syscall no app traced has no row."""
 
     apps_total: int
     rows: Mapping[int, ImportanceRow]
-
-    def importance_traced(self, nr: int) -> float:
-        row = self.rows.get(nr)
-        return row.traced if row else 0.0
-
-    def importance_required(self, nr: int) -> float:
-        row = self.rows.get(nr)
-        return row.required if row else 0.0
 
 
 # ---------------------------------------------------------------------------

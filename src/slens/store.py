@@ -24,9 +24,10 @@ slens versions before schema 2 refuse a schema-2 file ("unsupported
 profile schema", exit 4).
 
 OS support CSV (input): one syscall per line, ``syscall[,status]``;
-syscall is a decimal number or lowercase name; status is one of
-implemented (default), stubbed, faked; ``#`` starts a comment.  The
-directives ``# os: <name>`` and ``# revision: <rev>`` set the metadata.
+syscall is a decimal number or a lowercase name
+(``syscalls.parse_nr``); status is one of implemented (default), stubbed,
+faked; ``#`` starts a comment, which runs to the end of the line.  There
+are no directives: a comment such as ``# os: <name>`` is only a comment.
 
 Profile export CSV (output) uses the frozen header:
 
@@ -50,6 +51,7 @@ from typing import Iterable, Mapping
 
 from . import SlensError
 from . import syscalls
+from .config import ParseError, read_input
 from .interposer import FeatureId
 from .orchestrator import AppProfile, feature_label
 
@@ -74,19 +76,6 @@ class DuplicateKey(SlensError):
     """Same key and provenance with differing content; refused."""
 
 
-class ParseError(SlensError):
-    """A malformed input file; ``line`` and ``column`` are None when the
-    fault is not at one place (a stored profile of the wrong shape)."""
-
-    def __init__(self, path: str, line: int | None, column: int | None, message: str):
-        where = path if line is None else f"{path}:{line}:{column}"
-        super().__init__(f"{where}: {message}")
-        self.path = path
-        self.line = line
-        self.column = column
-        self.reason = message
-
-
 class UnknownSyscallName(ParseError):
     pass
 
@@ -98,8 +87,6 @@ class OsSupportSet:
     implemented: frozenset[int] = frozenset()
     declared_stubs: frozenset[int] = frozenset()
     declared_fakes: frozenset[int] = frozenset()
-    os_name: str = ""
-    revision: str = ""
 
     def __post_init__(self):
         overlap = (self.implemented & self.declared_stubs
@@ -117,8 +104,6 @@ class OsSupportSet:
             implemented=implemented,
             declared_stubs=(self.declared_stubs - implemented) | frozenset(stub),
             declared_fakes=(self.declared_fakes - implemented) | frozenset(fake),
-            os_name=self.os_name,
-            revision=self.revision,
         )
 
 
@@ -146,8 +131,10 @@ def canonical_json(obj: dict) -> str:
 
 
 def _safe_component(name: str) -> str:
+    """``name`` as one directory name; one of only dots (``..``) or none at
+    all would not stay under its parent, so it gains a leading ``_``."""
     out = "".join(c if c.isalnum() or c in "-_." else "_" for c in name)
-    return out or "_"
+    return out if out.strip(".") else "_" + out
 
 
 def _entry_dir(db_root: str, entry: DbEntry) -> str:
@@ -183,16 +170,8 @@ def _profile_diff(old: AppProfile, new: AppProfile) -> str:
     return "\n".join(lines)
 
 
-def _read_json(path: str, parse):
-    """``parse`` of the JSON document at ``path``; ParseError if either fails."""
-    try:
-        with open(path) as f:
-            return parse(json.load(f))
-    except json.JSONDecodeError as exc:
-        raise ParseError(path, exc.lineno, exc.colno, exc.msg) from None
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise ParseError(path, None, None,
-                         f"malformed content ({type(exc).__name__}: {exc})") from None
+def _read_profile(path: str) -> AppProfile:
+    return read_input(path, lambda text: AppProfile.from_json(json.loads(text)))
 
 
 def save_profile(db_root: str, entry: DbEntry) -> str:
@@ -214,7 +193,7 @@ def save_profile(db_root: str, entry: DbEntry) -> str:
     with open(os.path.join(entry_dir, ".lock"), "a") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
         if os.path.exists(profile_path):
-            old = _read_json(profile_path, AppProfile.from_json)
+            old = _read_profile(profile_path)
             # A profile's classes are keyed by exactly its observed features.
             new = entry.profile
             if (old.classes, old.confirmed) == (new.classes, new.confirmed):
@@ -237,11 +216,11 @@ def load_db(db_root: str) -> list[DbEntry]:
     for dirpath, _dirnames, filenames in os.walk(db_root):
         if "profile.json" not in filenames:
             continue
-        profile = _read_json(os.path.join(dirpath, "profile.json"), AppProfile.from_json)
+        profile = _read_profile(os.path.join(dirpath, "profile.json"))
         provenance: dict[str, str] = {}
         meta_path = os.path.join(dirpath, "meta.json")
         if os.path.exists(meta_path):
-            provenance = _read_json(meta_path, dict)
+            provenance = read_input(meta_path, lambda text: dict(json.loads(text)))
         entries.append(DbEntry(profile=profile, provenance=provenance))
     entries.sort(key=lambda e: (e.key, e.provenance_fingerprint()))
     return entries
@@ -249,66 +228,44 @@ def load_db(db_root: str) -> list[DbEntry]:
 
 def import_os_csv(path: str) -> OsSupportSet:
     """Parse an OS support CSV into an OsSupportSet."""
-    implemented: set[int] = set()
-    stubs: set[int] = set()
-    fakes: set[int] = set()
-    os_name = ""
-    revision = ""
-    status_sets = {"implemented": implemented, "stubbed": stubs, "faked": fakes}
+    return read_input(path, lambda text: _parse_os_csv(path, text))
 
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.rstrip("\n")
-            stripped = line.strip()
-            if stripped.startswith("#"):
-                body = stripped[1:].strip()
-                if body.startswith("os:"):
-                    os_name = body[3:].strip()
-                elif body.startswith("revision:"):
-                    revision = body[9:].strip()
-                continue
-            if "#" in line:
-                line = line[: line.index("#")]
-            if not line.strip():
-                continue
-            fields = line.split(",")
-            if len(fields) > 2:
-                col = len(fields[0]) + len(fields[1]) + 3
-                raise ParseError(path, lineno, col, "expected 'syscall[,status]'")
-            token = fields[0].strip()
-            col = line.index(token) + 1 if token else 1
-            if not token:
-                raise ParseError(path, lineno, 1, "missing syscall field")
-            if token.isdigit():
-                nr = int(token)
-            else:
-                try:
-                    nr = syscalls.name_to_nr(token)
-                except KeyError:
-                    raise UnknownSyscallName(
-                        path, lineno, col, f"unknown syscall name {token!r}") from None
-            status = "implemented"
-            if len(fields) == 2:
-                status = fields[1].strip().lower()
-                scol = line.index(fields[1]) + 1
-                if status not in _STATUSES:
-                    raise ParseError(
-                        path, lineno, scol,
-                        f"unknown status {status!r} (expected one of {', '.join(_STATUSES)})")
-            for other, bucket in status_sets.items():
-                if other != status and nr in bucket:
-                    raise ParseError(
-                        path, lineno, col,
-                        f"syscall {token} already listed with status {other!r}")
-            status_sets[status].add(nr)
 
-    return OsSupportSet(
-        implemented=frozenset(implemented),
-        declared_stubs=frozenset(stubs),
-        declared_fakes=frozenset(fakes),
-        os_name=os_name or os.path.basename(path),
-        revision=revision,
-    )
+def _parse_os_csv(path: str, text: str) -> OsSupportSet:
+    status_sets = {status: set() for status in _STATUSES}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.partition("#")[0]
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) > 2:
+            col = len(fields[0]) + len(fields[1]) + 3
+            raise ParseError(path, lineno, col, "expected 'syscall[,status]'")
+        token = fields[0].strip()
+        if not token:
+            raise ParseError(path, lineno, 1, "missing syscall field")
+        col = line.index(token) + 1
+        try:
+            nr = syscalls.parse_nr(token)
+        except KeyError:
+            raise UnknownSyscallName(
+                path, lineno, col, f"unknown syscall name {token!r}") from None
+        status = "implemented"
+        if len(fields) == 2:
+            status = fields[1].strip().lower()
+            if status not in _STATUSES:
+                raise ParseError(
+                    path, lineno, len(fields[0]) + 2,
+                    f"unknown status {status!r} (expected one of {', '.join(_STATUSES)})")
+        for other, bucket in status_sets.items():
+            if other != status and nr in bucket:
+                raise ParseError(
+                    path, lineno, col,
+                    f"syscall {token} already listed with status {other!r}")
+        status_sets[status].add(nr)
+    return OsSupportSet(implemented=frozenset(status_sets["implemented"]),
+                        declared_stubs=frozenset(status_sets["stubbed"]),
+                        declared_fakes=frozenset(status_sets["faked"]))
 
 
 def export_profile_csv(profile: AppProfile) -> str:

@@ -31,6 +31,16 @@ def name_to_nr(name: str) -> int:
     return _load()[0][name]
 
 
+def parse_nr(token: str) -> int:
+    """Return the syscall number a token names: a decimal number or a
+    lowercase syscall name.
+
+    Raises KeyError for anything else, such as ``²``, a digit that is not
+    decimal.
+    """
+    return int(token) if token.isdecimal() else name_to_nr(token)
+
+
 def nr_to_name(nr: int) -> str | None:
     """Return the syscall name for a number, or None if unknown."""
     return _load()[1].get(nr)

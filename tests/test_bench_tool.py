@@ -1,4 +1,4 @@
-"""tools/bench.py: the code-line count and the tally of pairs."""
+"""tools/bench.py: the code-line count, per module too, and the tally of pairs."""
 
 import importlib.util
 from pathlib import Path
@@ -32,6 +32,15 @@ def f():
 '''
     # x = 1, def f():, the string statement and both lines of the return.
     assert bench.code_lines(source) == 5
+
+
+def test_code_lines_per_module_sum_to_the_total(bench):
+    size = bench.source_size(TOOL.parent.parent)
+    modules = {k[len("src.code_lines."):]: v for k, v in size.items()
+               if k.startswith("src.code_lines.")}
+    assert {"cli", "config", "store"} <= set(modules)
+    assert all(n > 0 for n in modules.values())
+    assert sum(modules.values()) == size["src.code_lines"]
 
 
 def test_wins_count_neither_side_on_a_tie(bench):

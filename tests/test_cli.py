@@ -88,6 +88,38 @@ def test_malformed_policy_is_a_parse_error(tmp_path, capsys, text):
     assert len(err) == 1 and err[0].startswith("error: parse: "), err
 
 
+NOT_UTF8 = b"\xff\xfe\n"
+
+
+@pytest.mark.parametrize("flag,content", [
+    ("--policy", None), ("--policy", NOT_UTF8),
+    ("--config", None), ("--config", NOT_UTF8),
+    ("--os-support", None), ("--os-support", NOT_UTF8), ("--os-support", "²\n".encode()),
+    ("--order", None), ("--order", NOT_UTF8),
+], ids=["policy-directory", "policy-not-utf8", "config-directory", "config-not-utf8",
+        "os-support-directory", "os-support-not-utf8", "os-support-superscript-two",
+        "order-directory", "order-not-utf8"])
+def test_unreadable_input_is_a_parse_error(tmp_path, capsys, flag, content):
+    """A named file that is a directory, is not UTF-8, or names a syscall
+    by a digit that is not decimal gives one parse error line naming it."""
+    bad = tmp_path / "bad"
+    if content is None:
+        bad.mkdir()
+    else:
+        bad.write_bytes(content)
+    good = {"--policy": "{}", "--os-support": "read\n", "--order": "app\n"}
+    for name, text in good.items():
+        (tmp_path / name[2:]).write_text(text)
+    path = {name: str(tmp_path / name[2:]) for name in good} | {flag: str(bad)}
+    probe = ["probe", "--app-cmd", "/bin/true", "--test-script", "/bin/true",
+             "--policy", path["--policy"]]
+    compare = ["compare", "--db", str(tmp_path / "db"), "--os-support",
+               path["--os-support"], "--order", path["--order"]]
+    argv = {"--policy": probe, "--config": ["--config", str(bad), *probe]}.get(flag, compare)
+    code = main(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_USAGE
+    assert len(err) == 1 and err[0].startswith(f"error: parse: {bad}"), err
 @pytest.mark.parametrize("command", ["probe", "analyze"])
 def test_tracer_fault_fails_with_its_cause(tmp_path, capsys, monkeypatch, command):
     """A run the tracer failed to observe gives no verdict: the command

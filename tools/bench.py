@@ -9,9 +9,10 @@ own root, one run at a time; which checkout goes first alternates from seed
 to seed.  The last stdout line of each run, its JSON result, is kept as it
 is.  The output also gives each checkout's commit (``git describe --always
 --dirty``), the lines of its ``src/slens`` and how many of them are code
-(not blank, not a comment, not part of a docstring), per workload and
-metric the median and quartiles over the seeds, and the number of seeds on
-which AFTER read better than BEFORE.
+(not blank, not a comment, not part of a docstring), in all and per
+module (also printed to stderr), per workload and metric the median and
+quartiles over the seeds, and the number of seeds on which AFTER read
+better than BEFORE.
 """
 
 from __future__ import annotations
@@ -48,9 +49,14 @@ def code_lines(source: str) -> int:
 
 
 def source_size(checkout: Path) -> dict[str, int]:
-    texts = [f.read_text() for f in sorted((checkout / "src" / "slens").rglob("*.py"))]
-    return {"src.lines": sum(len(t.splitlines()) for t in texts),
-            "src.code_lines": sum(code_lines(t) for t in texts)}
+    """Lines of ``src/slens``, its code lines, and each module's code lines
+    as ``src.code_lines.<module>``."""
+    root = checkout / "src" / "slens"
+    texts = {".".join(f.relative_to(root).with_suffix("").parts): f.read_text()
+             for f in sorted(root.rglob("*.py"))}
+    modules = {f"src.code_lines.{m}": code_lines(t) for m, t in texts.items()}
+    return {"src.lines": sum(len(t.splitlines()) for t in texts.values()),
+            "src.code_lines": sum(modules.values()), **modules}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -110,6 +116,9 @@ def main(argv=None) -> int:
                       "runs": {w: [] for w in workloads}})
         print(f"{commit}: src/slens {sides[-1]['src.lines']} lines, "
               f"{sides[-1]['src.code_lines']} of them code", file=sys.stderr)
+        for key, n in sides[-1].items():
+            if key.startswith("src.code_lines."):
+                print(f"  {key[len('src.code_lines.'):]}: {n}", file=sys.stderr)
     for i, seed in enumerate(args.seeds):
         for w in workloads:
             for k in ((0, 1) if i % 2 == 0 else (1, 0)):
