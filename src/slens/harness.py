@@ -5,7 +5,9 @@ drives it with the user's test script, has the tracer end the tree, and
 produces a WorkloadOutcome.  The outcome's peak RSS and descriptor count
 are the ones the tracer read (``RunTrace.peak_rss``, ``peak_fds``).  A run
 adds no thread to its caller: the harness polls the session in the
-calling thread.
+calling thread.  Nor does it add a process beyond the run's tree: the
+calling thread's tracer, forked by its first run, serves every later one
+and outlives them (see ``slens.interposer``).
 
 One clock and one verdict per run:
   - One deadline, ``started + limits.timeout``, covers readiness (port or

@@ -25,18 +25,33 @@ unrecorded.  The filter cannot tell measured from unmeasured processes,
 though: unmeasured ones stop on the trapped syscalls too and are resumed at
 once, so in a discovery run every syscall of theirs stops.
 
+One tracer per thread: a thread's first ``TraceSession.start`` forks a
+tracer process, which lives as long as that thread and serves its runs one
+at a time.  Each later start sends it the run's command, the caller's
+current environment and working directory, policy, whitelist, tables,
+discovery flag and hit cap; it builds a fresh engine (its own filter, its
+own fork of the app) for every run.  A tracer that
+failed (a failed or unannounced launch, a fault, a stop that needed
+SIGKILL) is retired, that is killed and reaped, and the thread's next
+session forks a new one.  ``retire_tracer`` retires a thread's tracer once
+the thread has no session left, as the orchestrator does for its pool's
+workers.
+
 Ending a run: the tracer alone signals the application's tree and keeps no
 clock.  A stop request is a SIGTERM to the tracer (an unreaped child, so
 its pid is not reused): on the first the tracer sends SIGTERM to every
-process it follows, on any later one SIGKILL, and it returns once none is
-left; ``TraceSession.stop`` sends the second KILL_GRACE seconds after the
-first.  The tracer makes the first request itself, and the trace says
-``runaway``, once the measured processes' trapped calls pass the run's hit
-cap.  So no process outlives its run: not a daemon that left the process
-group, nor one whose caller died, since the PR_SET_PDEATHSIG of the tracer
-and of the launched child is SIGKILL and PTRACE_O_EXITKILL takes the tree
-with the tracer.  That signal follows the thread that forked, so the
-thread that starts a session must outlive it.
+process it follows, on any later one SIGKILL, and it reports the result
+once none is left; ``TraceSession.stop`` sends the second KILL_GRACE
+seconds after the first, and sends none once the result has arrived.
+Between runs the tracer's SIGTERM handler does nothing, so a request that
+comes after its run ended cannot stop the next one.  The tracer makes the
+first request itself, and the trace says ``runaway``, once the measured
+processes' trapped calls pass the run's hit cap.  So no process outlives
+its run: not a daemon that left the process group, nor one whose caller
+died, since the PR_SET_PDEATHSIG of the tracer and of the launched child is
+SIGKILL and PTRACE_O_EXITKILL takes the tree with the tracer.  That signal
+follows the thread that forked, so the thread that starts a session must
+outlive it.
 
 Resource readings sum VmHWM and open descriptors over the measured
 processes, each process once however many threads it has.  The tracer
@@ -51,25 +66,30 @@ those events.  The tree runs without address-space randomisation
 (ADDR_NO_RANDOMIZE, as under gdb), so a deterministic program's readings
 repeat from run to run; where the kernel refuses, the run warns.
 
-The tracer reports to its session over one ``multiprocessing.Pipe``,
-each message an ``(event, value)`` pair sent with ``Connection.send``:
-``("launched", pid)`` at the root's first exec, ``("root_exit",
-(exit_code, signal))`` when the tracer reaps the root, ``("result",
-RunTrace)`` once no process is left, and ``("error", LaunchFailure |
-TracerFault)``.  The launched child holds the pipe until its exec closes
-it (O_CLOEXEC) and reports a failed launch step on it as a LaunchFailure;
-the tracer reports a fault of its own in place of the result.  The first
-error wins.  Only slens code writes to the pipe, the workload never, so
-the session may unpickle what it reads.
+A thread and its tracer talk over one duplex ``multiprocessing.Pipe``.
+The session sends each run's request on it, and the tracer answers with
+``(event, value)`` pairs sent with ``Connection.send``: ``("launched",
+pid)`` at the root's first exec, ``("root_exit", (exit_code, signal))``
+when the tracer reaps the root, ``("result", RunTrace)`` once no process
+is left, and ``("error", LaunchFailure | TracerFault)``.  The launched
+child holds the pipe until its exec closes it (O_CLOEXEC) and reports a
+failed launch step on it as a LaunchFailure; the tracer reports a fault of
+its own in place of the result, and exits.  The first error wins.  Only
+slens code writes to the pipe, the workload never, so each side may
+unpickle what it reads.
 
 A session exists only once launched: ``TraceSession.start`` returns when
 the root has exec'd the command, and raises the run's error, with the
-tracer reaped, when it does not.  A session starts no thread: one thread
+tracer retired, when it does not.  A session starts no thread: one thread
 uses it, and reads the pipe only inside its calls.  That is safe because
 at most two small messages come before the result: the child's ``error``
 or ``launched``, then ``root_exit``.  So the tracer never waits for a
 reader while the run goes on; the result may wait until ``wait`` or
-``stop`` drains the pipe, and every caller calls one.
+``stop`` reads it, and every caller calls one.  A session never leaves a
+message of its run in the pipe: it reads through to its result, or it
+retires the tracer.  A session started while another of its thread is
+open gets a new tracer, which becomes the thread's; the open session
+retires the old one once it reads its result.
 
 Caveat: the filter requires no_new_privs, which is inherited and cannot be
 unset, so setuid and setgid binaries (and file capabilities) confer no
@@ -87,6 +107,7 @@ import errno as _errno
 import logging
 import os
 import signal
+import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -105,6 +126,7 @@ STUB_RETURN = -ENOSYS
 _MAX_WARNINGS = 200
 
 KILL_GRACE = 2.0  # seconds from the stop request's SIGTERM to SIGKILL
+_KILL_WAIT = 10.0  # seconds from SIGKILL until a stop gives the tracer up
 _LAUNCH_WAIT = 30.0  # seconds the parent waits for the launch announcement
 # Seconds: the longest wait that one poll(2) call takes (2**31 - 1 ms), for
 # a session's pipe and for the harness's test script.
@@ -399,7 +421,10 @@ class RunTrace:
 @dataclass(frozen=True)
 class Command:
     """A command to launch: argv and working directory.  The launched
-    command inherits the caller's environment.
+    command gets the caller's environment, and its working directory when
+    ``cwd`` is None, as they are at ``TraceSession.start``.  Its umask and
+    resource limits are those of the thread's tracer: the caller's at the
+    thread's first session.
 
     ``stdout_path``/``stderr_path`` redirect the tree's standard streams to
     files; None inherits the caller's streams.  A relative ``argv[0]`` is
@@ -445,15 +470,18 @@ class _Proc:
 
 
 class _Engine:
-    """Single-threaded tracer event loop owning one process tree.
+    """Single-threaded tracer event loop owning one run's process tree.
 
-    Runs inside a dedicated forked process and reports to its session
-    through ``emit(event, value)`` (see the module docstring).
+    Runs inside its thread's tracer process, a fresh engine for every run,
+    and reports to the run's session through ``emit(event, value)`` (see
+    the module docstring).
     """
 
-    def __init__(self, command: Command, policy: Policy, whitelist: Whitelist,
-                 tables: InterposerTables, discovery: bool, hit_cap: int | None, emit):
+    def __init__(self, command: Command, env: dict[str, str], policy: Policy,
+                 whitelist: Whitelist, tables: InterposerTables, discovery: bool,
+                 hit_cap: int | None, emit):
         self.command = command
+        self.env = env
         self.policy = policy
         self.discovery = discovery
         self.hits_left = float("inf") if hit_cap is None else hit_cap
@@ -516,6 +544,7 @@ class _Engine:
             # returns.
             step = f"launch of {argv[0]}"
             try:
+                signal.signal(signal.SIGTERM, signal.SIG_DFL)  # the tracer's is _idle
                 pt.set_pdeathsig(signal.SIGKILL)
                 if os.getppid() != tracer:
                     os._exit(127)  # the tracer died before the line above
@@ -536,7 +565,7 @@ class _Engine:
                 step = f"seccomp filter install for {argv[0]}"
                 pt.install_seccomp(prog)
                 step = f"exec of {argv[0]}"
-                os.execve(argv[0], argv, os.environ)
+                os.execve(argv[0], argv, self.env)
             except OSError as exc:
                 err = exc.errno or 0
                 self.emit("error", LaunchFailure(
@@ -623,6 +652,7 @@ class _Engine:
 
     def _on_exit(self, pid: int, status: int) -> None:
         self.procs.pop(pid, None)
+        self.pending_stops.discard(pid)
         if pid == self.root_pid:
             self.root_exit_at = time.monotonic()
             if os.WIFEXITED(status):
@@ -709,7 +739,12 @@ class _Engine:
 
     def run(self) -> RunTrace:
         self._launch()
-        while self.procs:
+        while self.procs or self.pending_stops:
+            if not self.procs:
+                # Their fork events never came: the parents died first.  The
+                # tracer outlives the run, so PTRACE_O_EXITKILL cannot end them.
+                for pid in self.pending_stops:
+                    self._kill(pid, signal.SIGKILL)
             try:
                 pid, status = os.waitpid(-1, pt.WALL)
             except ChildProcessError:
@@ -731,29 +766,107 @@ class _Engine:
         )
 
 
-def _tracer_process(parent, command, policy, whitelist, tables, discovery,
-                    hit_cap, writer) -> None:
-    """Entry point of the forked tracer process.  Never returns."""
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)  # until _launch takes requests
+def _idle(signum, frame) -> None:
+    """The tracer's SIGTERM handler between runs: a stop request that came
+    after its run ended does nothing.  (Not SIG_IGN, which the app would
+    keep across its exec.)"""
+
+
+def _tracer_process(parent: int, conn) -> None:
+    """Entry point of a forked tracer process: serve its thread's runs, one
+    at a time, until the pipe ends.  Never returns."""
+    signal.signal(signal.SIGTERM, _idle)
     pt.set_pdeathsig(signal.SIGKILL)
     if os.getppid() != parent:
         os._exit(1)  # the parent died before the line above
 
     def emit(event: str, value) -> None:
         try:
-            writer.send((event, value))
+            conn.send((event, value))
         except OSError:
             pass  # the session is gone
 
-    engine = _Engine(command, policy, whitelist, tables, discovery, hit_cap, emit)
-    code = 0
-    try:
-        emit("result", engine.run())
-    except Exception as exc:  # noqa: BLE001 - report anything as a tracer fault
-        emit("error", TracerFault(f"{type(exc).__name__}: {exc}"))
-        engine._kill_tree(signal.SIGKILL)
-        code = 1
-    os._exit(code)  # closes the pipe
+    while True:
+        try:
+            request = conn.recv()
+        except (EOFError, OSError):
+            os._exit(0)  # the caller's end is closed
+        engine = _Engine(*request, emit)
+        try:
+            trace = engine.run()
+        except Exception as exc:  # noqa: BLE001 - report anything as a tracer fault
+            emit("error", TracerFault(f"{type(exc).__name__}: {exc}"))
+            engine._kill_tree(signal.SIGKILL)
+            os._exit(1)  # closes the pipe
+        signal.signal(signal.SIGTERM, _idle)  # before the result, which ends the run
+        emit("result", trace)
+
+
+class _Tracer:
+    """A tracer process and the caller's end of its pipe.  It serves the
+    thread that forked it, one run at a time, and is kept in ``_tracers``
+    until it is retired."""
+
+    def __init__(self, thread: threading.Thread):
+        self.thread = thread
+        self.busy = False  # a run was sent and its result not yet read
+        self.conn, child = Pipe()
+        parent = os.getpid()
+        self.pid = os.fork()
+        if self.pid == 0:
+            # Other threads may be starting runs of their own, so this child
+            # must touch no lock another thread may hold: it never logs, and
+            # writes only with its pipe's os.write.  It also closes every
+            # inherited descriptor but stdio and its own pipe, since one it
+            # kept could be another tracer's pipe or a test script's output,
+            # whose reader would then wait for this tracer.  Whatever
+            # escapes, such as KeyboardInterrupt, must not unwind the
+            # caller's stack in this copy of it.
+            try:
+                fd = child.fileno()
+                os.closerange(3, fd)
+                os.closerange(max(3, fd + 1), os.sysconf("SC_OPEN_MAX"))
+                _tracer_process(parent, child)
+            finally:
+                os._exit(1)
+        child.close()
+
+    def retire(self) -> None:
+        """Kill the tracer, and the tree of any run it serves
+        (PTRACE_O_EXITKILL), and reap it.  Idempotent."""
+        if self.conn.closed:
+            return
+        if _tracers.get(self.thread) is self:
+            del _tracers[self.thread]
+        os.kill(self.pid, signal.SIGKILL)  # not reaped yet, so the pid is still ours
+        self.conn.close()
+        os.waitpid(self.pid, 0)
+
+
+# Each thread's tracer.  A thread reads and replaces only its own entry;
+# any thread may retire the tracer of a thread that has no session left.
+_tracers: dict[threading.Thread, _Tracer] = {}
+
+
+def _thread_tracer() -> _Tracer:
+    """The calling thread's idle tracer, forked if it has none.  While a
+    session of the thread is open, its tracer stays with it: the thread
+    gets a new tracer, and the session retires the old one when it ends."""
+    thread = threading.current_thread()
+    tracer = _tracers.get(thread)
+    if tracer is None or tracer.busy:
+        tracer = _tracers[thread] = _Tracer(thread)
+    return tracer
+
+
+def retire_tracer(thread: threading.Thread | None = None) -> None:
+    """Kill and reap the tracer of ``thread`` (default: the calling thread),
+    if it has one.  Call it once the thread has no session left; its next
+    session forks a new tracer.  A thread that ends without it leaves its
+    tracer killed (PR_SET_PDEATHSIG) but unreaped."""
+    tracer = _tracers.get(thread or threading.current_thread())
+    if tracer is not None:
+        tracer.retire()
 
 
 # ---------------------------------------------------------------------------
@@ -761,21 +874,21 @@ def _tracer_process(parent, command, policy, whitelist, tables, discovery,
 
 
 class TraceSession:
-    """Handle to a launched run executing under a dedicated tracer process.
+    """Handle to a launched run executing under its thread's tracer.
 
-    The tracer owns all tracee interactions; this object only reads its
-    messages (see the module docstring) and can ask the tracer to end the
-    run (``stop``).  ``app_pid`` is the pid of the application root, which
-    has exec'd the command, and also its process-group id.  The session
-    starts no thread: one thread uses it, and each call reads the pipe in
-    that thread.  A session ends with ``wait`` or ``stop``, which drain the
-    pipe.
+    The tracer owns all tracee interactions; this object only reads the
+    run's messages (see the module docstring) and can ask the tracer to end
+    the run (``stop``).  ``app_pid`` is the pid of the application root,
+    which has exec'd the command, and also its process-group id.  The
+    session starts no thread: one thread uses it, and each call reads the
+    pipe in that thread.  A session ends with ``wait`` or ``stop``, which
+    read through to the run's result or else retire the tracer, so the
+    pipe holds no message of this run for the thread's next session.
     """
 
-    def __init__(self, tracer_pid: int, reader):
-        self._tracer_pid = tracer_pid
-        self._reader = reader
-        self._eof = False
+    def __init__(self, tracer: _Tracer):
+        self._tracer = tracer
+        self._tracer_pid = tracer.pid
         self.app_pid: int | None = None
         self._root_status: tuple[int | None, int | None] | None = None
         self._trace: RunTrace | None = None
@@ -785,8 +898,12 @@ class TraceSession:
     def start(cls, command: Command, policy: Policy, whitelist: Whitelist,
               tables: InterposerTables = DEFAULT_TABLES,
               discovery: bool = True, hit_cap: int | None = None) -> "TraceSession":
-        """Launch ``command`` under a new tracer process and return once the
-        root has exec'd it.
+        """Launch ``command`` under the calling thread's tracer and return
+        once the root has exec'd it.  The thread's first session forks the
+        tracer; later ones send it their run, with the caller's current
+        environment and working directory (see ``Command``).  A thread may
+        hold several open sessions: one started while another is open gets
+        a tracer of its own.
 
         A ``discovery`` run traps, and so observes, every syscall; any
         other run traps only the syscalls that ``policy`` overrides.  A run
@@ -794,58 +911,48 @@ class TraceSession:
         calling thread must outlive the session: its exit is a stop request.
 
         A command that does not launch raises the run's LaunchFailure or
-        TracerFault, with the tracer reaped.  A tracer that has not
-        announced the launch within _LAUNCH_WAIT seconds is killed first;
+        TracerFault, with the tracer retired.  A tracer that has not
+        announced the launch within _LAUNCH_WAIT seconds is retired too;
         PTRACE_O_EXITKILL and the child's PR_SET_PDEATHSIG take the child
         with it.
         """
-        reader, writer = Pipe(duplex=False)
-        parent = os.getpid()
-        tracer_pid = os.fork()
-        if tracer_pid == 0:
-            # Other threads may be starting sessions of their own, so this
-            # child must touch no lock another thread may hold: it never
-            # logs, and writes only with its pipe's os.write.  It also
-            # closes every inherited descriptor but stdio and its own pipe,
-            # since one it kept could be another session's pipe or a test
-            # script's output, whose reader would then wait for this tracer.
-            # Whatever escapes, such as KeyboardInterrupt, must not unwind
-            # the caller's stack in this copy of it.
-            try:
-                fd = writer.fileno()
-                os.closerange(3, fd)
-                os.closerange(max(3, fd + 1), os.sysconf("SC_OPEN_MAX"))
-                _tracer_process(parent, command, policy, whitelist, tables,
-                                discovery, hit_cap, writer)
-            finally:
-                os._exit(1)
-        writer.close()
-        session = cls(tracer_pid, reader)
-        session._read(_LAUNCH_WAIT, lambda: session.app_pid is not None
-                      or session._error is not None)
-        if session.app_pid is None:
-            if not session._eof:  # the pid is still ours: the tracer is not reaped
-                os.kill(tracer_pid, signal.SIGKILL)
-            session._read(None, lambda: False)  # to the end, which the kill brings
-            os.waitpid(tracer_pid, 0)
+        if not command.cwd:
+            command = replace(command, cwd=os.getcwd())
+        tracer = _thread_tracer()
+        session = cls(tracer)
+        tracer.busy = True
+        try:
+            tracer.conn.send((command, dict(os.environ), policy, whitelist, tables,
+                              discovery, hit_cap))
+        except OSError as exc:  # the idle tracer has died
+            tracer.retire()
+            raise TracerFault(f"tracer is gone: {exc}") from None
+        if not session._read(_LAUNCH_WAIT, lambda: session.app_pid is not None):
+            tracer.retire()
             raise session._error or LaunchFailure("tracer exited before launch")
         return session
 
     # -- the tracer's messages, read in the caller's thread
 
+    def _done(self) -> bool:
+        """Whether no message of this run is left to read: its result or
+        an error arrived, or its tracer is retired."""
+        return (self._trace is not None or self._error is not None
+                or self._tracer.conn.closed)
+
     def _read(self, timeout: float | None, until: Callable[[], bool]) -> bool:
-        """Handle messages until ``until()`` holds, the pipe ends, or
+        """Handle messages until ``until()`` holds, the run is done, or
         ``timeout`` seconds pass (None: no limit).  Returns ``until()``."""
         deadline = None if timeout is None else time.monotonic() + timeout
-        while not until() and not self._eof:
+        conn = self._tracer.conn
+        while not until() and not self._done():
             left = None if deadline is None else max(0.0, deadline - time.monotonic())
             try:
-                if not self._reader.poll(left):
+                if not conn.poll(left):
                     break
-                self._handle_message(*self._reader.recv())
+                self._handle_message(*conn.recv())
             except (EOFError, OSError):  # the tracer has ended
-                self._eof = True
-                self._reader.close()
+                self._tracer.retire()
         return until()
 
     def _handle_message(self, event: str, value) -> None:
@@ -855,6 +962,9 @@ class TraceSession:
             self._root_status = value
         elif event == "result":
             self._trace = value
+            self._tracer.busy = False
+            if _tracers.get(self._tracer.thread) is not self._tracer:
+                self._tracer.retire()  # the thread has a newer tracer
         elif self._error is None:  # an error: the first one wins
             self._error = value
 
@@ -866,44 +976,40 @@ class TraceSession:
         return self._root_status
 
     def finished(self) -> bool:
-        """Whether the tracer has ended: no process of the run is left."""
-        return self._read(0, lambda: self._eof)
+        """Whether the run has ended: its result has arrived, so no process
+        of the run is left, or its tracer failed."""
+        return self._read(0, self._done)
 
     def stop(self) -> RunTrace:
         """End the run and return its trace, as ``wait`` does.
 
-        Sends the tracer a stop request, and a second one KILL_GRACE
-        seconds later: the tree gets SIGTERM, then SIGKILL.  A tracer not
-        finished 10 s after that is killed, and PTRACE_O_EXITKILL takes the
-        tree with it; this raises TracerFault.
+        Unless the run's result has arrived, sends the tracer a stop
+        request, and a second one KILL_GRACE seconds later: the tree gets
+        SIGTERM, then SIGKILL.  A tracer not finished _KILL_WAIT seconds
+        after that is retired, and PTRACE_O_EXITKILL takes the tree with
+        it; this raises TracerFault.
         """
-        for grace in (KILL_GRACE, 10):
-            if not self._eof:  # the tracer is not reaped, so the pid is still ours
+        for grace in (KILL_GRACE, _KILL_WAIT):
+            if not self.finished():  # the tracer is not retired, so the pid is still ours
                 os.kill(self._tracer_pid, signal.SIGTERM)
             try:
                 return self.wait(timeout=grace)
             except TimeoutError:
                 pass
-        os.kill(self._tracer_pid, signal.SIGKILL)
-        self._read(None, lambda: False)  # to the end, which the kill brings
-        os.waitpid(self._tracer_pid, 0)
+        self._tracer.retire()
         raise TracerFault("process tree did not end after SIGKILL")
 
     def wait(self, timeout: float | None = None) -> RunTrace:
         """Wait for the run to finish and return its RunTrace.
 
-        Raises LaunchFailure or TracerFault when the tracer reported one.
+        Raises LaunchFailure or TracerFault, with the tracer retired, when
+        the tracer reported one or ended without a result.
         """
-        if not self._read(timeout, lambda: self._eof):
+        if not self._read(timeout, self._done):
             raise TimeoutError("trace session still running")
-        try:
-            os.waitpid(self._tracer_pid, 0)
-        except ChildProcessError:
-            pass
-        if self._error is not None:
-            raise self._error
         if self._trace is None:
-            raise TracerFault("tracer exited without a result")
+            self._tracer.retire()
+            raise self._error or TracerFault("tracer exited without a result")
         return self._trace
 
 

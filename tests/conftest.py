@@ -16,15 +16,25 @@ footprints as oracles.  The compile flags (``CFLAGS``) are:
 Every ``fixtures/*.c`` is built and every ``fixtures/*.sh`` copied, so a
 new fixture cannot be left out.  A fixture that fails to build fails the
 session with gcc's stderr.
+
+A thread keeps its tracer process from run to run (``slens.interposer``).
+After every test, ``no_child_left`` retires the test thread's tracer, so
+the next test forks a fresh one that inherits that test's monkeypatches.
+It fails the test if that tracer still served an open session (a run not
+read to its result), or if any child of the test process is left, zombies
+included.
 """
 
 import os
 import platform
 import shutil
 import subprocess
+import threading
 from pathlib import Path
 
 import pytest
+
+from slens.interposer import _tracers, retire_tracer
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
@@ -37,6 +47,33 @@ def pytest_collection_modifyitems(config, items):
         skip = pytest.mark.skip(reason="trace engine requires Linux on x86_64")
         for item in items:
             item.add_marker(skip)
+
+
+def children() -> set[int]:
+    """This process's children, zombies included."""
+    kids = set()
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/stat") as f:
+                if int(f.read().rsplit(")", 1)[1].split()[1]) == os.getpid():
+                    kids.add(int(pid))
+        except OSError:
+            continue
+    return kids
+
+
+def thread_tracer():
+    """The calling thread's tracer, or None."""
+    return _tracers.get(threading.current_thread())
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    yield
+    tracer = thread_tracer()
+    retire_tracer()
+    assert tracer is None or not tracer.busy, "the test left a session open"
+    assert children() == set(), "the test left a child process behind"
 
 
 class FixtureSet:

@@ -30,10 +30,13 @@ from slens.interposer import (
     Policy,
     RunTrace,
     Whitelist,
+    retire_tracer,
     sample_resources,
     trace_run,
 )
 from slens.syscalls import name_to_nr
+
+from conftest import children, thread_tracer
 
 LIMITS = Limits(timeout=5.0)
 
@@ -137,7 +140,10 @@ def test_readiness_timeout_is_not_a_crash(fixtures, app_spec_factory):
     spec = app_spec_factory("sleeper", script="pass.sh", readiness=Readiness(port=0))
 
     def run(_):
-        outcome, trace = run_workload(spec, Policy.allow_all(), Limits(timeout=0.3))
+        try:
+            outcome, trace = run_workload(spec, Policy.allow_all(), Limits(timeout=0.3))
+        finally:
+            retire_tracer()  # the pool's threads end with the test
         return outcome.reason, trace.timed_out
 
     with ThreadPoolExecutor(max_workers=2) as pool:
@@ -237,6 +243,7 @@ def test_short_runs_do_not_wait_for_long_ones(fixtures, app_spec_factory):
     def long_runs(_):
         for _ in range(3):
             run_workload(long_spec, Policy.allow_all(), Limits(timeout=1.0))
+        retire_tracer()  # the pool's threads end with the test
 
     def short_runs(_):
         seen = []
@@ -244,6 +251,7 @@ def test_short_runs_do_not_wait_for_long_ones(fixtures, app_spec_factory):
             t0 = time.monotonic()
             outcome, _ = run_workload(short_spec, Policy.allow_all(), LIMITS)
             seen.append((outcome.reason, time.monotonic() - t0 < 0.8))
+        retire_tracer()
         return seen
 
     with ThreadPoolExecutor(max_workers=4) as pool:
@@ -281,18 +289,21 @@ def test_relative_script_is_the_one_validated(fixtures, tmp_path, monkeypatch):
 ], ids=["no-shebang", "missing-interpreter"])
 def test_script_the_kernel_cannot_exec_raises(fixtures, tmp_path, text, error):
     """An executable script that exec refuses raises ScriptMissing naming
-    it, and the run's tree is still ended."""
+    it, and the run's tree is still ended: the run was read to its result,
+    and no child is left but the thread's idle tracer."""
     script = tmp_path / "check.sh"
     script.write_text(text)
     script.chmod(0o755)
     spec = AppSpec(name="noexec", app_command=(fixtures.binary("sleeper"),),
                    test_script=str(script))
-    before = _children()
+    before = children()
     with pytest.raises(ScriptMissing, match=f"^test script {script} cannot be executed: "
                                             f"{error}$"):
         run_workload(spec, Policy.allow_all(), LIMITS)
-    assert _children() <= before
     assert fixtures.running("sleeper") == []
+    tracer = thread_tracer()
+    assert not tracer.busy
+    assert children() <= before | {tracer.pid}
 
 
 def test_perf_metric_round_trip(fixtures, app_spec_factory):
@@ -354,29 +365,16 @@ def test_run_adds_no_thread_to_its_caller(fixtures, app_spec_factory):
     assert outcome.perf_metric == _threads()
 
 
-def _children() -> set[int]:
-    """This process's children, zombies included."""
-    kids = set()
-    for pid in filter(str.isdigit, os.listdir("/proc")):
-        try:
-            with open(f"/proc/{pid}/stat") as f:
-                if int(f.read().rsplit(")", 1)[1].split()[1]) == os.getpid():
-                    kids.add(int(pid))
-        except OSError:
-            continue
-    return kids
-
-
 def test_failed_launch_leaves_no_child(app_spec_factory, tmp_path):
     """A launch the tracer refuses before announcing it (a file without
     execute permission) raises LaunchFailure, and the tracer is reaped."""
     app = tmp_path / "not_executable"
     app.write_text("")
     spec = app_spec_factory("noop", command=(str(app),))
-    before = _children()
+    before = children()
     with pytest.raises(LaunchFailure):
         run_workload(spec, Policy.allow_all(), LIMITS)
-    assert _children() <= before
+    assert children() <= before
 
 
 def test_failed_exec_runs_no_test_script(tmp_path):

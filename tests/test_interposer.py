@@ -24,6 +24,7 @@ from slens.interposer import (
     Policy,
     STUB,
     TraceSession,
+    TracerFault,
     Whitelist,
     fake,
     trace_run,
@@ -337,6 +338,103 @@ def test_result_larger_than_the_pipe_survives_stop(fixtures):
     assert trace.exit_code == 0
     assert len(pickle.dumps(trace)) > 65536  # a Linux pipe's default capacity
     assert sum(f.syscall_nr == IOCTL for f in trace.observed) == 4000
+
+
+def test_stop_request_after_the_result_spares_the_next_run(fixtures):
+    """A thread's tracer serves its next run too.  A stop request that
+    reaches it after its run's result does nothing, so the next run, of an
+    app that exits 0 by itself, is neither stopped nor signalled."""
+    noop, ioctls = fixtures.binary("noop"), fixtures.binary("many_ioctls")
+    session = TraceSession.start(Command(argv=(noop,)), Policy.allow_all(), Whitelist())
+    assert session.wait(timeout=10).exit_code == 0
+    os.kill(session._tracer_pid, signal.SIGTERM)
+    nxt = TraceSession.start(Command(argv=(ioctls,)), Policy.allow_all(),
+                             Whitelist.of_paths([ioctls]))
+    trace = nxt.wait(timeout=30)
+    assert nxt._tracer_pid == session._tracer_pid
+    assert (trace.exit_code, trace.signaled) == (0, None)
+
+
+def test_a_session_gets_the_callers_current_environment_and_cwd(fixtures, tmp_path,
+                                                                 monkeypatch):
+    """The thread's tracer outlives the caller's state at its fork: each run
+    gets the environment and working directory the caller has at its
+    start."""
+    noop = fixtures.binary("noop")
+    trace_run(Command(argv=(noop,)), Policy.allow_all(), Whitelist(), LIMITS)
+    monkeypatch.setenv("SLENS_TEST_VALUE", "later")
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out.txt"
+    script = 'printf "%s %s" "$SLENS_TEST_VALUE" "$(pwd -P)"'
+    trace = trace_run(Command(argv=("/bin/sh", "-c", script), stdout_path=str(out)),
+                      Policy.allow_all(), Whitelist(), LIMITS)
+    assert trace.exit_code == 0
+    assert out.read_text() == f"later {tmp_path.resolve()}"
+
+
+def test_a_session_started_while_another_is_open_gets_its_own_tracer(fixtures):
+    """A thread may hold two open sessions.  The second gets a new tracer,
+    which becomes the thread's; the first keeps its tracer to the end of
+    its run and then retires it."""
+    noop, sleeper = fixtures.binary("noop"), fixtures.binary("sleeper")
+    first = TraceSession.start(Command(argv=(sleeper,)), Policy.allow_all(), Whitelist())
+    second = TraceSession.start(Command(argv=(noop,)), Policy.allow_all(), Whitelist())
+    assert second._tracer_pid != first._tracer_pid
+    assert second.wait(timeout=10).exit_code == 0
+    assert first.stop().signaled == signal.SIGTERM
+    with pytest.raises(ChildProcessError):
+        os.waitpid(first._tracer_pid, os.WNOHANG)
+    third = TraceSession.start(Command(argv=(noop,)), Policy.allow_all(), Whitelist())
+    assert third.wait(timeout=10).exit_code == 0
+    assert third._tracer_pid == second._tracer_pid
+
+
+@pytest.mark.parametrize("failure", ["launch", "launch_wait", "fault", "crash", "kill"])
+def test_a_failure_retires_the_thread_tracer(fixtures, tmp_path, monkeypatch, failure):
+    """Consecutive sessions of one thread share its tracer.  A failed
+    launch, a launch never announced, a tracer fault (reported, or a tracer
+    that died) and a stop that needed SIGKILL each retire it: it is killed
+    and reaped, and the thread's next session forks a new one."""
+    noop, sleeper = fixtures.binary("noop"), fixtures.binary("sleeper")
+
+    def start(binary, tables=slens.interposer.DEFAULT_TABLES, **kwargs):
+        return TraceSession.start(Command(argv=(binary,), **kwargs), Policy.allow_all(),
+                                  Whitelist(), tables)
+
+    first = start(noop)
+    first.wait(timeout=10)
+    second = start(noop)
+    second.wait(timeout=10)
+    assert second._tracer_pid == first._tracer_pid
+    if failure == "launch":
+        with pytest.raises(LaunchFailure):
+            start("/nonexistent/binary")
+    elif failure == "launch_wait":
+        os.mkfifo(tmp_path / "fifo")  # the child blocks opening it for its stdout
+        monkeypatch.setattr(slens.interposer, "_LAUNCH_WAIT", 0.5)
+        with pytest.raises(LaunchFailure):
+            start("/bin/true", stdout_path=str(tmp_path / "fifo"))
+    elif failure == "fault":
+        session = start(noop, tables=None)  # the engine fails at the first trapped call
+        with pytest.raises(TracerFault, match="^AttributeError"):
+            session.wait(timeout=10)
+    elif failure == "crash":
+        session = start(sleeper)
+        os.kill(session._tracer_pid, signal.SIGINT)  # KeyboardInterrupt ends the tracer
+        with pytest.raises(TracerFault, match="without a result"):
+            session.wait(timeout=10)
+    else:
+        monkeypatch.setattr(slens.interposer, "KILL_GRACE", 0.1)
+        monkeypatch.setattr(slens.interposer, "_KILL_WAIT", 0.1)
+        session = start(sleeper)
+        os.kill(session._tracer_pid, signal.SIGSTOP)  # deaf to stop requests
+        with pytest.raises(TracerFault, match="did not end after SIGKILL"):
+            session.stop()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    after = start(noop)
+    assert after.wait(timeout=10).exit_code == 0
+    assert after._tracer_pid != first._tracer_pid
 
 
 def test_follow_fork_observes_child(fixtures, tmp_path):

@@ -471,6 +471,35 @@ def test_concurrent_runs_stress(fixtures, app_spec_factory):
     assert _descendants() == []
 
 
+def test_each_worker_forks_one_tracer_per_phase(fixtures, app_spec_factory, monkeypatch):
+    """A pool worker forks its tracer once and sends it every later run, so
+    the test process forks at most phases x ``parallelism`` tracers, not
+    one per run.  (The apps are forked inside the tracers.)  Each phase
+    retires its workers' tracers before it returns."""
+    forks, phases = [], []
+    fork, run_all = os.fork, Orchestrator._run_all
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    def counting_run_all(self, runs):
+        phases.append(len(runs))
+        return run_all(self, runs)
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(Orchestrator, "_run_all", counting_run_all)
+    config = AnalysisConfig(replicas=3, perf_runs=2, parallelism=2, timeout=5.0)
+    orch = Orchestrator(app_spec_factory("feat3", script="wait_exit.sh"), config)
+    profile = orch.full_analysis()
+    assert _descendants() == []
+    assert orch.executions == _run_count(config, profile) == sum(phases)
+    assert len(phases) == 4  # discovery, two probe phases, confirmation
+    assert len(forks) <= len(phases) * config.parallelism < orch.executions
+
+
 # -- conservative merge (pure property)
 
 
