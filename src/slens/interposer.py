@@ -25,17 +25,19 @@ unrecorded.  The filter cannot tell measured from unmeasured processes,
 though: unmeasured ones stop on the trapped syscalls too and are resumed at
 once, so in a discovery run every syscall of theirs stops.
 
-One tracer per thread: a thread's first ``TraceSession.start`` forks a
-tracer process, which lives as long as that thread and serves its runs one
-at a time.  Each later start sends it the run's command, the caller's
-current environment and working directory, policy, whitelist, tables,
-discovery flag and hit cap; it builds a fresh engine (its own filter, its
-own fork of the app) for every run.  A tracer that
-failed (a failed or unannounced launch, a fault, a stop that needed
-SIGKILL) is retired, that is killed and reaped, and the thread's next
-session forks a new one.  ``retire_tracer`` retires a thread's tracer once
-the thread has no session left, as the orchestrator does for its pool's
-workers.
+One tracer per thread: a thread holds at most one idle tracer process,
+which serves its runs one at a time.  ``TraceSession.start`` takes it, or
+forks one if the thread has none, and sends it the run's command, the
+caller's current environment and working directory, policy, whitelist,
+tables, discovery flag and hit cap; the tracer builds a fresh engine (its
+own filter, its own fork of the app) for every run.  The session owns the
+tracer until it reads the run's result, then gives it back to the thread,
+or retires it (kills and reaps it) if the thread already has another idle
+one.  A tracer that failed (a failed or unannounced launch, a fault, a stop
+that needed SIGKILL) is retired, and the thread's next session forks a new
+one.  A thread's idle tracer ends with its thread: it is retired when
+CPython frees the thread's thread-local storage, before ``join`` returns.
+``retire_tracer`` retires the calling thread's idle tracer at once.
 
 Ending a run: the tracer alone signals the application's tree and keeps no
 clock.  A stop request is a SIGTERM to the tracer (an unreaped child, so
@@ -88,8 +90,7 @@ reader while the run goes on; the result may wait until ``wait`` or
 ``stop`` reads it, and every caller calls one.  A session never leaves a
 message of its run in the pipe: it reads through to its result, or it
 retires the tracer.  A session started while another of its thread is
-open gets a new tracer, which becomes the thread's; the open session
-retires the old one once it reads its result.
+open finds no idle tracer, so it forks one of its own.
 
 Caveat: the filter requires no_new_privs, which is inherited and cannot be
 unset, so setuid and setgid binaries (and file capabilities) confer no
@@ -423,8 +424,8 @@ class Command:
     """A command to launch: argv and working directory.  The launched
     command gets the caller's environment, and its working directory when
     ``cwd`` is None, as they are at ``TraceSession.start``.  Its umask and
-    resource limits are those of the thread's tracer: the caller's at the
-    thread's first session.
+    resource limits are those of the tracer: the caller's when its thread
+    forked it.
 
     ``stdout_path``/``stderr_path`` redirect the tree's standard streams to
     files; None inherits the caller's streams.  A relative ``argv[0]`` is
@@ -519,14 +520,6 @@ class _Engine:
                 return None
         return reader
 
-    def _resume(self, pid: int, sig: int = 0) -> None:
-        try:
-            pt.resume_cont(pid, sig)
-        except pt.PtraceError as exc:
-            if exc.errno == _errno.ESRCH:
-                return  # died under us; waitpid will report it
-            raise
-
     # -- launch
 
     def _launch(self) -> None:
@@ -544,7 +537,11 @@ class _Engine:
             # returns.
             step = f"launch of {argv[0]}"
             try:
-                signal.signal(signal.SIGTERM, signal.SIG_DFL)  # the tracer's is _idle
+                # The tracer's SIGTERM handler is _idle; CPython ignores
+                # SIGPIPE and SIGXFSZ, and an ignored signal stays ignored
+                # across exec.
+                for sig in (signal.SIGTERM, signal.SIGPIPE, signal.SIGXFSZ):
+                    signal.signal(sig, signal.SIG_DFL)
                 pt.set_pdeathsig(signal.SIGKILL)
                 if os.getppid() != tracer:
                     os._exit(127)  # the tracer died before the line above
@@ -590,7 +587,7 @@ class _Engine:
                       | pt.PTRACE_O_TRACEEXEC | pt.PTRACE_O_TRACEEXIT
                       | pt.PTRACE_O_EXITKILL)
         signal.signal(signal.SIGTERM, self._on_stop_request)
-        self._resume(pid)
+        pt.resume_cont(pid)
 
     # -- event handling
 
@@ -629,7 +626,7 @@ class _Engine:
             # The child stopped before we learned about it: that stop is its
             # auto-attach SIGSTOP; consume it now.
             child.attach_pending = False
-            self._resume(child_pid)
+            pt.resume_cont(child_pid)
 
     def _on_seccomp_stop(self, pid: int) -> None:
         """A measured process is about to make a trapped call: count its
@@ -674,15 +671,17 @@ class _Engine:
             child = pt.geteventmsg(pid)
             # A clone may make a thread of the same process.
             info = _read_status(child) if event == pt.PTRACE_EVENT_CLONE else None
+            # The parent first: if it is gone, the child is one whose fork
+            # event never came (see ``run``).
+            pt.resume_cont(pid)
             self._on_child(pid, child, info[0] if info else child)
-            self._resume(pid)
         elif event == pt.PTRACE_EVENT_EXEC:
             self._on_exec(pid)
-            self._resume(pid)
+            pt.resume_cont(pid)
         elif event == pt.PTRACE_EVENT_SECCOMP:
             if proc.traced:
                 self._on_seccomp_stop(pid)
-            self._resume(pid)
+            pt.resume_cont(pid)
         elif event == pt.PTRACE_EVENT_EXIT:
             proc.exiting = True
             # The last thread of a process to exit still holds its memory
@@ -690,12 +689,12 @@ class _Engine:
             if proc.traced and not any(p.tgid == proc.tgid and not p.exiting
                                        for p in self.procs.values()):
                 self._sample(pid)
-            self._resume(pid)
+            pt.resume_cont(pid)
         elif sig == signal.SIGSTOP and proc.attach_pending:
             proc.attach_pending = False
-            self._resume(pid)
+            pt.resume_cont(pid)
         else:
-            self._resume(pid, sig)  # forward genuine signals
+            pt.resume_cont(pid, sig)  # forward genuine signals
 
     # -- readings and kill: the stop request's handler only reads /proc and
     # sends signals, so the event loop's waitpid resumes after it and reaps
@@ -752,7 +751,12 @@ class _Engine:
             if os.WIFEXITED(status) or os.WIFSIGNALED(status):
                 self._on_exit(pid, status)
             elif os.WIFSTOPPED(status):
-                self._handle_stop(pid, status)
+                try:
+                    self._handle_stop(pid, status)
+                except pt.PtraceError as exc:
+                    if exc.errno != _errno.ESRCH:
+                        raise
+                    # A tracee SIGKILLed at its stop: waitpid reports its exit.
         return RunTrace(
             observed=self.observed,
             exit_code=self.root_exit,
@@ -803,13 +807,11 @@ def _tracer_process(parent: int, conn) -> None:
 
 
 class _Tracer:
-    """A tracer process and the caller's end of its pipe.  It serves the
-    thread that forked it, one run at a time, and is kept in ``_tracers``
-    until it is retired."""
+    """A tracer process and the caller's end of its pipe.  It serves one
+    thread's runs, one at a time: idle, it is held by its thread's
+    ``_IdleTracer``; while a run goes on, by that run's session only."""
 
-    def __init__(self, thread: threading.Thread):
-        self.thread = thread
-        self.busy = False  # a run was sent and its result not yet read
+    def __init__(self):
         self.conn, child = Pipe()
         parent = os.getpid()
         self.pid = os.fork()
@@ -836,35 +838,53 @@ class _Tracer:
         (PTRACE_O_EXITKILL), and reap it.  Idempotent."""
         if self.conn.closed:
             return
-        if _tracers.get(self.thread) is self:
-            del _tracers[self.thread]
         os.kill(self.pid, signal.SIGKILL)  # not reaped yet, so the pid is still ours
         self.conn.close()
         os.waitpid(self.pid, 0)
 
 
-# Each thread's tracer.  A thread reads and replaces only its own entry;
-# any thread may retire the tracer of a thread that has no session left.
-_tracers: dict[threading.Thread, _Tracer] = {}
+class _IdleTracer:
+    """Holds a thread's idle tracer, if it has one.  Each thread's holder
+    lives in ``_thread`` and nothing else refers to it, so it is freed when
+    its thread ends, before ``join`` returns, and retires the tracer it
+    holds.  A fork frees the other threads' holders in the child too, so
+    only the process that made a holder retires its tracer."""
+
+    def __init__(self):
+        self.tracer: _Tracer | None = None
+        self.pid = os.getpid()
+
+    def take(self) -> _Tracer:
+        """The idle tracer, which the caller now owns; a new one if there
+        is none."""
+        tracer, self.tracer = self.tracer or _Tracer(), None
+        return tracer
+
+    def give(self, tracer: _Tracer) -> None:
+        """Keep ``tracer`` as the idle one, or retire it if there is one
+        already."""
+        if self.tracer is None:
+            self.tracer = tracer
+        else:
+            tracer.retire()
+
+    def __del__(self):
+        if self.tracer is not None and os.getpid() == self.pid:
+            self.tracer.retire()
 
 
-def _thread_tracer() -> _Tracer:
-    """The calling thread's idle tracer, forked if it has none.  While a
-    session of the thread is open, its tracer stays with it: the thread
-    gets a new tracer, and the session retires the old one when it ends."""
-    thread = threading.current_thread()
-    tracer = _tracers.get(thread)
-    if tracer is None or tracer.busy:
-        tracer = _tracers[thread] = _Tracer(thread)
-    return tracer
+class _ThreadState(threading.local):
+    def __init__(self):
+        self.idle = _IdleTracer()
 
 
-def retire_tracer(thread: threading.Thread | None = None) -> None:
-    """Kill and reap the tracer of ``thread`` (default: the calling thread),
-    if it has one.  Call it once the thread has no session left; its next
-    session forks a new tracer.  A thread that ends without it leaves its
-    tracer killed (PR_SET_PDEATHSIG) but unreaped."""
-    tracer = _tracers.get(thread or threading.current_thread())
+_thread = _ThreadState()
+
+
+def retire_tracer() -> None:
+    """Kill and reap the calling thread's idle tracer, if it has one; the
+    thread's next session forks a new one."""
+    tracer, _thread.idle.tracer = _thread.idle.tracer, None
     if tracer is not None:
         tracer.retire()
 
@@ -874,7 +894,8 @@ def retire_tracer(thread: threading.Thread | None = None) -> None:
 
 
 class TraceSession:
-    """Handle to a launched run executing under its thread's tracer.
+    """Handle to a launched run executing under a tracer that the session
+    owns until it reads the run's result.
 
     The tracer owns all tracee interactions; this object only reads the
     run's messages (see the module docstring) and can ask the tracer to end
@@ -898,12 +919,13 @@ class TraceSession:
     def start(cls, command: Command, policy: Policy, whitelist: Whitelist,
               tables: InterposerTables = DEFAULT_TABLES,
               discovery: bool = True, hit_cap: int | None = None) -> "TraceSession":
-        """Launch ``command`` under the calling thread's tracer and return
-        once the root has exec'd it.  The thread's first session forks the
-        tracer; later ones send it their run, with the caller's current
-        environment and working directory (see ``Command``).  A thread may
-        hold several open sessions: one started while another is open gets
-        a tracer of its own.
+        """Launch ``command`` under the calling thread's idle tracer, or
+        under a new one if the thread has none, and return once the root
+        has exec'd it.  The run gets the caller's current environment and
+        working directory (see ``Command``).  The session owns the tracer
+        until it reads the run's result, then gives it back to the thread
+        (see the module docstring).  A thread may hold several open
+        sessions, each with a tracer of its own.
 
         A ``discovery`` run traps, and so observes, every syscall; any
         other run traps only the syscalls that ``policy`` overrides.  A run
@@ -918,9 +940,8 @@ class TraceSession:
         """
         if not command.cwd:
             command = replace(command, cwd=os.getcwd())
-        tracer = _thread_tracer()
+        tracer = _thread.idle.take()
         session = cls(tracer)
-        tracer.busy = True
         try:
             tracer.conn.send((command, dict(os.environ), policy, whitelist, tables,
                               discovery, hit_cap))
@@ -962,9 +983,7 @@ class TraceSession:
             self._root_status = value
         elif event == "result":
             self._trace = value
-            self._tracer.busy = False
-            if _tracers.get(self._tracer.thread) is not self._tracer:
-                self._tracer.retire()  # the thread has a newer tracer
+            _thread.idle.give(self._tracer)
         elif self._error is None:  # an error: the first one wins
             self._error = value
 

@@ -45,15 +45,15 @@ readiness (at least READY_FLOOR s).  ``probe_custom`` gets neither bound.
 One scheduler (``Orchestrator._run_all``) submits each phase's runs to a
 thread pool of ``parallelism`` workers.  Each worker forks one tracer
 process, which serves that worker's runs one at a time, so threads
-suffice; the phase retires the tracers before it returns.  Runs are
-serialised when the spec holds a resource slens does not allocate per run:
-a fixed readiness port, or a readiness delay (a server on a port slens
-does not know).  Concurrent runs of such a spec could meet each other's
-server.  A run that hits a tracer fault is re-run once.  A second fault, a
-failing discovery or baseline run, or a discovery run that measured no
-process (no exec'd binary matched the whitelist), cancels the phase's
-pending runs, waits for those in flight and raises, so no run outlives the
-analysis.
+suffice; the phase's workers end before it returns, and a thread's tracer
+ends with its thread.  Runs are serialised when the spec holds a resource
+slens does not allocate per run: a fixed readiness port, or a readiness
+delay (a server on a port slens does not know).  Concurrent runs of such a
+spec could meet each other's server.  A run that hits a tracer fault is
+re-run once.  A second fault, a failing discovery or baseline run, or a
+discovery run that measured no process (no exec'd binary matched the
+whitelist), cancels the phase's pending runs, waits for those in flight
+and raises, so no run outlives the analysis.
 """
 
 from __future__ import annotations
@@ -88,7 +88,6 @@ from .interposer import (
     TracerFault,
     check_timeout,
     fake,
-    retire_tracer,
 )
 from . import syscalls
 
@@ -425,13 +424,10 @@ class Orchestrator:
 
         Returns each run's (outcome, trace) pair in the order of ``runs``.
         The first run to raise cancels the runs not yet started; the call
-        waits for the runs in flight, retires every worker's tracer, then
-        re-raises.
+        waits for the runs in flight, then re-raises.  Its workers end
+        before it returns, and their tracers with them.
         """
-        workers: list[threading.Thread] = []
-        pool = concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.parallelism,
-            initializer=lambda: workers.append(threading.current_thread()))
+        pool = concurrent.futures.ThreadPoolExecutor(max_workers=self.parallelism)
 
         def cancel_rest(future: concurrent.futures.Future) -> None:
             # Called in the worker whose run raised, before it can take
@@ -446,8 +442,6 @@ class Orchestrator:
             concurrent.futures.wait(futures, return_when=concurrent.futures.FIRST_EXCEPTION)
         finally:
             pool.shutdown(cancel_futures=True)
-            for worker in workers:
-                retire_tracer(worker)
         # Runs start in order, so a cancelled run comes after the failed one.
         return [future.result() for future in futures]
 

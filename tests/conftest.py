@@ -17,24 +17,23 @@ Every ``fixtures/*.c`` is built and every ``fixtures/*.sh`` copied, so a
 new fixture cannot be left out.  A fixture that fails to build fails the
 session with gcc's stderr.
 
-A thread keeps its tracer process from run to run (``slens.interposer``).
-After every test, ``no_child_left`` retires the test thread's tracer, so
-the next test forks a fresh one that inherits that test's monkeypatches.
-It fails the test if that tracer still served an open session (a run not
-read to its result), or if any child of the test process is left, zombies
-included.
+A thread keeps its idle tracer process from run to run
+(``slens.interposer``).  After every test, ``no_child_left`` retires the
+test thread's idle tracer, so the next test forks a fresh one that
+inherits that test's monkeypatches.  It fails the test if any child of the
+test process is left, zombies included: that covers a session left open
+(a run not read to its result), whose tracer is never idle.
 """
 
 import os
 import platform
 import shutil
 import subprocess
-import threading
 from pathlib import Path
 
 import pytest
 
-from slens.interposer import _tracers, retire_tracer
+from slens import interposer
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
@@ -63,16 +62,14 @@ def children() -> set[int]:
 
 
 def thread_tracer():
-    """The calling thread's tracer, or None."""
-    return _tracers.get(threading.current_thread())
+    """The calling thread's idle tracer, or None."""
+    return interposer._thread.idle.tracer
 
 
 @pytest.fixture(autouse=True)
 def no_child_left():
     yield
-    tracer = thread_tracer()
-    retire_tracer()
-    assert tracer is None or not tracer.busy, "the test left a session open"
+    interposer.retire_tracer()
     assert children() == set(), "the test left a child process behind"
 
 

@@ -6,8 +6,10 @@ import pickle
 import signal
 import subprocess
 import sys
+import threading
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -31,6 +33,7 @@ from slens.interposer import (
 )
 from slens.syscalls import name_to_nr
 
+from conftest import children
 from reference_tracer import LAUNCH_SYSCALLS, traced_syscall_set
 
 LIMITS = Limits(timeout=5.0)
@@ -389,6 +392,35 @@ def test_a_session_started_while_another_is_open_gets_its_own_tracer(fixtures):
     assert third._tracer_pid == second._tracer_pid
 
 
+def test_a_threads_tracer_ends_with_the_thread(fixtures):
+    """A thread's idle tracer is killed and reaped when the thread ends,
+    before ``join`` returns: no one has to retire it."""
+    noop = fixtures.binary("noop")
+    traces = []
+    thread = threading.Thread(target=lambda: traces.append(
+        trace_run(Command(argv=(noop,)), Policy.allow_all(), Whitelist(), LIMITS)))
+    thread.start()
+    thread.join()
+    assert traces[0].exit_code == 0
+    assert children() == set()
+
+
+def test_a_new_tracer_spares_the_other_threads_tracers(fixtures):
+    """A fork frees the other threads' thread-local storage in the child as
+    well, so the new tracer frees their idle tracers' holders too.  It must
+    not retire those tracers: only the process that holds one does."""
+    noop = fixtures.binary("noop")
+
+    def run():
+        return trace_run(Command(argv=(noop,)), Policy.allow_all(), Whitelist(),
+                         LIMITS).exit_code
+
+    with ThreadPoolExecutor(max_workers=1) as other:
+        assert other.submit(run).result() == 0  # its thread now holds a tracer
+        assert run() == 0  # this thread forks a tracer of its own
+        assert other.submit(run).result() == 0
+
+
 @pytest.mark.parametrize("failure", ["launch", "launch_wait", "fault", "crash", "kill"])
 def test_a_failure_retires_the_thread_tracer(fixtures, tmp_path, monkeypatch, failure):
     """Consecutive sessions of one thread share its tracer.  A failed
@@ -435,6 +467,37 @@ def test_a_failure_retires_the_thread_tracer(fixtures, tmp_path, monkeypatch, fa
     after = start(noop)
     assert after.wait(timeout=10).exit_code == 0
     assert after._tracer_pid != first._tracer_pid
+
+
+def test_the_app_gets_the_default_signal_dispositions(tmp_path):
+    """CPython ignores SIGPIPE and SIGXFSZ, and an ignored signal stays
+    ignored across exec.  The app gets them at their defaults, as under
+    ``subprocess``, so a write to a closed pipe kills it as it would
+    natively."""
+    script = "grep SigIgn /proc/self/status"
+    out = tmp_path / "out.txt"
+    trace = trace_run(Command(argv=("/bin/sh", "-c", script), stdout_path=str(out)),
+                      Policy.allow_all(), Whitelist(), LIMITS)
+    assert trace.exit_code == 0
+    native = subprocess.run(["/bin/sh", "-c", script], capture_output=True,
+                            text=True, check=True)
+    assert out.read_text() == native.stdout
+
+
+def test_a_tracee_killed_at_its_stop_reads_killed(fixtures, monkeypatch):
+    """A tracee SIGKILLed while it waits at a trapped call makes the
+    tracer's next request fail with ESRCH.  The run reads as killed, not as
+    a tracer fault."""
+    getregs = slens._ptrace.getregs
+
+    def kill_then_getregs(pid, regs):
+        os.kill(pid, signal.SIGKILL)
+        getregs(pid, regs)
+
+    monkeypatch.setattr(slens._ptrace, "getregs", kill_then_getregs)
+    trace = run_fixture(fixtures, "noop")
+    assert (trace.exit_code, trace.signaled) == (None, signal.SIGKILL)
+    assert trace.observed == Counter()
 
 
 def test_follow_fork_observes_child(fixtures, tmp_path):
