@@ -9,11 +9,11 @@ The configuration file is JSON with three documented keys, all optional:
     }
 
 ``subfeature_selectors`` maps a vectored syscall to the 0-based index of the
-argument that selects the sub-feature.  ``fake_values`` overrides the value
-injected when a syscall is faked (default 0).  Keys are read as the OS
-support CSV reads a syscall (``syscalls.parse_nr``): a decimal number or a
-lowercase name.  Values given in a config file replace the built-in default
-for that key entirely.
+argument that selects the sub-feature, 0 to 5 (a syscall has six argument
+registers).  ``fake_values`` overrides the value injected when a syscall
+is faked (default 0).  Keys are read as the OS support CSV reads a syscall
+(``syscalls.parse_nr``): a decimal number or a lowercase name.  Values
+given in a config file replace the built-in default for that key entirely.
 
 This module also holds ``read_input``, the one way a file the user names
 (config, policy, OS support CSV, app ordering) or a stored database file
@@ -136,8 +136,13 @@ def _tables_of(raw) -> InterposerTables:
         raise TypeError("top-level value must be an object")
     tables = InterposerTables()
     if "subfeature_selectors" in raw:
-        tables = replace(tables,
-                         subfeature_selectors=_int_table(raw, "subfeature_selectors"))
+        selectors = _int_table(raw, "subfeature_selectors")
+        for nr, index in selectors.items():
+            if not 0 <= index <= 5:
+                name = syscalls.nr_to_name(nr) or nr
+                raise ValueError(f"subfeature_selectors: {name}: argument index {index} "
+                                 "is not in 0..5")
+        tables = replace(tables, subfeature_selectors=selectors)
     if "fake_values" in raw:
         tables = replace(tables, fake_values=_int_table(raw, "fake_values"))
     if "pseudo_prefixes" in raw:

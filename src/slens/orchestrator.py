@@ -21,19 +21,15 @@ The tracer reads those at every measured exit, with address-space
 randomisation off, so flags see real and repeatable readings; but the test
 is still a margin and a 2σ gate with no false-discovery control.
 
-The runs fall into phases, and the runs of one phase do not depend on each
-other:
+The runs fall into three steps, each waiting on the one before:
 
 1. discovery: one allow-all run per replica;
-2. probes, in two sub-phases that share out the baseline runs, so that
-   regression detection compares runs made under the same load:
-   a. replica 0 of every feature x mode probe, and ceil(perf_runs / 2)
-      baseline runs;
-   b. replicas 1..r-1 of the probes whose replica 0 succeeded, and the
-      other baseline runs.
-   With one replica, or when one round of ``parallelism`` runs holds every
-   probe and baseline run, sub-phase a runs every replica of every probe
-   and every baseline run, and there is no sub-phase b;
+2. probes: replica 0 of every feature x mode probe, and the baseline runs
+   among them, so that regression detection compares runs made under the
+   same load; a probe's replicas 1..r-1 start as soon as its replica 0
+   succeeds, whatever the other probes are doing.  With one replica, or
+   when one round of ``parallelism`` runs holds every probe and baseline
+   run, every replica of every probe starts at once;
 3. confirmation: one run of the combined policy per replica.
 
 Discovery also bounds the later runs.  One whose measured processes make
@@ -42,17 +38,18 @@ syscalls it traps (at least HIT_CAP_FLOOR) is ended as ``runaway``, and a
 port wait gives up after READY_FACTOR x discovery's slowest time to
 readiness (at least READY_FLOOR s).  ``probe_custom`` gets neither bound.
 
-One scheduler (``Orchestrator._run_all``) submits each phase's runs to a
-thread pool of ``parallelism`` workers.  Each worker forks one tracer
-process, which serves that worker's runs one at a time, so threads
-suffice; the phase's workers end before it returns, and a thread's tracer
-ends with its thread.  Runs are serialised when the spec holds a resource
-slens does not allocate per run: a fixed readiness port, or a readiness
-delay (a server on a port slens does not know).  Concurrent runs of such a
+One scheduler (``Orchestrator._run_all``) submits each step's runs to a
+thread pool of ``parallelism`` workers, and a run that waits on another as
+soon as that one succeeds.  Each worker forks one tracer process, which
+serves that worker's runs one at a time, so threads suffice; the step's
+workers end before it returns, and a thread's tracer ends with its
+thread.  Runs are serialised when the spec holds a resource slens does
+not allocate per run: a fixed readiness port, or a readiness delay (a
+server on a port slens does not know).  Concurrent runs of such a
 spec could meet each other's server.  A run that hits a tracer fault is
 re-run once.  A second fault, a failing discovery or baseline run, or a
 discovery run that measured no process (no exec'd binary matched the
-whitelist), cancels the phase's pending runs, waits for those in flight
+whitelist), cancels the step's pending runs, waits for those in flight
 and raises, so no run outlives the analysis.
 """
 
@@ -142,10 +139,11 @@ class AnalysisConfig:
     """Knobs of one analysis.
 
     ``parallelism`` is the most workload runs in flight at once within a
-    phase; it defaults to the CPUs this process may use.  The orchestrator
-    lowers it to 1 for a spec with a fixed readiness port or a readiness
-    delay (see the module docstring).  ``perf_runs`` extra allow-all runs
-    collect baseline statistics for regression detection; 0 disables it.
+    step of the analysis (discovery, probes, confirmation); it defaults to
+    the CPUs this process may use.  The orchestrator lowers it to 1 for a
+    spec with a fixed readiness port or a readiness delay (see the module
+    docstring).  ``perf_runs`` extra allow-all runs collect baseline
+    statistics for regression detection; 0 disables it.
     ``timeout`` bounds every run, at most ``interposer.MAX_TIMEOUT`` (None:
     max(10 s, 3 x discovery duration)); runs after discovery may end sooner
     (see the module docstring).
@@ -238,7 +236,7 @@ class ProbeResult:
 
     A working probe holds one outcome per replica.  A broken one may hold
     fewer: a probe whose replica 0 failed runs no other replica, so it holds
-    that one outcome, unless its phase ran every replica at once
+    that one outcome, unless the probe step started every replica at once
     (``Orchestrator._probe_all``)."""
 
     feature: FeatureId
@@ -417,17 +415,21 @@ class Orchestrator:
                 "the whitelist; nothing to classify")
         return outcome, trace
 
-    def _run_all(self, runs: Sequence[tuple[Policy, int, str]]
-                 ) -> list[tuple[WorkloadOutcome, RunTrace]]:
-        """Run one phase's independent (policy, replica, label) runs, at most
-        ``parallelism`` at a time.
+    def _run_all(self, runs: list[tuple[Policy, int, str]],
+                 then=lambda i: ()) -> list[tuple[WorkloadOutcome, RunTrace]]:
+        """Run (policy, replica, label) runs, at most ``parallelism`` at a
+        time, and the runs that wait on them.
 
-        Returns each run's (outcome, trace) pair in the order of ``runs``.
-        The first run to raise cancels the runs not yet started; the call
-        waits for the runs in flight, then re-raises.  Its workers end
-        before it returns, and their tracers with them.
+        When run i succeeds (its outcome's ``success``), the runs ``then(i)``
+        returns are appended to ``runs`` and submitted at once; only the
+        calling thread submits.  Returns each run's (outcome, trace) pair in
+        the order of ``runs``.  The first run to raise cancels the runs not
+        yet started and ends submission; the call waits for the runs in
+        flight, then re-raises.  Its workers end before it returns, and their
+        tracers with them.
         """
         pool = concurrent.futures.ThreadPoolExecutor(max_workers=self.parallelism)
+        futures, pending = [], set()  # futures[i] runs runs[i]; pending: not done
 
         def cancel_rest(future: concurrent.futures.Future) -> None:
             # Called in the worker whose run raised, before it can take
@@ -435,14 +437,30 @@ class Orchestrator:
             if not future.cancelled() and future.exception() is not None:
                 pool.shutdown(wait=False, cancel_futures=True)
 
+        def submit(run: tuple[Policy, int, str]) -> None:
+            try:
+                future = pool.submit(self._run_checked, *run)
+            except RuntimeError:  # cancel_rest shut the pool down: a run raised
+                return
+            future.add_done_callback(cancel_rest)
+            futures.append(future)
+            pending.add(future)
+
         try:
-            futures = [pool.submit(self._run_checked, *r) for r in runs]
-            for future in futures:
-                future.add_done_callback(cancel_rest)
-            concurrent.futures.wait(futures, return_when=concurrent.futures.FIRST_EXCEPTION)
+            for run in runs:
+                submit(run)
+            while pending:
+                done, pending = concurrent.futures.wait(
+                    pending, return_when=concurrent.futures.FIRST_COMPLETED)
+                # Runs start in order, so a run cancelled after a failed one
+                # comes after it, and the failure's error is raised.
+                for future in sorted(done, key=futures.index):
+                    if future.result()[0].success:
+                        for run in then(futures.index(future)):
+                            runs.append(run)
+                            submit(run)
         finally:
             pool.shutdown(cancel_futures=True)
-        # Runs start in order, so a cancelled run comes after the failed one.
         return [future.result() for future in futures]
 
     # -- protocol operations
@@ -462,71 +480,54 @@ class Orchestrator:
             self._counts |= trace.observed
         return tuple(sorted(self._counts, key=FeatureId.sort_key))
 
-    def _phase(self, runs: Sequence[tuple[Policy, int, str]], n_base: int
-               ) -> tuple[list[WorkloadOutcome], list[WorkloadOutcome]]:
-        """Run ``runs`` and ``n_base`` baseline runs as one phase; return
-        their outcomes apart, each in order.
-
-        Baseline run j (replica ``replicas + j``) is run j * ceil(n / n_base)
-        of the phase's n runs, so host drift during the phase reaches
-        baseline and probes alike; but the phase opens with its first
-        min(n_base, ``parallelism``) baseline runs (j < ``parallelism``), so
-        that a workload failing unmodified ends the phase before those
-        workers can finish a probe run and start another.  With fewer
-        baseline runs than workers, the other workers start probe runs
-        beside them.  Raises BaselineFailure when a baseline run fails.
-        """
-        runs = list(runs)
-        step = -(-(len(runs) + n_base) // max(n_base, 1))
-        for j in range(n_base):
-            runs.insert(j if j < self.parallelism else j * step,
-                        (Policy.allow_all(), self.config.replicas + j, "baseline"))
-        outcomes = [o for o, _ in self._run_all(runs)]
-        return ([o for (_, _, label), o in zip(runs, outcomes) if label != "baseline"],
-                [o for (_, _, label), o in zip(runs, outcomes) if label == "baseline"])
-
     def _probe_all(self, keys: Sequence[tuple[FeatureId, str]]) -> list[ProbeResult]:
-        """Probe each (feature, mode), in two phases unless one round holds
-        every run.
+        """Probe each (feature, mode) in one step.
 
-        A probe works only if every replica succeeds, so phase 1 runs
-        replica 0 of every probe, and phase 2 runs replicas 1..r-1 of the
-        probes whose replica 0 succeeded.  Until a baseline exists, the
-        phases also make the k = ``perf_runs`` baseline runs, ceil(k/2) in
-        phase 1 and the rest in phase 2, and record their statistics in
-        ``baseline``; the statistics come from those runs only, so the
-        sample size is exactly k however many probes work.  With one
-        replica, or with ``parallelism`` >= r * len(keys) + k, a second
-        phase could only add a round, so one phase runs every replica of
-        every probe and all k baseline runs.
-        Raises BaselineFailure when a baseline run fails.
+        A probe works only if every replica succeeds, so the step submits
+        replica 0 of every probe, and a probe's replicas 1..r-1 as soon as
+        its replica 0 succeeds.  With one replica, or with ``parallelism`` >=
+        r * len(keys) + k, waiting on replica 0 could only add a round, so
+        every replica of every probe is submitted at once.
+
+        Until a baseline exists, the step also makes the k = ``perf_runs``
+        baseline runs and records their statistics in ``baseline``; the
+        statistics come from those runs only, so the sample size is exactly
+        k however many probes work.  Of the n runs submitted first, baseline
+        run j (replica r + j) is run j * ceil(n / k), so host drift reaches
+        baseline and probes alike; but the first min(k, ``parallelism``)
+        baseline runs open the step, so that a workload failing unmodified
+        ends it before those workers can finish a probe run and start
+        another.  Raises BaselineFailure when a baseline run fails.
         """
         r = self.config.replicas
         k = self.config.perf_runs if self.baseline is None else 0
-        split = r > 1 and self.parallelism < r * len(keys) + k
-        r1, k1 = (1, -(-k // 2)) if split else (r, k)
-        labelled = [(probe_policy(feature, mode, self.tables), f"{mode}:{feature_label(feature)}")
-                    for feature, mode in keys]
-        first, base = self._phase(
-            [(policy, i, label) for policy, label in labelled for i in range(r1)], k1)
-        per_probe = [first[n * r1:(n + 1) * r1] for n in range(len(keys))]
-        if split:
-            again = [n for n, outcomes in enumerate(per_probe) if outcomes[0].success]
-            rest, more = self._phase(
-                [(labelled[n][0], i, labelled[n][1]) for n in again for i in range(1, r)],
-                k - k1)
-            base += more
-            for j, n in enumerate(again):
-                per_probe[n] += rest[j * (r - 1):(j + 1) * (r - 1)]
+        first = r if r == 1 or self.parallelism >= r * len(keys) + k else 1
+        labels = [f"{mode}:{feature_label(feature)}" for feature, mode in keys]
+        runs = [(probe_policy(feature, mode, self.tables), i, label)
+                for (feature, mode), label in zip(keys, labels) for i in range(first)]
+        step = -(-(len(runs) + k) // max(k, 1))
+        for j in range(k):
+            runs.insert(j if j < self.parallelism else j * step,
+                        (Policy.allow_all(), r + j, "baseline"))
+
+        def then(i: int) -> list[tuple[Policy, int, str]]:
+            policy, replica, label = runs[i]
+            return [(policy, n, label) for n in range(first, r) if replica == 0]
+
+        # A probe's label names its feature and mode, so it is the probe's
+        # own; zip reads runs once _run_all has appended the later replicas.
+        outcomes: dict[str, list[WorkloadOutcome]] = {}
+        for (_, _, label), (outcome, _) in zip(runs, self._run_all(runs, then)):
+            outcomes.setdefault(label, []).append(outcome)
         if k:
-            self.baseline = BaselineStats.from_outcomes(base)
+            self.baseline = BaselineStats.from_outcomes(outcomes["baseline"])
 
         probes = []
-        for (feature, mode), outcomes in zip(keys, per_probe):
-            result = ProbeResult(feature=feature, mode=mode, outcomes=outcomes,
-                                 works=all(o.success for o in outcomes))
+        for (feature, mode), label in zip(keys, labels):
+            result = ProbeResult(feature=feature, mode=mode, outcomes=outcomes[label],
+                                 works=all(o.success for o in outcomes[label]))
             if result.works and self.baseline is not None:
-                result.regression_flags = detect_regressions(self.baseline, outcomes)
+                result.regression_flags = detect_regressions(self.baseline, result.outcomes)
             log.info("probe app=%s feature=%s mode=%s verdict=%s flags=%s",
                      self.spec.name, feature_label(feature), mode,
                      "works" if result.works else "breaks", result.regression_flags or "-")
@@ -600,11 +601,7 @@ class Orchestrator:
         if db_root is not None:
             from . import store  # local import: store deserializes AppProfile
 
-            entry = store.DbEntry(profile=profile, provenance={
-                "submitter": "",
-                "date": profile.metadata["date"],
-                "kernel": profile.metadata["kernel"],
-                "tool_version": profile.metadata["tool_version"],
-            })
-            store.save_profile(db_root, entry)
+            provenance = {"submitter": "", **{key: profile.metadata[key] for key in
+                                              ("date", "kernel", "tool_version")}}
+            store.save_profile(db_root, store.DbEntry(profile=profile, provenance=provenance))
         return profile

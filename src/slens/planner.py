@@ -88,6 +88,9 @@ class PlanStep:
 
 @dataclass(frozen=True)
 class SupportPlan:
+    """``unreachable`` is always empty: every target app is planned.  It
+    stays a key of ``plan --json``, which other tools read."""
+
     initial_supported: tuple[str, ...]
     steps: tuple[PlanStep, ...]
     unreachable: tuple[str, ...]
@@ -96,7 +99,6 @@ class SupportPlan:
         out = list(self.initial_supported)
         for step in self.steps:
             out.extend(step.unlocks)
-        out.extend(self.unreachable)
         return tuple(out)
 
     def to_json(self) -> dict:
@@ -296,8 +298,7 @@ def _subfeature_notes(subs: Mapping[int, set[int]], implement: Iterable[int]) ->
 
 def generate_plan(os_support: OsSupportSet,
                   profiles: Mapping[str, AppProfile],
-                  targets: Sequence[str],
-                  wont_implement: frozenset[int] = frozenset()) -> SupportPlan:
+                  targets: Sequence[str]) -> SupportPlan:
     """Greedy cheapest-app-next incremental support plan.
 
     At every step the unsupported target app with the lowest delta cost
@@ -305,8 +306,7 @@ def generate_plan(os_support: OsSupportSet,
     chosen (ties: fewer implements, then lexicographic app name),
     its delta sets are emitted and folded into the running OS state, and any
     other app that incidentally became supported is credited to the same
-    step.  Apps whose required syscalls intersect ``wont_implement`` are
-    reported as unreachable instead of planned.
+    step.
     """
     missing = [t for t in targets if t not in profiles]
     if missing:
@@ -314,16 +314,11 @@ def generate_plan(os_support: OsSupportSet,
     target_profiles = {t: profiles[t] for t in targets}
     bits = _numbering(target_profiles.values())
     needs = {name: _needs(p, bits) for name, p in target_profiles.items()}
-    unreachable = tuple(sorted(name for name, p in target_profiles.items()
-                               if p.required_syscalls() & wont_implement))
-    for name in unreachable:
-        del needs[name]
     plan = _fold(_state(os_support, bits), needs, bits, _cheapest)
     subs = _subfeatures(target_profiles.values())
     steps = tuple(replace(step, notes=_subfeature_notes(subs, step.implement))
                   for step in plan.steps)
-    return SupportPlan(initial_supported=plan.initial_supported, steps=steps,
-                       unreachable=unreachable)
+    return replace(plan, steps=steps)
 
 
 def replay_plan(plan: SupportPlan, os_support: OsSupportSet,
@@ -452,8 +447,6 @@ def render_plan_table(plan: SupportPlan) -> str:
         out.write("\n")
         if i == 0:
             out.write("-+-".join("-" * w for w in widths) + "\n")
-    if plan.unreachable:
-        out.write(f"unreachable: {', '.join(plan.unreachable)}\n")
     notes = [n for step in plan.steps for n in step.notes]
     if notes:
         out.write("partial-implementation hints:\n")

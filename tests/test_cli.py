@@ -22,6 +22,8 @@ OPENAT = name_to_nr("openat")
 @pytest.mark.parametrize("tables,flags", [
     ({"fake_values": {"pipe2": "zero"}}, []),
     ({"pseudo_prefixes": ["proc"]}, []),
+    ({"subfeature_selectors": {"ioctl": 7}}, ["--subfeatures"]),
+    ({"subfeature_selectors": {"ioctl": -1}}, ["--subfeatures"]),
     (None, ["--whitelist", "rel/path"]),
     (None, ["--parallel", "0"]),
     (None, ["--ready-delay", "-1"]),
@@ -34,7 +36,8 @@ OPENAT = name_to_nr("openat")
     (None, ["--timeout", "3e6"]),
     (None, ["--timeout", "1e308"]),
     (None, ["--port", "0", "--ready-delay", "1"]),
-], ids=["fake-value-not-int", "relative-pseudo-prefix", "relative-whitelist",
+], ids=["fake-value-not-int", "relative-pseudo-prefix", "selector-index-7",
+        "selector-index-negative", "relative-whitelist",
         "parallel-0", "negative-ready-delay", "timeout-0", "port-70000", "port-negative",
         "timeout-nan", "timeout-inf", "ready-delay-nan", "timeout-3e6", "timeout-1e308",
         "port-and-ready-delay"])

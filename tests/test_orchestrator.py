@@ -49,7 +49,8 @@ def _run_count(config, profile):
     """The runs of a full analysis: r + perf_runs + 2s + (r - 1) W + r, for
     s features and W working probes (only those run replicas 1..r-1), or
     (2 + 2s) r + perf_runs when one round of ``parallelism`` runs holds
-    every probe and baseline run."""
+    every probe and baseline run, so the probe step starts them all at
+    once."""
     r, k, s = config.replicas, config.perf_runs, len(profile.observed)
     if config.parallelism >= 2 * s * r + k:
         return (2 + 2 * s) * r + k
@@ -373,28 +374,29 @@ def test_probe_broken_at_a_later_replica_keeps_every_outcome(fixtures, app_spec_
     assert orch.executions == stub.calls == 3 + 3
 
 
-def test_baseline_runs_split_over_both_probe_phases(fixtures, app_spec_factory,
-                                                    monkeypatch):
-    """Each probe phase makes half the baseline runs, placed by the rule of
-    ``test_baseline_runs_interleave_with_probes``."""
+def test_baseline_runs_spread_over_the_first_probe_runs(fixtures, app_spec_factory,
+                                                        monkeypatch):
+    """The probe step places every baseline run among the runs it submits
+    first, by the rule of ``test_baseline_runs_interleave_with_probes``; the
+    later replicas of the working probes follow them."""
     kinds = []
     stub = _StubRuns(fail=_fails_under(Policy.single(GETPID, STUB)))
 
     def record(spec, policy, limits, tables, discovery=True):
-        kinds.append("D" if discovery else "P" if policy.overrides else "B")
+        # A baseline run overrides no feature, a probe one, confirmation both.
+        kinds.append("D" if discovery else "BPC"[len(policy.overrides)])
         return stub(spec, policy, limits, tables, discovery)
 
     monkeypatch.setattr(slens.orchestrator, "run_workload", record)
     config = AnalysisConfig(replicas=2, perf_runs=4, parallelism=1)
     orch = Orchestrator(app_spec_factory("noop"), config)
     profile = orch.full_analysis()
-    # Phase 1: four probes and two baseline runs, n = 6, ceil(6 / 2) = 3.
-    # Phase 2: the three working probes and two baseline runs, n = 5,
-    # ceil(5 / 2) = 3.  Then two confirmation runs.
+    # Replica 0 of four probes and four baseline runs, n = 8, ceil(8 / 4) = 2;
+    # then replica 1 of the three working probes, and two confirmation runs.
     assert kinds == ["D", "D",
-                     "B", "P", "P", "B", "P", "P",
-                     "B", "P", "P", "B", "P",
-                     "P", "P"]
+                     "B", "P", "B", "P", "B", "P", "B", "P",
+                     "P", "P", "P",
+                     "C", "C"]
     assert len(orch.baseline.rss) == 4
     assert profile.confirmed
     assert orch.executions == _run_count(config, profile) == 15
@@ -417,6 +419,112 @@ def test_probes_that_fit_one_round_run_as_one_phase(fixtures, app_spec_factory,
     assert len(orch.probe_feature(GETPID, MODE_STUB).outcomes) == 2
     orch.parallelism = 1
     assert len(orch.probe_feature(GETPID, MODE_STUB).outcomes) == 1
+
+
+def test_later_replicas_start_while_another_replica_0_runs(fixtures, app_spec_factory,
+                                                           monkeypatch):
+    """A probe's replica 1 starts as soon as its replica 0 passes, even
+    while another probe's replica 0 is still running: a barrier after every
+    replica 0 would leave the second worker idle behind one slow run.  At
+    parallelism 2 the slow replica 0 of probe A (stub getpid) is released
+    only by the start of another probe's replica 1; behind a barrier it
+    waits out its timeout first."""
+    stub = _StubRuns()
+    slow = Policy.single(GETPID, STUB)
+    released = threading.Event()
+    lock = threading.Lock()
+    started = Counter()  # runs started per probe policy
+    events = []
+
+    def record(spec, policy, limits, tables, discovery=True):
+        if not discovery and len(policy.overrides) == 1:
+            key = json.dumps(policy.to_json())
+            with lock:
+                started[key] += 1
+                n = started[key]
+            if policy != slow and n == 2:
+                events.append("other replica 1 started")
+                released.set()
+        if policy == slow:
+            released.wait(timeout=5)
+        result = stub(spec, policy, limits, tables, discovery)
+        if policy == slow:
+            events.append("slow replica 0 ended")
+        return result
+
+    monkeypatch.setattr(slens.orchestrator, "run_workload", record)
+    config = AnalysisConfig(replicas=2, perf_runs=0, parallelism=2)
+    orch = Orchestrator(app_spec_factory("noop"), config)
+    profile = orch.full_analysis()
+    assert events.index("other replica 1 started") < events.index("slow replica 0 ended")
+    assert profile.confirmed
+    assert orch.executions == stub.calls == _run_count(config, profile) == 12
+
+
+def test_baseline_failure_while_a_probe_passes(fixtures, app_spec_factory, monkeypatch):
+    """A probe's replica 0 that passes after a baseline run failed starts
+    no replica 1: the failure shut the pool down, and a run submitted to it
+    would raise RuntimeError in place of the analysis's BaselineFailure.
+    Every run in flight still ends before the analysis raises."""
+    # Calls 0 and 1 are discovery; the baseline run fails.
+    stub = _StubRuns(fail=lambda policy, call: call >= 2 and not policy.overrides)
+    probing, failed = threading.Event(), threading.Event()
+
+    def record(spec, policy, limits, tables, discovery=True):
+        if discovery:
+            return stub(spec, policy, limits, tables, discovery)
+        if policy.overrides:  # replica 0 of a probe: passes once the baseline failed
+            probing.set()
+            failed.wait(timeout=5)
+            time.sleep(0.1)
+            return stub(spec, policy, limits, tables, discovery)
+        probing.wait(timeout=5)
+        try:
+            return stub(spec, policy, limits, tables, discovery)
+        finally:
+            failed.set()
+
+    monkeypatch.setattr(slens.orchestrator, "run_workload", record)
+    # One baseline run opens the step; the second worker takes a probe.
+    config = AnalysisConfig(replicas=2, perf_runs=1, parallelism=2)
+    orch = Orchestrator(app_spec_factory("noop"), config)
+    with pytest.raises(BaselineFailure):
+        orch.full_analysis()
+    assert stub.in_flight == 0
+    assert orch.executions == stub.calls == 2 + 2
+
+
+def test_runs_added_after_a_failure_are_not_submitted(fixtures, app_spec_factory,
+                                                      monkeypatch):
+    """A run that passed may ask for the runs that follow it after another
+    run failed and shut the pool down; those runs are dropped, and the
+    failure is raised, not the pool's RuntimeError."""
+    stub = _StubRuns(fail=lambda policy, call: not policy.overrides)
+    asked, failed = threading.Event(), threading.Event()
+
+    def record(spec, policy, limits, tables, discovery=True):
+        if policy.overrides:
+            return stub(spec, policy, limits, tables, discovery)
+        asked.wait(timeout=5)  # the baseline run fails after the probe passed
+        try:
+            return stub(spec, policy, limits, tables, discovery)
+        finally:
+            failed.set()
+
+    def then(i):
+        asked.set()
+        failed.wait(timeout=5)
+        time.sleep(0.2)  # for the failed run's worker to shut the pool down
+        return [(probe, 1, "stub:getpid")]
+
+    monkeypatch.setattr(slens.orchestrator, "run_workload", record)
+    orch = Orchestrator(app_spec_factory("noop"), AnalysisConfig(parallelism=2))
+    probe = Policy.single(GETPID, STUB)
+    with pytest.raises(BaselineFailure):
+        orch._run_all([(Policy.allow_all(), 1, "baseline"), (probe, 0, "stub:getpid")],
+                      then)
+    assert stub.in_flight == 0
+    assert orch.executions == stub.calls == 2
 
 
 def _descendants() -> list[int]:
@@ -473,8 +581,8 @@ def test_concurrent_runs_stress(fixtures, app_spec_factory):
 
 def test_each_worker_forks_one_tracer_per_phase(fixtures, app_spec_factory, monkeypatch):
     """A pool worker forks its tracer once and sends it every later run, so
-    the test process forks at most phases x ``parallelism`` tracers, not
-    one per run.  (The apps are forked inside the tracers.)  Each phase
+    the test process forks at most steps x ``parallelism`` tracers, not
+    one per run.  (The apps are forked inside the tracers.)  Each step
     retires its workers' tracers before it returns."""
     forks, phases = [], []
     fork, run_all = os.fork, Orchestrator._run_all
@@ -485,9 +593,10 @@ def test_each_worker_forks_one_tracer_per_phase(fixtures, app_spec_factory, monk
             forks.append(pid)
         return pid
 
-    def counting_run_all(self, runs):
-        phases.append(len(runs))
-        return run_all(self, runs)
+    def counting_run_all(self, runs, *then):
+        results = run_all(self, runs, *then)
+        phases.append(len(results))
+        return results
 
     monkeypatch.setattr(os, "fork", counting_fork)
     monkeypatch.setattr(Orchestrator, "_run_all", counting_run_all)
@@ -496,7 +605,7 @@ def test_each_worker_forks_one_tracer_per_phase(fixtures, app_spec_factory, monk
     profile = orch.full_analysis()
     assert _descendants() == []
     assert orch.executions == _run_count(config, profile) == sum(phases)
-    assert len(phases) == 4  # discovery, two probe phases, confirmation
+    assert len(phases) == 3  # discovery, the probe step, confirmation
     assert len(forks) <= len(phases) * config.parallelism < orch.executions
 
 

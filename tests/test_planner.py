@@ -199,18 +199,6 @@ def test_missing_profile_is_an_error():
         generate_plan(EMPTY_OS, {}, ["ghost"])
 
 
-def test_unreachable_apps_listed():
-    profiles = {
-        "A": profile_of("A", {1: "required"}),
-        "B": profile_of("B", {9: "required"}),
-    }
-    plan = generate_plan(EMPTY_OS, profiles, ["A", "B"],
-                         wont_implement=frozenset({9}))
-    assert plan.unreachable == ("B",)
-    assert [s.unlocks for s in plan.steps] == [("A",)]
-    assert sorted(plan.all_apps()) == ["A", "B"]
-
-
 def test_incidental_unlock_credited_to_step():
     profiles = {
         "big": profile_of("big", {1: "required", 2: "required"}),
