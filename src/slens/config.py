@@ -11,7 +11,8 @@ The configuration file is JSON with three documented keys, all optional:
 ``subfeature_selectors`` maps a vectored syscall to the 0-based index of the
 argument that selects the sub-feature, 0 to 5 (a syscall has six argument
 registers).  ``fake_values`` overrides the value injected when a syscall
-is faked (default 0).  Keys are read as the OS support CSV reads a syscall
+is faked (default 0); a value must fit a 64-bit register, -2**63 to
+2**64 - 1.  Keys are read as the OS support CSV reads a syscall
 (``syscalls.parse_nr``): a decimal number or a lowercase name.  Values
 given in a config file replace the built-in default for that key entirely.
 
@@ -144,7 +145,13 @@ def _tables_of(raw) -> InterposerTables:
                                  "is not in 0..5")
         tables = replace(tables, subfeature_selectors=selectors)
     if "fake_values" in raw:
-        tables = replace(tables, fake_values=_int_table(raw, "fake_values"))
+        values = _int_table(raw, "fake_values")
+        for nr, value in values.items():
+            if not -2**63 <= value < 2**64:
+                name = syscalls.nr_to_name(nr) or nr
+                raise ValueError(f"fake_values: {name}: {value} does not fit a 64-bit "
+                                 "register")
+        tables = replace(tables, fake_values=values)
     if "pseudo_prefixes" in raw:
         prefixes = tuple(str(p) for p in raw["pseudo_prefixes"])
         for p in prefixes:

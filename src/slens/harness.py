@@ -195,8 +195,11 @@ def _wait_ready(port: int | None, until: float, deadline: float,
     Returns False at the deadline or once the root has exited abnormally.
     Once no process is left, a port can no longer open, while a delay has
     nothing left to wait for.  A root that exits 0 while a child still runs
-    may have daemonised, so the port is polled on.
+    may have daemonised, so the port is polled on.  The pause between checks
+    starts at 1 ms and doubles up to 20 ms, so an app that is ready at once
+    is seen at once.
     """
+    pause = 0.001
     while True:
         now = time.monotonic()
         gone = session.finished()  # read first: the root's status is then final
@@ -215,7 +218,8 @@ def _wait_ready(port: int | None, until: float, deadline: float,
                     return True
             except OSError:
                 pass
-        time.sleep(0.02)
+        time.sleep(pause)
+        pause = min(2 * pause, 0.02)
 
 
 def judge(trace: RunTrace, ready: bool, script_rc: int | None, ended: float) -> str:

@@ -105,6 +105,7 @@ never classified; treat their absence from results accordingly.
 from __future__ import annotations
 
 import errno as _errno
+import functools
 import logging
 import os
 import signal
@@ -189,7 +190,14 @@ class FeatureId:
 
     @staticmethod
     def from_json(d: Mapping) -> "FeatureId":
-        return FeatureId(int(d["syscall_nr"]), d.get("subfeature"), d.get("pseudofile"))
+        """The feature ``d`` names: one shared object per distinct value."""
+        return _shared_feature(int(d["syscall_nr"]), d.get("subfeature"), d.get("pseudofile"))
+
+
+# A database repeats a few hundred distinct features thousands of times, so
+# loading it builds each once; the bound keeps the memory fixed however many
+# distinct features it holds.
+_shared_feature = functools.lru_cache(maxsize=1 << 14)(FeatureId)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,15 @@ fake, else implements it: a syscall is emitted at most once across a plan,
 so a stub or fake must suit every app still to come.  A syscall the state
 declares in a mode the app cannot take is promoted: the delta implements it.
 
+The fold pays for what a step changed.  It keeps the pending apps in name
+order.  A step changes the state only at the syscalls of its delta, so only
+an app whose syscalls meet the delta can be unlocked by it.  An app's delta
+is a bitwise function of the state and the two refusal masks (``no_stub``,
+``no_fake``), limited to its own syscalls; so the plan's chooser keeps
+every pending app's rank and delta across steps, and re-ranks only the apps
+whose syscalls meet a bit of the state or of a refusal mask that changed
+since its previous choice.
+
 The plan chooses the app with the cheapest delta, at IMPLEMENT_COST per
 implemented syscall and STUB_COST or FAKE_COST per stub or fake
 (implementing a syscall is expensive; declaring a stub or fake is a
@@ -172,17 +181,20 @@ def _with_additions(state: State, implement: int, stub: int, fake: int) -> State
 
 def _needs(profile: AppProfile, bits: Mapping[int, int]) -> Needs:
     """The app's syscalls, and those all of whose features accept a stub,
-    and a fake.  Refuses an unconfirmed profile."""
+    and a fake, in one pass over its classes.  Refuses an unconfirmed
+    profile."""
     if not profile.confirmed:
         raise UnconfirmedProfile(
             f"profile for {profile.app} is unconfirmed; re-measure before planning")
-    every = _mask(profile.traced_syscalls(), bits)
-
-    def accepting(mode: str) -> int:
-        return every & ~_mask({f.syscall_nr for f, c in profile.classes.items()
-                               if mode not in CLASS_MODES[c]}, bits)
-
-    return every, accepting(MODE_STUB), accepting(MODE_FAKE)
+    every = no_stub = no_fake = 0
+    for f, c in profile.classes.items():
+        bit = bits.get(f.syscall_nr, 0)
+        every |= bit
+        if MODE_STUB not in CLASS_MODES[c]:
+            no_stub |= bit
+        if MODE_FAKE not in CLASS_MODES[c]:
+            no_fake |= bit
+    return every, every & ~no_stub, every & ~no_fake
 
 
 def _missing(needs: Needs, state: State) -> int:
@@ -220,10 +232,12 @@ def _fold(state: State, needs: Mapping[str, Needs], bits: Mapping[int, int],
     """Fold apps into ``state`` one chosen app at a time, until none is pending.
 
     ``choose(pending, state, no_stub, no_fake)`` returns the next app and
-    its delta.  Each step unlocks it first, then by name every other pending
-    app the step supported incidentally.  The steps carry no notes.
+    its delta; ``pending`` stays in name order.  Each step unlocks the
+    chosen app first, then by name every other pending app the step
+    supported incidentally: only an app whose syscalls meet the delta can
+    be one.  The steps carry no notes.
     """
-    pending = {n: m for n, m in needs.items() if _missing(m, state)}
+    pending = {n: needs[n] for n in sorted(needs) if _missing(needs[n], state)}
     initial = tuple(sorted(needs.keys() - pending.keys()))
     steps: list[PlanStep] = []
     while pending:
@@ -234,8 +248,9 @@ def _fold(state: State, needs: Mapping[str, Needs], bits: Mapping[int, int],
         chosen, delta = choose(pending, state, no_stub, no_fake)
         state = _with_additions(state, *delta)
         del pending[chosen]
-        unlocks = [chosen] + [name for name in sorted(pending)
-                              if not _missing(pending[name], state)]
+        touched = delta[0] | delta[1] | delta[2]
+        unlocks = [chosen] + [name for name, m in pending.items()
+                              if m[0] & touched and not _missing(m, state)]
         for name in unlocks[1:]:
             del pending[name]
         implement, stub, fake = (_syscalls(mask, bits) for mask in delta)
@@ -244,20 +259,41 @@ def _fold(state: State, needs: Mapping[str, Needs], bits: Mapping[int, int],
     return SupportPlan(initial_supported=initial, steps=tuple(steps), unreachable=())
 
 
-def _cheapest(pending: Mapping[str, Needs], state: State, no_stub: int,
-              no_fake: int) -> tuple[str, State]:
-    """Choose the lowest delta cost; ties: fewer implements, then name."""
+def _cheapest() -> Chooser:
+    """A chooser, for one fold, of the lowest delta cost; ties: fewer
+    implements, then name.
 
-    def ranked(name):
-        delta = implement, stub, fake = _delta(pending[name], state, no_stub, no_fake)
+    It keeps each pending app's rank and delta, and re-ranks only the apps
+    whose syscalls meet a bit of ``state``, ``no_stub`` or ``no_fake`` that
+    changed since its last call: an app's delta is a bitwise function of
+    those masks, limited to its own syscalls.
+    """
+    ranks: dict[str, tuple[tuple[float, int, str], State]] = {}
+    last: tuple[int, ...] = ()
+
+    def ranked(name, needs, state, no_stub, no_fake):
+        delta = implement, stub, fake = _delta(needs, state, no_stub, no_fake)
         implements = implement.bit_count()
         cost = (IMPLEMENT_COST * implements
                 + STUB_COST * stub.bit_count() + FAKE_COST * fake.bit_count())
         return (cost, implements, name), delta
 
-    # min() over a lazy map keeps only the best delta alive.
-    (_, _, name), delta = min(map(ranked, pending))
-    return name, delta
+    def choose(pending, state, no_stub, no_fake):
+        nonlocal ranks, last
+        inputs = (*state, no_stub, no_fake)
+        changed = -1  # every bit, at the first call
+        if last:
+            changed = 0
+            for now, before in zip(inputs, last):
+                changed |= now ^ before
+        last = inputs
+        ranks = {name: ranked(name, needs, state, no_stub, no_fake)
+                 if needs[0] & changed else ranks[name]
+                 for name, needs in pending.items()}
+        (_, _, name), delta = min(ranks.values())
+        return name, delta
+
+    return choose
 
 
 def _in_order(order: Sequence[str]) -> Chooser:
@@ -314,7 +350,7 @@ def generate_plan(os_support: OsSupportSet,
     target_profiles = {t: profiles[t] for t in targets}
     bits = _numbering(target_profiles.values())
     needs = {name: _needs(p, bits) for name, p in target_profiles.items()}
-    plan = _fold(_state(os_support, bits), needs, bits, _cheapest)
+    plan = _fold(_state(os_support, bits), needs, bits, _cheapest())
     subs = _subfeatures(target_profiles.values())
     steps = tuple(replace(step, notes=_subfeature_notes(subs, step.implement))
                   for step in plan.steps)
@@ -409,7 +445,7 @@ def compare_strategies(profiles: Mapping[str, AppProfile],
     needs = {name: _needs(profiles[name], bits) for name in targets}
     naive = {name: (every, 0, 0) for name, (every, _, _) in needs.items()}
     curves["naive"] = _curve(_fold((_mask(os_support.implemented, bits), 0, 0), naive,
-                                   bits, _cheapest))
+                                   bits, _cheapest()))
     if external_order is not None:
         missing = [t for t in targets if t not in external_order]
         if missing:

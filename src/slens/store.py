@@ -23,6 +23,11 @@ with the same verdicts does not rewrite it, so no migration is needed.
 slens versions before schema 2 refuse a schema-2 file ("unsupported
 profile schema", exit 4).
 
+Loading shares features: ``FeatureId.from_json`` returns one object for
+each distinct feature, up to a fixed number of distinct values, so a
+database whose apps repeat the same few hundred features builds each of
+them once, and its profiles hold the same objects.
+
 OS support CSV (input): one syscall per line, ``syscall[,status]``;
 syscall is a decimal number or a lowercase name
 (``syscalls.parse_nr``); status is one of implemented (default), stubbed,

@@ -9,6 +9,7 @@ import pytest
 import slens.interposer
 import slens.orchestrator
 from slens.cli import EXIT_BASELINE, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+from slens.config import ParseError, load_tables
 from slens.harness import REASON_OK, WorkloadOutcome
 from slens.interposer import FeatureId, RunTrace
 from slens.orchestrator import HIT_CAP_FLOOR, AppProfile
@@ -36,11 +37,13 @@ OPENAT = name_to_nr("openat")
     (None, ["--timeout", "3e6"]),
     (None, ["--timeout", "1e308"]),
     (None, ["--port", "0", "--ready-delay", "1"]),
+    ({"fake_values": {"getpid": 10**23}}, []),
+    ({"fake_values": {"getpid": -2**63 - 1}}, []),
 ], ids=["fake-value-not-int", "relative-pseudo-prefix", "selector-index-7",
         "selector-index-negative", "relative-whitelist",
         "parallel-0", "negative-ready-delay", "timeout-0", "port-70000", "port-negative",
         "timeout-nan", "timeout-inf", "ready-delay-nan", "timeout-3e6", "timeout-1e308",
-        "port-and-ready-delay"])
+        "port-and-ready-delay", "fake-value-10e23", "fake-value-below-int64"])
 def test_bad_input_is_a_usage_error(tmp_path, capsys, tables, flags):
     argv = []
     if tables is not None:
@@ -56,6 +59,18 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, tables, flags):
     err = capsys.readouterr().err.splitlines()
     assert code == EXIT_USAGE
     assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+def test_fake_values_load_up_to_the_register_bounds(tmp_path, capsys):
+    """-2**63 and 2**64 - 1 fit a 64-bit register; one past either is
+    refused, naming the syscall and the value."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"fake_values": {"getpid": -2**63, "getppid": 2**64 - 1}}))
+    assert load_tables(str(config)).fake_values == {
+        name_to_nr("getpid"): -2**63, name_to_nr("getppid"): 2**64 - 1}
+    config.write_text(json.dumps({"fake_values": {"getppid": 2**64}}))
+    with pytest.raises(ParseError, match=f"getppid: {2**64} does not fit"):
+        load_tables(str(config))
 
 
 def test_bad_probe_timeout_is_a_usage_error(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import os
 import signal
+import socket
 import subprocess
 import tempfile
 import threading
@@ -10,9 +11,11 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from slens import harness
 from slens.harness import (
     AppSpec,
     Limits,
@@ -181,6 +184,32 @@ def test_crash_during_readiness_delay_ends_the_wait(fixtures, app_spec_factory):
     outcome, trace = run_workload(spec, policy, LIMITS)
     assert (outcome.reason, trace.exit_code) == ("crash", 2)
     assert time.monotonic() - t0 < 1.0
+
+
+def test_readiness_checks_back_off_from_1_ms_to_20_ms(monkeypatch):
+    """The pause between port checks starts at no more than 2 ms, never
+    shrinks, and never exceeds 20 ms."""
+    pauses = []
+
+    def sleep(seconds):
+        pauses.append(seconds)
+        time.sleep(seconds)
+
+    class Running:  # a session whose app runs on and never opens its port
+        def finished(self):
+            return False
+
+        def root_status(self):
+            return None
+
+    monkeypatch.setattr(harness, "time", SimpleNamespace(monotonic=time.monotonic,
+                                                         sleep=sleep))
+    with socket.socket() as closed:  # bound, not listening: refuses at once
+        closed.bind(("127.0.0.1", 0))
+        now = time.monotonic()
+        assert not harness._wait_ready(closed.getsockname()[1], now, now + 0.25, Running())
+    assert pauses and pauses[0] <= 0.002
+    assert pauses == sorted(pauses) and max(pauses) <= 0.02
 
 
 def _trace(exit_code, signaled, root_exit_at, timed_out=False):

@@ -8,12 +8,14 @@ for validity and no-repeats always, and for its implement total against
 that bound with a reported gap.
 """
 
+import hashlib
 import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slens import planner
 from slens.cli import main
 from slens.interposer import FeatureId
 from slens.orchestrator import AppProfile
@@ -35,6 +37,7 @@ from slens.planner import (
     replay_plan,
 )
 from slens.store import DbEntry, OsSupportSet, save_profile
+from slens.syscalls import known_names, name_to_nr, nr_to_name as name_of
 
 EMPTY_OS = OsSupportSet()
 
@@ -488,3 +491,153 @@ def test_curves_are_monotone():
             assert xs == sorted(xs)
             assert ys == sorted(ys)
             assert ys[-1] == len(profiles)
+
+
+# ---------------------------------------------------------------------------
+# The fold against one that re-ranks and re-checks every pending app
+
+
+def _fold_rechecking_all(state, needs, bits, choose):
+    """``planner._fold`` without its shortcut: every pending app is
+    re-checked for an incidental unlock at every step."""
+    pending = {n: m for n, m in needs.items() if planner._missing(m, state)}
+    initial = tuple(sorted(needs.keys() - pending.keys()))
+    steps = []
+    while pending:
+        no_stub = no_fake = 0
+        for every, stub_ok, fake_ok in pending.values():
+            no_stub |= every & ~stub_ok
+            no_fake |= every & ~fake_ok
+        chosen, delta = choose(pending, state, no_stub, no_fake)
+        state = planner._with_additions(state, *delta)
+        del pending[chosen]
+        unlocks = [chosen] + [n for n in sorted(pending)
+                              if not planner._missing(pending[n], state)]
+        for n in unlocks[1:]:
+            del pending[n]
+        implement, stub, fake = (planner._syscalls(m, bits) for m in delta)
+        steps.append(PlanStep(index=len(steps) + 1, implement=implement, stub=stub,
+                              fake=fake, unlocks=tuple(unlocks)))
+    return SupportPlan(initial_supported=initial, steps=tuple(steps), unreachable=())
+
+
+def _ranking_all(pending, state, no_stub, no_fake):
+    """Choose the lowest delta cost, ties: fewer implements, then name,
+    ranking every pending app afresh."""
+
+    def ranked(name):
+        delta = implement, stub, fake = planner._delta(pending[name], state, no_stub, no_fake)
+        cost = (IMPLEMENT_COST * implement.bit_count() + STUB_COST * stub.bit_count()
+                + FAKE_COST * fake.bit_count())
+        return (cost, implement.bit_count(), name), delta
+
+    (_, _, name), delta = min(map(ranked, pending))
+    return name, delta
+
+
+def test_fold_matches_ranking_every_app_at_every_step(monkeypatch):
+    """On 300 random instances with declared stubs and fakes, the plan and
+    the naive and external curves equal those of a fold that re-checks
+    every pending app for an unlock, and re-ranks every one, at every step."""
+    rng = random.Random(22)
+    classes = ("required", "stub_only", "fake_only", "any")
+    tolerant = [classes, classes, ("stub_only", "any"), ("fake_only", "any")]
+    for _ in range(300):
+        n_sys = rng.randint(1, 60)
+        allowed = {nr: rng.choice(tolerant) for nr in range(n_sys)}
+        profiles = {}
+        for i in range(rng.randint(1, 40)):
+            features = {nr: rng.choice(allowed[nr])
+                        for nr in rng.sample(range(n_sys), rng.randint(1, n_sys))}
+            if rng.random() < 0.3:
+                features[(16, rng.choice((0x5401, 0x5413)))] = rng.choice(classes)
+            profiles[f"app{i:02d}"] = profile_of(f"app{i:02d}", features)
+        declared = rng.sample(range(n_sys + 2), rng.randint(0, n_sys + 2))
+        cut = sorted(rng.randint(0, len(declared)) for _ in range(2))
+        os_support = OsSupportSet(implemented=frozenset(declared[:cut[0]]),
+                                  declared_stubs=frozenset(declared[cut[0]:cut[1]]),
+                                  declared_fakes=frozenset(declared[cut[1]:]))
+        order = rng.sample(sorted(profiles), len(profiles))
+
+        def outputs():
+            return (generate_plan(os_support, profiles, sorted(profiles)),
+                    compare_strategies(profiles, os_support, external_order=order))
+
+        got = outputs()
+        with monkeypatch.context() as m:
+            m.setattr(planner, "_fold", _fold_rechecking_all)
+            m.setattr(planner, "_cheapest", lambda: _ranking_all)
+            assert got == outputs()
+
+
+# ---------------------------------------------------------------------------
+# Golden outputs of the planner commands
+
+
+def golden_db(d, seed: int = 1, apps: int = 30) -> tuple[str, str, str]:
+    """A seeded database under ``d``, with an OS support CSV and an app
+    order beside it; returns the three paths.
+
+    ``apps`` profiles draw from 40 real syscalls, some with sub-features,
+    and the first app is stored twice, under two workloads.  The OS support
+    CSV implements, stubs and fakes some of those syscalls; apps that cannot
+    take a declared stub or fake make the plan promote it.  The database
+    comes from this generator alone, so no benchmark change can move it.
+    """
+    rng = random.Random(seed)
+    pool = rng.sample(sorted(name_to_nr(n) for n in known_names()), 40)
+    classes = ("required", "stub_only", "fake_only", "any")
+    # pool[20:30] suits a stub in every app and pool[30:] a fake, so the
+    # plan stubs and fakes some syscalls; the last app needs only the
+    # implemented pool[:6], so it is supported from the start.
+    allowed = {nr: ("stub_only", "any") for nr in pool[20:30]}
+    allowed.update({nr: ("fake_only", "any") for nr in pool[30:]})
+    names = [f"app{i:02d}" for i in range(apps)]
+    db = d / "db"
+    for name in names + names[:1]:
+        features = {}
+        last = name == names[-1]
+        for nr in rng.sample(pool[:6] if last else pool, rng.randint(2, 6 if last else 20)):
+            for sub in rng.sample((None, 0x5401, 0x5413), rng.choice((1, 1, 2))):
+                features[FeatureId(nr, sub)] = rng.choice(allowed.get(nr, classes))
+        profile = AppProfile(
+            app=name, workload_hash=f"{rng.getrandbits(64):016x}",
+            observed=tuple(sorted(features)), classes=features, regressions={},
+            confirmed=True, metadata={})
+        save_profile(str(db), DbEntry(profile, {"kernel": "k", "tool_version": "t"}))
+    csv = d / "os.csv"
+    csv.write_text("".join([f"{name_of(nr)}\n" for nr in pool[:6]]
+                           + [f"{nr},stubbed\n" for nr in pool[6:10]]
+                           + [f"{name_of(nr)},faked\n" for nr in pool[10:14]]))
+    order = d / "order.txt"
+    order.write_text("".join(f"{n}\n" for n in rng.sample(names, apps)))
+    return str(db), str(csv), str(order)
+
+
+# (exit code, sha256 of stdout, sha256 of stderr), the first 16 hex digits.
+GOLDEN = {
+    "plan": (0, "15c14c7f6d2e4327", "fdfb1d56ac16357e"),
+    "plan --json": (0, "f461615c9a039ef6", "fdfb1d56ac16357e"),
+    "compare": (0, "bfa8248994cd6822", "fdfb1d56ac16357e"),
+    "compare --json": (0, "604214e6e261a1c5", "fdfb1d56ac16357e"),
+    "importance": (0, "fdf5f8b5e0c653ad", "fdfb1d56ac16357e"),
+    "importance --json": (0, "c80c12cb225ae4ca", "fdfb1d56ac16357e"),
+}
+
+
+@pytest.mark.parametrize("form", sorted(GOLDEN))
+def test_planner_commands_golden(tmp_path, capsys, form):
+    """`plan`, `compare --order` and `importance`, each with and without
+    --json, print the pinned output.  The digests were taken from a slens
+    that re-ranked every app at every step and built a new FeatureId per
+    stored entry, so neither shortcut may move a byte."""
+    db, csv, order = golden_db(tmp_path)
+    command, *flags = form.split()
+    argv = {"plan": ["plan", "--db", db, "--os-support", csv],
+            "compare": ["compare", "--db", db, "--os-support", csv, "--order", order],
+            "importance": ["importance", "--db", db]}[command] + flags
+    capsys.readouterr()
+    code = main(argv)
+    out, err = capsys.readouterr()
+    digest = tuple(hashlib.sha256(s.encode()).hexdigest()[:16] for s in (out, err))
+    assert (code, *digest) == GOLDEN[form]

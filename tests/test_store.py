@@ -245,6 +245,37 @@ def test_round_trip_identity_randomized(profile):
     assert AppProfile.from_json(old) == profile
 
 
+def test_equal_features_load_as_one_object(tmp_path):
+    """Equal feature dicts give the same FeatureId and distinct ones
+    distinct objects, across the profiles of a database too.  A malformed
+    dict raises the error that loading it raised before features were
+    shared."""
+    docs = [{"syscall_nr": 16, "subfeature": 0x5401, "pseudofile": None},
+            {"syscall_nr": 16, "subfeature": 0x5413, "pseudofile": None},
+            {"syscall_nr": 16, "subfeature": None, "pseudofile": None},
+            {"syscall_nr": 257, "subfeature": None, "pseudofile": "/proc"},
+            {"syscall_nr": 257, "subfeature": None, "pseudofile": "/dev"}]
+    first = [FeatureId.from_json(d) for d in docs]
+    again = [FeatureId.from_json(json.loads(json.dumps(d))) for d in reversed(docs)]
+    assert all(a is b for a, b in zip(first, reversed(again)))
+    assert len(set(map(id, first))) == len(docs)
+    assert first == [FeatureId(16, 0x5401), FeatureId(16, 0x5413), FeatureId(16),
+                     FeatureId(257, pseudofile="/proc"), FeatureId(257, pseudofile="/dev")]
+
+    for app in ("a", "b"):
+        save_profile(str(tmp_path), make_entry(profile=make_profile(app=app)))
+    a, b = (entry.profile for entry in load_db(str(tmp_path)))
+    assert a.observed == b.observed
+    assert all(f is g for f, g in zip(a.observed, b.observed))
+
+    for bad, error, match in (({}, KeyError, "syscall_nr"),
+                              ({"syscall_nr": "x"}, ValueError, "invalid literal"),
+                              ({"syscall_nr": 1, "subfeature": [1]}, TypeError,
+                               "unhashable type: 'list'")):
+        with pytest.raises(error, match=match):
+            FeatureId.from_json(bad)
+
+
 def test_concurrent_distinct_saves(tmp_path):
     errors = []
 
