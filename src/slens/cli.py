@@ -62,7 +62,7 @@ def _db_root(args) -> str:
 
 
 def _tables(args):
-    if getattr(args, "config", None):
+    if args.config:
         return load_tables(args.config)
     return DEFAULT_TABLES
 

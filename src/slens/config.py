@@ -116,6 +116,13 @@ class InterposerTables:
 DEFAULT_TABLES = InterposerTables()
 
 
+def check_register(value: int, what: str) -> None:
+    """Raise ValueError naming ``what`` unless ``value`` fits a 64-bit
+    register, -2**63 to 2**64 - 1."""
+    if not -2**63 <= value < 2**64:
+        raise ValueError(f"{what}: {value} does not fit a 64-bit register")
+
+
 def _int_table(raw: dict, key: str) -> dict[int, int]:
     """The ``{syscall: integer}`` table under ``key``, keyed by number."""
     try:
@@ -147,10 +154,7 @@ def _tables_of(raw) -> InterposerTables:
     if "fake_values" in raw:
         values = _int_table(raw, "fake_values")
         for nr, value in values.items():
-            if not -2**63 <= value < 2**64:
-                name = syscalls.nr_to_name(nr) or nr
-                raise ValueError(f"fake_values: {name}: {value} does not fit a 64-bit "
-                                 "register")
+            check_register(value, f"fake_values: {syscalls.nr_to_name(nr) or nr}")
         tables = replace(tables, fake_values=values)
     if "pseudo_prefixes" in raw:
         prefixes = tuple(str(p) for p in raw["pseudo_prefixes"])

@@ -118,7 +118,7 @@ from typing import Callable, Iterable, Mapping
 
 from . import SlensError
 from . import _ptrace as pt
-from .config import DEFAULT_TABLES, OPEN_FAMILY, InterposerTables
+from .config import DEFAULT_TABLES, OPEN_FAMILY, InterposerTables, check_register
 
 log = logging.getLogger(__name__)
 
@@ -190,14 +190,25 @@ class FeatureId:
 
     @staticmethod
     def from_json(d: Mapping) -> "FeatureId":
-        """The feature ``d`` names: one shared object per distinct value."""
+        """The feature ``d`` names: one shared object per distinct value.
+        Raises ValueError for a sub-feature that is not an integer, a
+        pseudo-file that is not a string, or both set."""
         return _shared_feature(int(d["syscall_nr"]), d.get("subfeature"), d.get("pseudofile"))
 
 
 # A database repeats a few hundred distinct features thousands of times, so
-# loading it builds each once; the bound keeps the memory fixed however many
-# distinct features it holds.
-_shared_feature = functools.lru_cache(maxsize=1 << 14)(FeatureId)
+# loading it builds and checks each once; the bound keeps the memory fixed
+# however many distinct features it holds.  ``typed``: 1, 1.0 and True are
+# distinct values here, and only the first is a sub-feature.
+@functools.lru_cache(maxsize=1 << 14, typed=True)
+def _shared_feature(syscall_nr: int, subfeature, pseudofile) -> FeatureId:
+    if not (subfeature is None or type(subfeature) is int):
+        raise ValueError(f"subfeature {subfeature!r} is not an integer")
+    if not (pseudofile is None or type(pseudofile) is str):
+        raise ValueError(f"pseudofile {pseudofile!r} is not a string")
+    if subfeature is not None and pseudofile is not None:
+        raise ValueError("a feature has a subfeature or a pseudofile, not both")
+    return FeatureId(syscall_nr, subfeature, pseudofile)
 
 
 @dataclass(frozen=True)
@@ -218,6 +229,7 @@ class Action:
             raise ValueError(f"unknown action kind {self.kind!r}")
         if self.kind == "stub" and self.return_value != STUB_RETURN:
             raise ValueError("stub actions must return -ENOSYS")
+        check_register(self.return_value, f"{self.kind} return value")
 
     @property
     def suppresses(self) -> bool:

@@ -27,9 +27,9 @@ The runs fall into three steps, each waiting on the one before:
 2. probes: replica 0 of every feature x mode probe, and the baseline runs
    among them, so that regression detection compares runs made under the
    same load; a probe's replicas 1..r-1 start as soon as its replica 0
-   succeeds, whatever the other probes are doing.  With one replica, or
-   when one round of ``parallelism`` runs holds every probe and baseline
-   run, every replica of every probe starts at once;
+   succeeds, whatever the other probes are doing.  When one round of
+   ``parallelism`` runs holds every probe and baseline run, every replica
+   of every probe starts at once;
 3. confirmation: one run of the combined policy per replica.
 
 Discovery also bounds the later runs.  One whose measured processes make
@@ -248,18 +248,24 @@ class ProbeResult:
 
 @dataclass
 class AppProfile:
-    """Per-application classification of every observed feature."""
+    """Per-application classification of every observed feature.
+
+    ``observed`` comes from ``classes``: its features, in its order.  A
+    caller may give it instead (a schema-1 file's own list), and then its
+    set must equal that of ``classes``."""
 
     app: str
     workload_hash: str
-    observed: tuple[FeatureId, ...]
     classes: dict[FeatureId, str]
     regressions: dict[tuple[FeatureId, str], dict[str, float]]
     confirmed: bool
     metadata: dict
+    observed: tuple[FeatureId, ...] | None = None
 
     def __post_init__(self):
-        if set(self.classes) != set(self.observed):
+        if self.observed is None:
+            self.observed = tuple(self.classes)
+        elif set(self.classes) != set(self.observed):
             raise ValueError("classes' domain must equal the observed feature set")
         bad = [c for c in self.classes.values() if c not in CLASS_MODES]
         if bad:
@@ -303,7 +309,7 @@ class AppProfile:
             # Schema 1's own list is parsed, so that __post_init__ refuses a
             # file whose two lists disagree.
             observed=(tuple(map(FeatureId.from_json, d["observed"])) if d["schema"] == 1
-                      else tuple(classes)),
+                      else None),
             classes=classes,
             regressions={
                 (FeatureId.from_json(e["feature"]), e["mode"]): dict(e["flags"])
@@ -485,9 +491,9 @@ class Orchestrator:
 
         A probe works only if every replica succeeds, so the step submits
         replica 0 of every probe, and a probe's replicas 1..r-1 as soon as
-        its replica 0 succeeds.  With one replica, or with ``parallelism`` >=
-        r * len(keys) + k, waiting on replica 0 could only add a round, so
-        every replica of every probe is submitted at once.
+        its replica 0 succeeds.  With ``parallelism`` >= r * len(keys) + k,
+        waiting on replica 0 could only add a round, so every replica of
+        every probe is submitted at once.
 
         Until a baseline exists, the step also makes the k = ``perf_runs``
         baseline runs and records their statistics in ``baseline``; the
@@ -501,7 +507,7 @@ class Orchestrator:
         """
         r = self.config.replicas
         k = self.config.perf_runs if self.baseline is None else 0
-        first = r if r == 1 or self.parallelism >= r * len(keys) + k else 1
+        first = r if self.parallelism >= r * len(keys) + k else 1
         labels = [f"{mode}:{feature_label(feature)}" for feature, mode in keys]
         runs = [(probe_policy(feature, mode, self.tables), i, label)
                 for (feature, mode), label in zip(keys, labels) for i in range(first)]
@@ -585,7 +591,6 @@ class Orchestrator:
         profile = AppProfile(
             app=self.spec.name,
             workload_hash=self.spec.workload_hash(),
-            observed=features,
             classes=classes,
             regressions=regressions,
             confirmed=confirmed,

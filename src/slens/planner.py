@@ -30,10 +30,12 @@ The fold pays for what a step changed.  It keeps the pending apps in name
 order.  A step changes the state only at the syscalls of its delta, so only
 an app whose syscalls meet the delta can be unlocked by it.  An app's delta
 is a bitwise function of the state and the two refusal masks (``no_stub``,
-``no_fake``), limited to its own syscalls; so the plan's chooser keeps
-every pending app's rank and delta across steps, and re-ranks only the apps
-whose syscalls meet a bit of the state or of a refusal mask that changed
-since its previous choice.
+``no_fake``), limited to its own syscalls.  A refusal bit clears only when
+the last app refusing it leaves ``pending``, that is, once the state holds
+that syscall, and where the state holds a syscall in any mode no delta
+reads the refusal masks.  So the plan's chooser keeps every pending app's
+rank and delta across steps, and re-ranks only the apps whose syscalls meet
+a bit of the state that changed since its previous choice.
 
 The plan chooses the app with the cheapest delta, at IMPLEMENT_COST per
 implemented syscall and STUB_COST or FAKE_COST per stub or fake
@@ -264,9 +266,8 @@ def _cheapest() -> Chooser:
     implements, then name.
 
     It keeps each pending app's rank and delta, and re-ranks only the apps
-    whose syscalls meet a bit of ``state``, ``no_stub`` or ``no_fake`` that
-    changed since its last call: an app's delta is a bitwise function of
-    those masks, limited to its own syscalls.
+    whose syscalls meet a bit of ``state`` that changed since its last call
+    (the module docstring says why the refusal masks need no watching).
     """
     ranks: dict[str, tuple[tuple[float, int, str], State]] = {}
     last: tuple[int, ...] = ()
@@ -280,13 +281,12 @@ def _cheapest() -> Chooser:
 
     def choose(pending, state, no_stub, no_fake):
         nonlocal ranks, last
-        inputs = (*state, no_stub, no_fake)
         changed = -1  # every bit, at the first call
         if last:
             changed = 0
-            for now, before in zip(inputs, last):
+            for now, before in zip(state, last):
                 changed |= now ^ before
-        last = inputs
+        last = state
         ranks = {name: ranked(name, needs, state, no_stub, no_fake)
                  if needs[0] & changed else ranks[name]
                  for name, needs in pending.items()}
@@ -332,6 +332,18 @@ def _subfeature_notes(subs: Mapping[int, set[int]], implement: Iterable[int]) ->
     return tuple(notes)
 
 
+def _prepare(profiles: Mapping[str, AppProfile],
+             targets: Sequence[str]) -> tuple[dict[int, int], dict[str, Needs]]:
+    """The dense numbering of the targets' syscalls, and each target's masks.
+
+    Raises PlannerError naming the targets with no profile."""
+    missing = [t for t in targets if t not in profiles]
+    if missing:
+        raise PlannerError(f"no profile for target apps: {', '.join(missing)}")
+    bits = _numbering(profiles[t] for t in targets)
+    return bits, {t: _needs(profiles[t], bits) for t in targets}
+
+
 def generate_plan(os_support: OsSupportSet,
                   profiles: Mapping[str, AppProfile],
                   targets: Sequence[str]) -> SupportPlan:
@@ -344,14 +356,9 @@ def generate_plan(os_support: OsSupportSet,
     other app that incidentally became supported is credited to the same
     step.
     """
-    missing = [t for t in targets if t not in profiles]
-    if missing:
-        raise PlannerError(f"no profile for target apps: {', '.join(missing)}")
-    target_profiles = {t: profiles[t] for t in targets}
-    bits = _numbering(target_profiles.values())
-    needs = {name: _needs(p, bits) for name, p in target_profiles.items()}
+    bits, needs = _prepare(profiles, targets)
     plan = _fold(_state(os_support, bits), needs, bits, _cheapest())
-    subs = _subfeatures(target_profiles.values())
+    subs = _subfeatures(profiles[t] for t in needs)
     steps = tuple(replace(step, notes=_subfeature_notes(subs, step.implement))
                   for step in plan.steps)
     return replace(plan, steps=steps)
@@ -428,21 +435,21 @@ def compare_strategies(profiles: Mapping[str, AppProfile],
                        ) -> dict[str, list[tuple[int, int]]]:
     """Effort curves: cumulative syscalls implemented vs. apps supported.
 
-    Strategies: ``plan`` follows generate_plan, charging only its implement
-    sets on the x-axis (stubs and fakes are free effort-wise); ``naive``
-    charges every traced syscall of each app as an implementation, taking
-    the app that misses the fewest syscalls next; ``external`` (when an app
-    ordering is given) applies plan-style deltas in the supplied order.  All
-    curves are monotone in both coordinates.
+    Strategies: ``plan`` folds as generate_plan does, charging only its
+    implement sets on the x-axis (stubs and fakes are free effort-wise);
+    ``naive`` charges every traced syscall of each app as an
+    implementation, taking the app that misses the fewest syscalls next;
+    ``external`` (when an app ordering is given) applies plan-style deltas
+    in the supplied order.  All curves are monotone in both coordinates.
     """
     if targets is None:
         targets = sorted(profiles)
     if not targets:
         return {}
 
-    curves = {"plan": _curve(generate_plan(os_support, profiles, targets))}
-    bits = _numbering(profiles[name] for name in targets)
-    needs = {name: _needs(profiles[name], bits) for name in targets}
+    bits, needs = _prepare(profiles, targets)
+    state = _state(os_support, bits)
+    curves = {"plan": _curve(_fold(state, needs, bits, _cheapest()))}
     naive = {name: (every, 0, 0) for name, (every, _, _) in needs.items()}
     curves["naive"] = _curve(_fold((_mask(os_support.implemented, bits), 0, 0), naive,
                                    bits, _cheapest()))
@@ -451,8 +458,7 @@ def compare_strategies(profiles: Mapping[str, AppProfile],
         if missing:
             raise IncompleteOrdering(
                 f"external ordering misses target apps: {', '.join(missing)}")
-        curves["external"] = _curve(_fold(_state(os_support, bits), needs, bits,
-                                          _in_order(external_order)))
+        curves["external"] = _curve(_fold(state, needs, bits, _in_order(external_order)))
     return curves
 
 

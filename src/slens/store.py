@@ -15,18 +15,21 @@ written indented by earlier versions load the same, and re-saving the same
 verdicts leaves them as they are.
 
 A profile file (``AppProfile.to_json``, schema 2) lists each observed
-feature once, with its class, in the ``classes`` list, sorted; the
-profile's observed features are that list's, in its order.  Schema-1 files,
-which listed every feature once more under ``observed``, still load, and a
-file whose two lists disagree is refused.  Re-saving a schema-1 profile
+feature once, with its class, in the ``classes`` list, sorted.  Loading
+gives ``AppProfile`` only ``classes``, so ``observed`` comes from it (its
+features, in its order) unless a caller gives it.  Schema-1 files, which
+listed every feature once more under ``observed``, still load: their own
+list is given, and a file whose two lists disagree is refused.  Re-saving a schema-1 profile
 with the same verdicts does not rewrite it, so no migration is needed.
 slens versions before schema 2 refuse a schema-2 file ("unsupported
 profile schema", exit 4).
 
 Loading shares features: ``FeatureId.from_json`` returns one object for
 each distinct feature, up to a fixed number of distinct values, so a
-database whose apps repeat the same few hundred features builds each of
-them once, and its profiles hold the same objects.
+database whose apps repeat the same few hundred features builds and checks
+each of them once, and its profiles hold the same objects.  A sub-feature
+that is not an integer, a pseudo-file that is not a string, or a feature
+with both, is a ParseError naming the file.
 
 OS support CSV (input): one syscall per line, ``syscall[,status]``;
 syscall is a decimal number or a lowercase name

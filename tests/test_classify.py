@@ -94,6 +94,19 @@ def test_stub_return_value_is_pinned():
         Action("stub", 0)
 
 
+def test_fake_value_must_fit_a_register():
+    """A fake value is checked as a config file's ``fake_values`` are:
+    -2**63 and 2**64 - 1 fit, one past either is refused, not wrapped."""
+    assert fake(-2**63).return_value == -2**63
+    assert fake(2**64 - 1).return_value == 2**64 - 1
+    for value in (-2**63 - 1, 2**64, 2**70):
+        with pytest.raises(ValueError, match=f"fake return value: {value} does not fit"):
+            fake(value)
+    with pytest.raises(ValueError, match="does not fit a 64-bit register"):
+        Policy.from_json({"overrides": [{"feature": {"syscall_nr": WRITE},
+                                         "action": {"kind": "fake", "return_value": 2**70}}]})
+
+
 def test_fake_default_and_override():
     assert fake().return_value == 0
     assert fake(7).return_value == 7

@@ -95,10 +95,28 @@ def _probe(tmp_path, policy_text: str) -> list[str]:
             "--policy", str(policy)]
 
 
+# Features that FeatureId.from_json refuses: one is a sub-feature or a
+# pseudo-file, an integer or a string.
+MALFORMED_FEATURES = {
+    "subfeature-string": {"syscall_nr": IOCTL, "subfeature": "0x5401"},
+    "pseudofile-number": {"syscall_nr": OPENAT, "pseudofile": 5},
+    "subfeature-and-pseudofile": {"syscall_nr": OPENAT, "subfeature": 1,
+                                  "pseudofile": "/proc"},
+}
+
+
+def _overriding(feature: dict, action: dict) -> str:
+    return json.dumps({"overrides": [{"feature": feature, "action": action}]})
+
+
 @pytest.mark.parametrize("text", [
     "{not json", "[]", '{"overrides": [{"feature": {}}]}',
     '{"default": {"kind": "skip"}}',
-], ids=["not-json", "not-an-object", "feature-without-syscall", "unknown-kind"])
+    *(_overriding(f, {"kind": "stub"}) for f in MALFORMED_FEATURES.values()),
+    _overriding({"syscall_nr": name_to_nr("getpid")},
+                {"kind": "fake", "return_value": 2**70}),
+], ids=["not-json", "not-an-object", "feature-without-syscall", "unknown-kind",
+        *MALFORMED_FEATURES, "fake-value-2**70"])
 def test_malformed_policy_is_a_parse_error(tmp_path, capsys, text):
     code = main(_probe(tmp_path, text))
     err = capsys.readouterr().err.splitlines()
@@ -202,6 +220,32 @@ def test_malformed_stored_profile_is_a_parse_error(tmp_path, capsys, command, te
     err = capsys.readouterr().err.splitlines()
     assert code == EXIT_USAGE
     assert err == [f"error: parse: {stored}{message}"]
+
+
+@pytest.mark.parametrize("command", ["export", "plan"])
+@pytest.mark.parametrize("feature", MALFORMED_FEATURES.values(), ids=MALFORMED_FEATURES)
+def test_malformed_stored_feature_is_a_parse_error(tmp_path, capsys, command, feature):
+    """A stored feature whose sub-feature is not an integer, whose
+    pseudo-file is not a string, or that has both, fails to load: one parse
+    error line naming the file, not a crash while rendering it."""
+    db = str(tmp_path / "db")
+    getpid = FeatureId(name_to_nr("getpid"))
+    stored = save_profile(db, DbEntry(AppProfile(
+        app="demo", workload_hash="0123456789abcdef", classes={getpid: "required"},
+        regressions={}, confirmed=True, metadata={}), {"kernel": "k"}))
+    with open(stored) as f:
+        doc = json.load(f)
+    doc["classes"].append({"feature": feature, "class": "required"})
+    with open(stored, "w") as f:
+        json.dump(doc, f)
+    (tmp_path / "os.csv").write_text("read\n")
+    argv = {"export": ["export", "--db", db, "--apps", "demo"],
+            "plan": ["plan", "--db", db, "--os-support", str(tmp_path / "os.csv")]}[command]
+    code = main(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_USAGE
+    assert len(err) == 1 and err[0].startswith(
+        f"error: parse: {stored}: malformed content (ValueError: "), err
 
 
 def test_whitelist_that_matches_nothing_stores_no_profile(tmp_path, capsys):

@@ -11,6 +11,7 @@ that bound with a reported gap.
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -493,6 +494,75 @@ def test_curves_are_monotone():
             assert ys[-1] == len(profiles)
 
 
+def random_instance(rng: random.Random):
+    """Profiles, an OS state with declared stubs and fakes, and an app
+    order, drawn as test_fold_matches_ranking_every_app_at_every_step draws
+    them."""
+    classes = ("required", "stub_only", "fake_only", "any")
+    tolerant = [classes, classes, ("stub_only", "any"), ("fake_only", "any")]
+    n_sys = rng.randint(1, 60)
+    allowed = {nr: rng.choice(tolerant) for nr in range(n_sys)}
+    profiles = {}
+    for i in range(rng.randint(1, 40)):
+        features = {nr: rng.choice(allowed[nr])
+                    for nr in rng.sample(range(n_sys), rng.randint(1, n_sys))}
+        if rng.random() < 0.3:
+            features[(16, rng.choice((0x5401, 0x5413)))] = rng.choice(classes)
+        profiles[f"app{i:02d}"] = profile_of(f"app{i:02d}", features)
+    declared = rng.sample(range(n_sys + 2), rng.randint(0, n_sys + 2))
+    cut = sorted(rng.randint(0, len(declared)) for _ in range(2))
+    os_support = OsSupportSet(implemented=frozenset(declared[:cut[0]]),
+                              declared_stubs=frozenset(declared[cut[0]:cut[1]]),
+                              declared_fakes=frozenset(declared[cut[1]:]))
+    return profiles, os_support, rng.sample(sorted(profiles), len(profiles))
+
+
+def test_compare_plan_curve_is_the_plans_curve():
+    """compare folds its plan curve itself; it is the curve of
+    generate_plan, on 100 random instances."""
+    rng = random.Random(23)
+    for _ in range(100):
+        profiles, os_support, order = random_instance(rng)
+        plan = generate_plan(os_support, profiles, sorted(profiles))
+        curves = compare_strategies(profiles, os_support, external_order=order)
+        assert curves["plan"] == planner._curve(plan)
+
+
+def test_compare_derives_each_targets_masks_once(monkeypatch):
+    """All three curves fold one set of masks: one _needs call per target,
+    and no generate_plan call."""
+    profiles, os_support, order = random_instance(random.Random(5))
+    needs, calls = planner._needs, Counter()
+
+    def counted(profile, bits):
+        calls[profile.app] += 1
+        return needs(profile, bits)
+
+    monkeypatch.setattr(planner, "_needs", counted)
+    monkeypatch.setattr(planner, "generate_plan",
+                        lambda *args: pytest.fail("compare called generate_plan"))
+    compare_strategies(profiles, os_support, external_order=order)
+    assert calls == Counter(dict.fromkeys(profiles, 1))
+
+
+def test_compare_refuses_a_target_with_no_profile(tmp_path, capsys):
+    """A target with no profile is named, by compare_strategies and by
+    `slens compare` (exit 4)."""
+    profiles = two_app_instance()
+    with pytest.raises(PlannerError, match="no profile for target apps: ghost$"):
+        compare_strategies(profiles, EMPTY_OS, ["A", "ghost"], external_order=["A"])
+    db = str(tmp_path / "db")
+    for profile in profiles.values():
+        save_profile(db, DbEntry(profile, {"kernel": "k", "tool_version": "v"}))
+    (tmp_path / "os.csv").write_text("read\n")
+    capsys.readouterr()
+    code = main(["compare", "--db", db, "--os-support", str(tmp_path / "os.csv"),
+                 "--apps", "A,ghost"])
+    assert code == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "error: usage: no profile for target apps: ghost"]
+
+
 # ---------------------------------------------------------------------------
 # The fold against one that re-ranks and re-checks every pending app
 
@@ -568,6 +638,27 @@ def test_fold_matches_ranking_every_app_at_every_step(monkeypatch):
             m.setattr(planner, "_fold", _fold_rechecking_all)
             m.setattr(planner, "_cheapest", lambda: _ranking_all)
             assert got == outputs()
+
+
+def test_chooser_re_ranks_on_a_change_of_the_state_alone(monkeypatch):
+    """The plan's chooser re-ranks an app only when the state changed at
+    one of its syscalls; a change of the refusal masks re-ranks none, since
+    in a fold it only follows a change of the state at the same bits."""
+    delta, ranked = planner._delta, []
+
+    def counted(needs, *masks):
+        ranked.append(needs)
+        return delta(needs, *masks)
+
+    monkeypatch.setattr(planner, "_delta", counted)
+    pending = {"A": (0b011, 0b001, 0b010), "B": (0b100, 0, 0b100)}
+    choose = planner._cheapest()
+    assert choose(pending, (0, 0, 0), 0b110, 0b001) == ("B", (0, 0, 0b100))
+    assert ranked == [pending["A"], pending["B"]]
+    choose(pending, (0, 0, 0), 0, 0)
+    assert len(ranked) == 2
+    choose(pending, (0b100, 0, 0), 0, 0)
+    assert ranked[2:] == [pending["B"]]
 
 
 # ---------------------------------------------------------------------------

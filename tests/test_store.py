@@ -29,12 +29,13 @@ CLASSES = ("required", "stub_only", "fake_only", "any")
 
 # -- profile strategy
 
+# A feature has a sub-feature or a pseudo-file, not both.
 features_st = st.builds(
     FeatureId,
     syscall_nr=st.integers(min_value=0, max_value=448),
     subfeature=st.one_of(st.none(), st.integers(min_value=0, max_value=2**31)),
     pseudofile=st.one_of(st.none(), st.sampled_from(["/proc", "/dev", "/sys"])),
-)
+).filter(lambda f: f.subfeature is None or f.pseudofile is None)
 
 
 @st.composite
@@ -274,6 +275,18 @@ def test_equal_features_load_as_one_object(tmp_path):
                                "unhashable type: 'list'")):
         with pytest.raises(error, match=match):
             FeatureId.from_json(bad)
+
+
+def test_schema_2_load_hashes_each_stored_feature_once(tmp_path, monkeypatch):
+    """A schema-2 profile's observed features are its classes' keys, so
+    loading hashes each stored feature once, into ``classes``."""
+    profile = make_profile()
+    save_profile(str(tmp_path), make_entry(profile))
+    hash_, hashed = FeatureId.__hash__, []
+    monkeypatch.setattr(FeatureId, "__hash__", lambda f: hashed.append(f) or hash_(f))
+    (entry,) = load_db(str(tmp_path))
+    assert entry.profile.observed == profile.observed
+    assert sorted(hashed) == sorted(profile.classes)
 
 
 def test_concurrent_distinct_saves(tmp_path):
