@@ -12,9 +12,11 @@ The configuration file is JSON with three documented keys, all optional:
 argument that selects the sub-feature, 0 to 5 (a syscall has six argument
 registers).  ``fake_values`` overrides the value injected when a syscall
 is faked (default 0); a value must fit a 64-bit register, -2**63 to
-2**64 - 1.  Keys are read as the OS support CSV reads a syscall
-(``syscalls.parse_nr``): a decimal number or a lowercase name.  Values
-given in a config file replace the built-in default for that key entirely.
+2**64 - 1.  Values in both tables are JSON integers: a float, a bool or a
+string is refused, not coerced.  Keys are read as the OS support CSV reads
+a syscall (``syscalls.parse_nr``): a decimal number or a lowercase name.
+Values given in a config file replace the built-in default for that key
+entirely.
 
 This module also holds ``read_input``, the one way a file the user names
 (config, policy, OS support CSV, app ordering) or a stored database file
@@ -123,10 +125,18 @@ def check_register(value: int, what: str) -> None:
         raise ValueError(f"{what}: {value} does not fit a 64-bit register")
 
 
+def check_int(value, what: str) -> int:
+    """``value`` if it is an integer; a float, a bool or a string raises
+    ValueError naming ``what`` rather than being coerced."""
+    if type(value) is not int:
+        raise ValueError(f"{what}: {value!r} is not an integer")
+    return value
+
+
 def _int_table(raw: dict, key: str) -> dict[int, int]:
     """The ``{syscall: integer}`` table under ``key``, keyed by number."""
     try:
-        return {syscalls.parse_nr(k): int(v) for k, v in raw[key].items()}
+        return {syscalls.parse_nr(k): check_int(v, k) for k, v in raw[key].items()}
     except KeyError as exc:
         raise ValueError(f"{key}: unknown syscall name {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:

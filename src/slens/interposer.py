@@ -118,7 +118,8 @@ from typing import Callable, Iterable, Mapping
 
 from . import SlensError
 from . import _ptrace as pt
-from .config import DEFAULT_TABLES, OPEN_FAMILY, InterposerTables, check_register
+from .config import (DEFAULT_TABLES, OPEN_FAMILY, InterposerTables, check_int,
+                     check_register)
 
 log = logging.getLogger(__name__)
 
@@ -191,19 +192,20 @@ class FeatureId:
     @staticmethod
     def from_json(d: Mapping) -> "FeatureId":
         """The feature ``d`` names: one shared object per distinct value.
-        Raises ValueError for a sub-feature that is not an integer, a
-        pseudo-file that is not a string, or both set."""
-        return _shared_feature(int(d["syscall_nr"]), d.get("subfeature"), d.get("pseudofile"))
+        Raises ValueError for a syscall number or sub-feature that is not
+        an integer, a pseudo-file that is not a string, or both set."""
+        return _shared_feature(d["syscall_nr"], d.get("subfeature"), d.get("pseudofile"))
 
 
 # A database repeats a few hundred distinct features thousands of times, so
 # loading it builds and checks each once; the bound keeps the memory fixed
 # however many distinct features it holds.  ``typed``: 1, 1.0 and True are
-# distinct values here, and only the first is a sub-feature.
+# distinct values here, and only the first is a syscall number or sub-feature.
 @functools.lru_cache(maxsize=1 << 14, typed=True)
-def _shared_feature(syscall_nr: int, subfeature, pseudofile) -> FeatureId:
-    if not (subfeature is None or type(subfeature) is int):
-        raise ValueError(f"subfeature {subfeature!r} is not an integer")
+def _shared_feature(syscall_nr, subfeature, pseudofile) -> FeatureId:
+    check_int(syscall_nr, "syscall_nr")
+    if subfeature is not None:
+        check_int(subfeature, "subfeature")
     if not (pseudofile is None or type(pseudofile) is str):
         raise ValueError(f"pseudofile {pseudofile!r} is not a string")
     if subfeature is not None and pseudofile is not None:
@@ -241,7 +243,7 @@ class Action:
     @staticmethod
     def from_json(d: Mapping) -> "Action":
         default = STUB_RETURN if d["kind"] == "stub" else 0
-        return Action(d["kind"], int(d.get("return_value", default)))
+        return Action(d["kind"], check_int(d.get("return_value", default), "return_value"))
 
 
 ALLOW = Action("allow")

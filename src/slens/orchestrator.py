@@ -557,9 +557,11 @@ class Orchestrator:
     def full_analysis(self, db_root: str | None = None) -> AppProfile:
         """Run the whole protocol and return (and optionally persist) a profile.
 
-        On a failed confirmation run the profile is still produced and
-        persisted with ``confirmed=False``; callers should then probe
-        culprit subsets manually (``probe_custom``).
+        A persisted profile is filed under ``db_root`` by the kernel and
+        tool version its metadata records (``store.DbEntry``).  On a failed
+        confirmation run the profile is still produced and persisted with
+        ``confirmed=False``; callers should then probe culprit subsets
+        manually (``probe_custom``).
         """
         features = self.discover()
         s = len(features)
@@ -606,7 +608,5 @@ class Orchestrator:
         if db_root is not None:
             from . import store  # local import: store deserializes AppProfile
 
-            provenance = {"submitter": "", **{key: profile.metadata[key] for key in
-                                              ("date", "kernel", "tool_version")}}
-            store.save_profile(db_root, store.DbEntry(profile=profile, provenance=provenance))
+            store.save_profile(db_root, store.DbEntry(profile))
         return profile

@@ -1,18 +1,25 @@
 """Measurement database: persist, load, and export app profiles.
 
-Layout under a database root directory:
+Layout under a database root directory, one record per entry:
 
     <db_root>/<app>/<workload-hash>/<provenance-fp>/profile.json
-    <db_root>/<app>/<workload-hash>/<provenance-fp>/meta.json
 
-(app, workload-hash) is the primary key; the provenance fingerprint (a hash
-of kernel + tool version) lets measurements of the same workload coexist
-across environments, which the key rules allow.  Writes are atomic (temp
-file + rename) under an exclusive per-key file lock.  The database root is
-the sharing unit: it is plain files, friendly to rsync or git.  Each file
+(app, workload-hash) is the primary key; the provenance fingerprint, a hash
+of the kernel and tool version in the profile's own ``metadata``, lets
+measurements of the same workload coexist across environments, which the
+key rules allow.  Writes are atomic (temp file + rename) under an exclusive
+lock on the entry directory's ``.lock`` file.  The database root is the
+sharing unit: it is plain files, friendly to rsync or git.  Each profile
 is one line of compact JSON with sorted keys (``canonical_json``); files
 written indented by earlier versions load the same, and re-saving the same
 verdicts leaves them as they are.
+
+Earlier versions also wrote ``meta.json`` beside each profile, a copy of
+its metadata's kernel, tool version and date.  Here it is ignored, and a
+re-save leaves it in place; an entry written by ``slens analyze`` keeps its
+directory, since its fingerprint came from that same copy.  Those versions
+load this layout too: they read a missing ``meta.json`` as an empty
+provenance, which none of their callers reads.
 
 A profile file (``AppProfile.to_json``, schema 2) lists each observed
 feature once, with its class, in the ``classes`` list, sorted.  Loading
@@ -27,9 +34,10 @@ profile schema", exit 4).
 Loading shares features: ``FeatureId.from_json`` returns one object for
 each distinct feature, up to a fixed number of distinct values, so a
 database whose apps repeat the same few hundred features builds and checks
-each of them once, and its profiles hold the same objects.  A sub-feature
-that is not an integer, a pseudo-file that is not a string, or a feature
-with both, is a ParseError naming the file.
+each of them once, and its profiles hold the same objects.  A syscall
+number or sub-feature that is not an integer (a float, a bool or a string
+is not coerced), a pseudo-file that is not a string, or a feature with
+both, is a ParseError naming the file.
 
 OS support CSV (input): one syscall per line, ``syscall[,status]``;
 syscall is a decimal number or a lowercase name
@@ -117,7 +125,9 @@ class OsSupportSet:
 
 @dataclass(frozen=True)
 class DbEntry:
-    """A stored profile plus who measured it and with what."""
+    """A stored profile; its metadata says where and with what it was
+    measured.  Nothing reads ``provenance``: it stays a field only because
+    perfbench/dbgen.py passes it."""
 
     profile: AppProfile
     provenance: Mapping[str, str] = field(default_factory=dict)
@@ -127,8 +137,8 @@ class DbEntry:
         return (self.profile.app, self.profile.workload_hash)
 
     def provenance_fingerprint(self) -> str:
-        ident = (self.provenance.get("kernel", "") + "\0"
-                 + self.provenance.get("tool_version", ""))
+        metadata = self.profile.metadata
+        ident = f"{metadata.get('kernel', '')}\0{metadata.get('tool_version', '')}"
         return hashlib.sha256(ident.encode()).hexdigest()[:12]
 
 
@@ -183,19 +193,18 @@ def _read_profile(path: str) -> AppProfile:
 
 
 def save_profile(db_root: str, entry: DbEntry) -> str:
-    """Persist a DbEntry; returns the path of the stored profile.
+    """Persist a DbEntry as its one file, ``profile.json``; returns its path.
 
-    For the same key and same kernel/tool version, a profile with the
-    stored one's verdicts (observed features, their classes, confirmation)
-    keeps the stored profile; metadata such as the date, and regression
-    flags, may differ.  Differing verdicts are refused with a diff report.
+    For the same key and the same kernel and tool version in the profile's
+    metadata, a profile with the stored one's verdicts (observed features,
+    their classes, confirmation) keeps the stored profile; metadata such as
+    the date, and regression flags, may differ.  Differing verdicts are
+    refused with a diff report.
     """
     entry_dir = _entry_dir(db_root, entry)
     os.makedirs(entry_dir, exist_ok=True)
     profile_path = os.path.join(entry_dir, "profile.json")
-    meta_path = os.path.join(entry_dir, "meta.json")
     profile_data = canonical_json(entry.profile.to_json())
-    meta_data = canonical_json(dict(entry.provenance))
 
     # The exclusive flock ends when the lock file closes.
     with open(os.path.join(entry_dir, ".lock"), "a") as lock:
@@ -210,7 +219,6 @@ def save_profile(db_root: str, entry: DbEntry) -> str:
                 f"profile for {entry.key} already stored with different verdicts:\n"
                 + _profile_diff(old, entry.profile))
         _atomic_write(profile_path, profile_data)
-        _atomic_write(meta_path, meta_data)
     return profile_path
 
 
@@ -222,14 +230,8 @@ def load_db(db_root: str) -> list[DbEntry]:
     if not os.path.isdir(db_root):
         return entries
     for dirpath, _dirnames, filenames in os.walk(db_root):
-        if "profile.json" not in filenames:
-            continue
-        profile = _read_profile(os.path.join(dirpath, "profile.json"))
-        provenance: dict[str, str] = {}
-        meta_path = os.path.join(dirpath, "meta.json")
-        if os.path.exists(meta_path):
-            provenance = read_input(meta_path, lambda text: dict(json.loads(text)))
-        entries.append(DbEntry(profile=profile, provenance=provenance))
+        if "profile.json" in filenames:
+            entries.append(DbEntry(_read_profile(os.path.join(dirpath, "profile.json"))))
     entries.sort(key=lambda e: (e.key, e.provenance_fingerprint()))
     return entries
 

@@ -64,3 +64,25 @@ def test_analysis_knobs_and_baseline_perf():
     AnalysisConfig(replicas=1, perf_runs=0)
     assert "db_root" in inspect.signature(Orchestrator.full_analysis).parameters
     assert "perf" in BaselineStats.__dataclass_fields__
+
+
+def test_dbgen_store_call(tmp_path):
+    """``dbgen.py`` saves each profile as ``DbEntry(profile, provenance)``
+    with the kernel and tool version of the profile's metadata; ``load_db``
+    finds the entry in the directory that provenance named when it was
+    read."""
+    import hashlib
+
+    from slens import AppProfile, DbEntry, FeatureId, save_profile
+    from slens.store import load_db
+
+    same = {"kernel": "synthetic", "tool_version": "synthetic"}
+    classes = {FeatureId(0): "required"}
+    profile = AppProfile(app="app000", workload_hash="0123456789abcdef",
+                         observed=tuple(sorted(classes)), classes=classes, regressions={},
+                         confirmed=True, metadata=dict(same))
+    path = save_profile(str(tmp_path), DbEntry(profile, dict(same)))
+    fingerprint = hashlib.sha256(b"synthetic\0synthetic").hexdigest()[:12]
+    assert path == str(tmp_path / "app000" / "0123456789abcdef" / fingerprint / "profile.json")
+    (entry,) = load_db(str(tmp_path))
+    assert entry.profile == profile

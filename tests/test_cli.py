@@ -95,9 +95,13 @@ def _probe(tmp_path, policy_text: str) -> list[str]:
             "--policy", str(policy)]
 
 
-# Features that FeatureId.from_json refuses: one is a sub-feature or a
-# pseudo-file, an integer or a string.
+# Features that FeatureId.from_json refuses: a syscall number that is not an
+# integer (none is coerced), and not both a sub-feature and a pseudo-file,
+# an integer or a string.
 MALFORMED_FEATURES = {
+    "syscall-float": {"syscall_nr": 5.7},
+    "syscall-bool": {"syscall_nr": True},
+    "syscall-string": {"syscall_nr": "39"},
     "subfeature-string": {"syscall_nr": IOCTL, "subfeature": "0x5401"},
     "pseudofile-number": {"syscall_nr": OPENAT, "pseudofile": 5},
     "subfeature-and-pseudofile": {"syscall_nr": OPENAT, "subfeature": 1,
@@ -113,15 +117,34 @@ def _overriding(feature: dict, action: dict) -> str:
     "{not json", "[]", '{"overrides": [{"feature": {}}]}',
     '{"default": {"kind": "skip"}}',
     *(_overriding(f, {"kind": "stub"}) for f in MALFORMED_FEATURES.values()),
-    _overriding({"syscall_nr": name_to_nr("getpid")},
-                {"kind": "fake", "return_value": 2**70}),
+    *(_overriding({"syscall_nr": name_to_nr("getpid")},
+                  {"kind": "fake", "return_value": value})
+      for value in (2**70, 7.9, "7", True)),
 ], ids=["not-json", "not-an-object", "feature-without-syscall", "unknown-kind",
-        *MALFORMED_FEATURES, "fake-value-2**70"])
+        *MALFORMED_FEATURES, "fake-value-2**70", "fake-value-float", "fake-value-string",
+        "fake-value-bool"])
 def test_malformed_policy_is_a_parse_error(tmp_path, capsys, text):
     code = main(_probe(tmp_path, text))
     err = capsys.readouterr().err.splitlines()
     assert code == EXIT_USAGE
-    assert len(err) == 1 and err[0].startswith("error: parse: "), err
+    assert len(err) == 1 and err[0].startswith(f"error: parse: {tmp_path / 'policy.json'}"), err
+
+
+@pytest.mark.parametrize("tables", [
+    {"fake_values": {"getpid": 7.9}}, {"fake_values": {"getpid": "7"}},
+    {"fake_values": {"getpid": True}}, {"subfeature_selectors": {"ioctl": 1.5}},
+    {"subfeature_selectors": {"ioctl": "1"}},
+], ids=["fake-value-float", "fake-value-string", "fake-value-bool", "selector-float",
+        "selector-string"])
+def test_config_value_of_the_wrong_type_is_a_parse_error(tmp_path, capsys, tables):
+    """A config value that is not an integer is refused, not coerced."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(tables))
+    code = main(["--config", str(config), *_probe(tmp_path, "{}")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_USAGE
+    assert len(err) == 1 and err[0].startswith(f"error: parse: {config}: "), err
+    assert "is not an integer" in err[0]
 
 
 NOT_UTF8 = b"\xff\xfe\n"

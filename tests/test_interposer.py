@@ -484,20 +484,37 @@ def test_the_app_gets_the_default_signal_dispositions(tmp_path):
     assert out.read_text() == native.stdout
 
 
-def test_a_tracee_killed_at_its_stop_reads_killed(fixtures, monkeypatch):
-    """A tracee SIGKILLed while it waits at a trapped call makes the
-    tracer's next request fail with ESRCH.  The run reads as killed, not as
-    a tracer fault."""
-    getregs = slens._ptrace.getregs
+def test_a_tracee_killed_between_its_stops_reads_killed(fixtures, monkeypatch):
+    """A tracee SIGKILLed while it waits at a trapped call leaves that stop
+    for its exit stop; until it reaches it, the tracer's next request fails
+    with ESRCH, as here.  The run reads as killed, not as a tracer fault."""
 
-    def kill_then_getregs(pid, regs):
+    def kill_then_esrch(pid, regs):
         os.kill(pid, signal.SIGKILL)
-        getregs(pid, regs)
+        raise slens._ptrace.PtraceError(errno.ESRCH, f"ptrace GETREGS pid={pid}")
 
-    monkeypatch.setattr(slens._ptrace, "getregs", kill_then_getregs)
+    monkeypatch.setattr(slens._ptrace, "getregs", kill_then_esrch)
     trace = run_fixture(fixtures, "noop")
     assert (trace.exit_code, trace.signaled) == (None, signal.SIGKILL)
     assert trace.observed == Counter()
+
+
+def test_a_tracee_killed_at_its_stop_reads_killed(fixtures, monkeypatch):
+    """Once the killed tracee is at its exit stop, ptrace requests succeed
+    again: the register read finds the call it was stopped at, which counts
+    once, and the run still reads as killed."""
+    getregs = slens._ptrace.getregs
+
+    def kill_then_getregs_at_exit_stop(pid, regs):
+        os.kill(pid, signal.SIGKILL)
+        # WNOWAIT leaves the exit stop's report for the engine.
+        os.waitid(os.P_PID, pid, os.WEXITED | os.WSTOPPED | os.WNOWAIT)
+        getregs(pid, regs)
+
+    monkeypatch.setattr(slens._ptrace, "getregs", kill_then_getregs_at_exit_stop)
+    trace = run_fixture(fixtures, "noop")
+    assert (trace.exit_code, trace.signaled) == (None, signal.SIGKILL)
+    assert trace.observed == Counter({FeatureId(EXIT_GROUP): 1})
 
 
 def test_follow_fork_observes_child(fixtures, tmp_path):

@@ -1,13 +1,18 @@
 """Database persistence, CSV import/export."""
 
 import dataclasses
+import hashlib
 import json
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import slens.store
 from slens.interposer import FeatureId
 from slens.orchestrator import AppProfile
 from slens.store import (
@@ -62,7 +67,7 @@ def profiles_st(draw):
     )
 
 
-def make_profile(app="demo", confirmed=True, classes=None):
+def make_profile(app="demo", confirmed=True, classes=None, kernel="6.0"):
     observed = tuple(sorted(
         (FeatureId(name_to_nr(n)) for n in ("read", "write", "openat", "close",
                                             "exit_group")),
@@ -72,8 +77,14 @@ def make_profile(app="demo", confirmed=True, classes=None):
         app=app, workload_hash="0123456789abcdef",
         observed=observed, classes=cls, regressions={},
         confirmed=confirmed,
-        metadata={"kernel": "6.0", "tool_version": "0.1.0", "date": "2026-01-01"},
+        metadata={"kernel": kernel, "tool_version": "0.1.0", "date": "2026-01-01"},
     )
+
+
+def fingerprint(kernel, tool_version):
+    """The directory name an entry measured on ``kernel`` with
+    ``tool_version`` has had in every layout."""
+    return hashlib.sha256(f"{kernel}\0{tool_version}".encode()).hexdigest()[:12]
 
 
 def _feature(nr):
@@ -92,58 +103,118 @@ SCHEMA_1_PROFILE = {
 }
 
 
-def make_entry(profile=None, kernel="6.0"):
-    profile = profile or make_profile()
-    return DbEntry(profile=profile, provenance={
-        "submitter": "tester", "date": "2026-01-01",
-        "kernel": kernel, "tool_version": "0.1.0",
-    })
+def make_entry(profile=None):
+    return DbEntry(profile or make_profile())
+
+
+# The meta.json that earlier versions wrote beside make_profile()'s file.
+LEFTOVER_META = {"date": "2026-01-01", "kernel": "6.0", "submitter": "",
+                 "tool_version": "0.1.0"}
+
+
+def snapshot(root):
+    """Every file under ``root``: its content and modification time."""
+    return {p.relative_to(root): (p.read_bytes(), p.stat().st_mtime_ns)
+            for p in sorted(Path(root).rglob("*")) if p.is_file()}
 
 
 # -- save / load
 
 
 def test_save_and_reload_round_trip(tmp_path):
+    """An entry is filed by the kernel and tool version of its profile's
+    metadata, and reloads to the same profile and fingerprint."""
     entry = make_entry()
     path = save_profile(str(tmp_path), entry)
+    assert path == str(tmp_path / "demo" / "0123456789abcdef"
+                       / fingerprint("6.0", "0.1.0") / "profile.json")
     with open(path) as f:
         stored = f.read()
     loaded = load_db(str(tmp_path))
     assert len(loaded) == 1
     assert loaded[0].profile == entry.profile
-    assert dict(loaded[0].provenance) == dict(entry.provenance)
+    assert loaded[0].provenance_fingerprint() == fingerprint("6.0", "0.1.0")
     # Canonical serialization is byte-stable across save/load/save.
     again = save_profile(str(tmp_path), loaded[0])
+    assert again == path
     with open(again) as f:
         assert f.read() == stored
+
+
+def test_an_entry_is_one_profile_file(tmp_path):
+    """A fresh save leaves the profile and the lock file, nothing else."""
+    path = save_profile(str(tmp_path), make_entry())
+    assert sorted(os.listdir(os.path.dirname(path))) == [".lock", "profile.json"]
+
+
+def test_load_reads_one_file_per_entry(tmp_path, monkeypatch):
+    """Loading reads each entry's profile and nothing beside it, even where
+    an earlier version left a meta.json."""
+    for app in ("a", "b", "c"):
+        path = save_profile(str(tmp_path), make_entry(make_profile(app=app)))
+    with open(os.path.join(os.path.dirname(path), "meta.json"), "w") as f:
+        json.dump(LEFTOVER_META, f)
+    read, reads = slens.store.read_input, []
+    monkeypatch.setattr(slens.store, "read_input",
+                        lambda p, parse: reads.append(p) or read(p, parse))
+    assert [e.profile.app for e in load_db(str(tmp_path))] == ["a", "b", "c"]
+    assert sorted(map(os.path.basename, reads)) == ["profile.json"] * 3
 
 
 def test_indented_profile_loads_and_is_kept(tmp_path):
     """A profile is stored as one compact line, in schema 2.  One stored
     indented, as earlier versions wrote it, loads the same, and a re-save
     with the same verdicts leaves its file untouched.  So does a schema-1
-    profile, which loads to what its schema-2 re-save loads to."""
+    profile, which loads to what its schema-2 re-save loads to.  A meta.json
+    beside either is a leftover of those versions: not read, and kept."""
     entry = make_entry()
     for profile_doc in (entry.profile.to_json(), SCHEMA_1_PROFILE):
         root = tmp_path / f"schema{profile_doc['schema']}"
         path = save_profile(str(root), entry)
         with open(path) as f:
             assert len(f.read().splitlines()) == 1
-        for name, doc in (("profile.json", profile_doc),
-                          ("meta.json", dict(entry.provenance))):
+        for name, doc in (("profile.json", profile_doc), ("meta.json", LEFTOVER_META)):
             with open(os.path.join(os.path.dirname(path), name), "w") as f:
                 f.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-        with open(path) as f:
-            indented = f.read()
+        before = snapshot(root)
         loaded = load_db(str(root))
         assert loaded[0].profile == entry.profile
-        assert dict(loaded[0].provenance) == dict(entry.provenance)
+        assert dict(loaded[0].provenance) == {}
         resaved = str(tmp_path / f"{root.name}-resaved")
         save_profile(resaved, loaded[0])
         assert load_db(resaved)[0].profile == loaded[0].profile
         assert save_profile(str(root), loaded[0]) == path
-        with open(path) as f:
-            assert f.read() == indented
+        assert snapshot(root) == before
+
+
+def test_database_in_the_meta_json_layout_loads_and_is_kept(tmp_path):
+    """A database as earlier versions wrote it, each entry an indented
+    profile, its meta.json and its lock file under the fingerprint of the
+    provenance they copied from the metadata, loads the same entries in the
+    same order as one this version writes; re-saving every entry with the
+    same verdicts writes nothing."""
+    profiles = [make_profile(app=app, kernel=kernel)
+                for app in ("b", "a") for kernel in ("6.1", "6.0")]
+    old, new = tmp_path / "old", tmp_path / "new"
+    for profile in profiles:
+        entry_dir = old / profile.app / profile.workload_hash / fingerprint(
+            profile.metadata["kernel"], "0.1.0")
+        entry_dir.mkdir(parents=True)
+        (entry_dir / "profile.json").write_text(
+            json.dumps(profile.to_json(), sort_keys=True, indent=2) + "\n")
+        (entry_dir / "meta.json").write_text(json.dumps(
+            dict(LEFTOVER_META, kernel=profile.metadata["kernel"]), indent=2) + "\n")
+        (entry_dir / ".lock").touch()
+        save_profile(str(new), DbEntry(profile))
+    loaded = load_db(str(old))
+    assert [e.profile for e in loaded] == [e.profile for e in load_db(str(new))]
+    assert [(e.profile.app, e.profile.metadata["kernel"]) for e in loaded] == [
+        ("a", "6.1"), ("a", "6.0"), ("b", "6.1"), ("b", "6.0")]
+    before = snapshot(old)
+    for entry in loaded:
+        assert os.path.dirname(save_profile(str(old), entry)).endswith(
+            entry.provenance_fingerprint())
+    assert snapshot(old) == before
 
 
 def test_schema_1_profile_with_disagreeing_lists_is_refused(tmp_path):
@@ -196,8 +267,8 @@ def test_conflicting_save_names_subfeatures(tmp_path):
 
 
 def test_same_key_different_kernel_coexists(tmp_path):
-    save_profile(str(tmp_path), make_entry(kernel="6.0"))
-    save_profile(str(tmp_path), make_entry(kernel="6.1"))
+    save_profile(str(tmp_path), make_entry(make_profile(kernel="6.0")))
+    save_profile(str(tmp_path), make_entry(make_profile(kernel="6.1")))
     assert len(load_db(str(tmp_path))) == 2
 
 
@@ -249,8 +320,8 @@ def test_round_trip_identity_randomized(profile):
 def test_equal_features_load_as_one_object(tmp_path):
     """Equal feature dicts give the same FeatureId and distinct ones
     distinct objects, across the profiles of a database too.  A malformed
-    dict raises the error that loading it raised before features were
-    shared."""
+    dict raises a KeyError, ValueError or TypeError, each of which a stored
+    file's reader turns into a ParseError."""
     docs = [{"syscall_nr": 16, "subfeature": 0x5401, "pseudofile": None},
             {"syscall_nr": 16, "subfeature": 0x5413, "pseudofile": None},
             {"syscall_nr": 16, "subfeature": None, "pseudofile": None},
@@ -270,7 +341,7 @@ def test_equal_features_load_as_one_object(tmp_path):
     assert all(f is g for f, g in zip(a.observed, b.observed))
 
     for bad, error, match in (({}, KeyError, "syscall_nr"),
-                              ({"syscall_nr": "x"}, ValueError, "invalid literal"),
+                              ({"syscall_nr": "x"}, ValueError, "'x' is not an integer"),
                               ({"syscall_nr": 1, "subfeature": [1]}, TypeError,
                                "unhashable type: 'list'")):
         with pytest.raises(error, match=match):
@@ -326,6 +397,37 @@ def test_concurrent_same_key_same_content(tmp_path):
     entries = load_db(str(tmp_path))
     assert len(entries) == 1
     assert entries[0].profile == entry.profile
+
+
+# Saves one profile (argv[2], as JSON) into each of 20 databases under
+# argv[1], once its stdin closes.
+SAVE_ON_STDIN_EOF = """\
+import json, os, sys
+from slens.orchestrator import AppProfile
+from slens.store import DbEntry, save_profile
+entry = DbEntry(AppProfile.from_json(json.loads(sys.argv[2])))
+sys.stdin.read()
+for i in range(20):
+    save_profile(os.path.join(sys.argv[1], str(i)), entry)
+"""
+
+
+def test_concurrent_same_key_processes(tmp_path):
+    """Two processes that save one key at once, here into each of 20
+    databases, leave one profile in each."""
+    profile = make_profile()
+    src = str(Path(slens.store.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    savers = [subprocess.Popen([sys.executable, "-c", SAVE_ON_STDIN_EOF, str(tmp_path),
+                                json.dumps(profile.to_json())],
+                               stdin=subprocess.PIPE, env=env) for _ in range(2)]
+    for saver in savers:
+        saver.stdin.close()
+    assert [saver.wait(timeout=60) for saver in savers] == [0, 0]
+    for i in range(20):
+        (entry,) = load_db(str(tmp_path / str(i)))
+        assert entry.profile == profile
+    assert {p.name for p in tmp_path.rglob("*") if p.is_file()} == {".lock", "profile.json"}
 
 
 def test_load_missing_root_is_empty(tmp_path):
