@@ -222,8 +222,8 @@ def cmd_probe(args) -> int:
         print(json.dumps(outcome.to_json(), indent=2, sort_keys=True))
     else:
         print(f"success: {outcome.success}  reason: {outcome.reason}  "
-              f"perf: {outcome.perf_metric}  peak_rss: {outcome.peak_rss}  "
-              f"peak_fds: {outcome.peak_fds}  hits: {outcome.hits}  "
+              f"perf: {outcome.perf_metric}  peak_rss: {outcome.trace.peak_rss}  "
+              f"peak_fds: {outcome.trace.peak_fds}  hits: {outcome.hits}  "
               f"ready_s: {outcome.ready_s}")
     return EXIT_OK
 

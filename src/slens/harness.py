@@ -2,8 +2,8 @@
 
 Starts the application under the interposition engine, waits for readiness,
 drives it with the user's test script, has the tracer end the tree, and
-produces a WorkloadOutcome.  The outcome's peak RSS and descriptor count
-are the ones the tracer read (``RunTrace.peak_rss``, ``peak_fds``).  A run
+produces a WorkloadOutcome, which carries the run's RunTrace: its peak
+RSS and descriptor count, for one, are the ones the tracer read.  A run
 adds no thread to its caller: the harness polls the session in the
 calling thread.  Nor does it add a process beyond the run's tree: the
 calling thread's tracer, forked by its first run, serves every later one
@@ -150,31 +150,37 @@ class AppSpec:
 
 @dataclass(frozen=True)
 class WorkloadOutcome:
-    """One judged run's verdict: ``reason`` is one of the five that
-    ``judge`` gives, and the run succeeded exactly when it is script_ok.
-    A run the tracer failed to observe has no outcome (TracerFault).
-    ``hits`` counts the trapped calls of measured processes, and
-    ``ready_s`` is the time from launch to readiness (None: never ready)."""
+    """One judged run: its verdict and the trace it was judged from.
+
+    ``reason`` is one of the five that ``judge`` gives, and the run
+    succeeded exactly when it is script_ok.  A run the tracer failed to
+    observe has no outcome (TracerFault).  ``trace`` is the run's own
+    RunTrace, not a copy: the outcome's readings (``peak_rss``,
+    ``peak_fds``, ``observed``) are read from it.  ``ready_s`` is the time
+    from launch to readiness (None: never ready)."""
 
     reason: str
     perf_metric: float | None
-    peak_rss: int
-    peak_fds: int
     duration: float
-    hits: int = 0
+    trace: RunTrace
     ready_s: float | None = None
 
     @property
     def success(self) -> bool:
         return self.reason == REASON_OK
 
+    @property
+    def hits(self) -> int:
+        """The trapped calls of measured processes."""
+        return sum(self.trace.observed.values())
+
     def to_json(self) -> dict:
         return {
             "success": self.success,
             "reason": self.reason,
             "perf_metric": self.perf_metric,
-            "peak_rss": self.peak_rss,
-            "peak_fds": self.peak_fds,
+            "peak_rss": self.trace.peak_rss,
+            "peak_fds": self.trace.peak_fds,
             "duration": self.duration,
             "hits": self.hits,
             "ready_s": self.ready_s,
@@ -262,6 +268,8 @@ def run_workload(spec: AppSpec, policy: Policy, limits: Limits,
                  discovery: bool = True) -> tuple[WorkloadOutcome, RunTrace]:
     """Execute one workload attempt under ``policy`` and judge it.
 
+    Returns ``(outcome, outcome.trace)``: the outcome carries its trace,
+    and the pair stays for callers that unpack it (``perfbench``).
     ``discovery`` is passed to ``TraceSession.start``: whether the trace
     observes every syscall, or only those that ``policy`` overrides.
 
@@ -352,14 +360,7 @@ def _run_workload_in(spec: AppSpec, policy: Policy, limits: Limits,
     finally:
         trace = session.stop()
 
-    reason = judge(trace, ready, script_rc, ended)
-    outcome = WorkloadOutcome(
-        reason=reason,
-        perf_metric=perf_metric,
-        peak_rss=trace.peak_rss,
-        peak_fds=trace.peak_fds,
-        duration=ended - started,
-        hits=sum(trace.observed.values()),
-        ready_s=ready_s,
-    )
+    outcome = WorkloadOutcome(reason=judge(trace, ready, script_rc, ended),
+                              perf_metric=perf_metric, duration=ended - started,
+                              trace=trace, ready_s=ready_s)
     return outcome, trace

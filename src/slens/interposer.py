@@ -416,23 +416,26 @@ def sample_resources(pids: Iterable[int],
 class RunTrace:
     """Everything one traced run produced.
 
-    ``observed`` counts the features of the trapped calls of measured
-    processes: of every call in a discovery run, of the calls to the
-    policy's overridden syscalls otherwise.  ``root_exit_at`` is the
-    CLOCK_MONOTONIC time (``time.monotonic()``) at which the tracer reaped
-    the root, or None if it never did.  ``peak_rss`` (bytes) and
-    ``peak_fds`` are the tracer's largest readings (see the module
-    docstring); ``peak_rss`` 0 means the run was never read, as when it is
-    stopped before its first measured exec.  ``runaway``: the tracer ended
-    the run at its hit cap.  Only ``trace_run`` sets ``timed_out``: the
-    tracer keeps no clock.  The tracer sends the whole object to its
-    session pickled, so a new field needs no codec.
+    The tracer's engine creates it when the run starts and fills it in
+    place, so each fact of a run is kept here once; a harness outcome
+    carries it (``harness.WorkloadOutcome.trace``).  ``observed`` counts
+    the features of the trapped calls of measured processes: of every call
+    in a discovery run, of the calls to the policy's overridden syscalls
+    otherwise.  ``root_exit_at`` is the CLOCK_MONOTONIC time
+    (``time.monotonic()``) at which the tracer reaped the root, or None if
+    it never did.  ``peak_rss`` (bytes) and ``peak_fds`` are the tracer's
+    largest readings (see the module docstring); ``peak_rss`` 0 means the
+    run was never read, as when it is stopped before its first measured
+    exec.  ``runaway``: the tracer ended the run at its hit cap.  Only
+    ``trace_run`` sets ``timed_out``: the tracer keeps no clock.  The
+    tracer sends the whole object to its session pickled, so a new field
+    needs no codec.
     """
 
-    observed: Counter  # FeatureId -> trapped invocation count
-    exit_code: int | None
-    signaled: int | None
-    whitelisted_pids_seen: int
+    observed: Counter = field(default_factory=Counter)  # FeatureId -> trapped calls
+    exit_code: int | None = None
+    signaled: int | None = None
+    whitelisted_pids_seen: int = 0
     timed_out: bool = False
     warnings: tuple[str, ...] = ()
     root_exit_at: float | None = None
@@ -497,7 +500,8 @@ class _Engine:
 
     Runs inside its thread's tracer process, a fresh engine for every run,
     and reports to the run's session through ``emit(event, value)`` (see
-    the module docstring).
+    the module docstring).  It records the run in ``trace``, which ``run``
+    returns; its other attributes are working state.
     """
 
     def __init__(self, command: Command, env: dict[str, str], policy: Policy,
@@ -508,23 +512,17 @@ class _Engine:
         self.policy = policy
         self.discovery = discovery
         self.hits_left = float("inf") if hit_cap is None else hit_cap
-        self.runaway = False
         self.whitelist = whitelist
         self.tables = tables
         self.emit = emit
         self.procs: dict[int, _Proc] = {}
         self.pending_stops: set[int] = set()  # stopped before their fork event
-        self.observed: Counter = Counter()
+        self.trace = RunTrace()  # filled in place, and returned by ``run``
         self.warnings: list[str] = []
         self.ever_traced: set[int] = set()
         self.first_exec_done = False
         self.root_pid = 0
-        self.root_exit: int | None = None
-        self.root_signal: int | None = None
-        self.root_exit_at: float | None = None
         self.kill_signal: int | None = None  # last signal sent to the tree
-        self.peak_rss = 0
-        self.peak_fds = 0
         self._regs = pt.UserRegs()
 
     # -- helpers
@@ -658,10 +656,10 @@ class _Engine:
         nr = pt.to_signed(self._regs.orig_rax)
         feature = classify_feature(nr, self._regs.syscall_args(),
                                    self.tables, self._read_string(pid))
-        self.observed[feature] += 1
+        self.trace.observed[feature] += 1
         self.hits_left -= 1
         if self.hits_left < 0 and self.kill_signal is None:
-            self.runaway = True
+            self.trace.runaway = True
             self._on_stop_request(signal.SIGTERM, None)
         action = self.policy.action_for(feature)
         if action.suppresses:
@@ -673,12 +671,13 @@ class _Engine:
         self.procs.pop(pid, None)
         self.pending_stops.discard(pid)
         if pid == self.root_pid:
-            self.root_exit_at = time.monotonic()
+            trace = self.trace
+            trace.root_exit_at = time.monotonic()
             if os.WIFEXITED(status):
-                self.root_exit = os.WEXITSTATUS(status)
+                trace.exit_code = os.WEXITSTATUS(status)
             elif os.WIFSIGNALED(status):
-                self.root_signal = os.WTERMSIG(status)
-            self.emit("root_exit", (self.root_exit, self.root_signal))
+                trace.signaled = os.WTERMSIG(status)
+            self.emit("root_exit", (trace.exit_code, trace.signaled))
 
     def _handle_stop(self, pid: int, status: int) -> None:
         sig = os.WSTOPSIG(status)
@@ -729,8 +728,8 @@ class _Engine:
         if exiting is not None:
             reps[self.procs[exiting].tgid] = exiting
         rss, fds = sample_resources(reps.values(), self.warn)
-        self.peak_rss = max(self.peak_rss, rss)
-        self.peak_fds = max(self.peak_fds, fds)
+        self.trace.peak_rss = max(self.trace.peak_rss, rss)
+        self.trace.peak_fds = max(self.trace.peak_fds, fds)
 
     def _on_stop_request(self, signum, frame) -> None:
         """SIGTERM from the caller: the first takes a last reading and sends
@@ -779,17 +778,9 @@ class _Engine:
                     if exc.errno != _errno.ESRCH:
                         raise
                     # A tracee SIGKILLed at its stop: waitpid reports its exit.
-        return RunTrace(
-            observed=self.observed,
-            exit_code=self.root_exit,
-            signaled=self.root_signal,
-            whitelisted_pids_seen=len(self.ever_traced),
-            warnings=tuple(self.warnings),
-            root_exit_at=self.root_exit_at,
-            peak_rss=self.peak_rss,
-            peak_fds=self.peak_fds,
-            runaway=self.runaway,
-        )
+        self.trace.whitelisted_pids_seen = len(self.ever_traced)
+        self.trace.warnings = tuple(self.warnings)
+        return self.trace
 
 
 def _idle(signum, frame) -> None:

@@ -5,11 +5,12 @@ runs r replicas of discovery, of a stub probe and a fake probe per feature,
 and of one final combined confirmation run, plus ``perf_runs`` allow-all
 baseline runs that feed regression detection.  Replica results merge
 conservatively (a feature probe "works" only if every replica succeeded),
-so a probe whose first replica failed runs no other replica, unless
-``parallelism`` covers every probe run at once.  For W working probes that
-makes exactly r + perf_runs + 2s + (r - 1) W + r workload executions (2 +
-2s + perf_runs with one replica), or (2 + 2s) r + perf_runs when
-``parallelism`` >= 2s r + perf_runs.
+so a probe whose first replica failed runs no other replica.  For W
+working probes that makes exactly r + perf_runs + 2s + (r - 1) W + r
+workload executions (2 + 2s + perf_runs with one replica), whatever the
+``parallelism``.  Each run leaves one object, its ``WorkloadOutcome``,
+which carries the run's ``RunTrace``; probes and baseline statistics keep
+and read those outcomes.
 
 Only discovery runs trap every syscall (see ``slens.interposer``); the
 orchestrator tells them from the others by their label.  A probe thus
@@ -27,9 +28,7 @@ The runs fall into three steps, each waiting on the one before:
 2. probes: replica 0 of every feature x mode probe, and the baseline runs
    among them, so that regression detection compares runs made under the
    same load; a probe's replicas 1..r-1 start as soon as its replica 0
-   succeeds, whatever the other probes are doing.  When one round of
-   ``parallelism`` runs holds every probe and baseline run, every replica
-   of every probe starts at once;
+   succeeds, whatever the other probes are doing;
 3. confirmation: one run of the combined policy per replica.
 
 Discovery also bounds the later runs.  One whose measured processes make
@@ -81,7 +80,6 @@ from .interposer import (
     Action,
     FeatureId,
     Policy,
-    RunTrace,
     TracerFault,
     check_timeout,
     fake,
@@ -183,8 +181,8 @@ class BaselineStats:
     def from_outcomes(outcomes: Sequence[WorkloadOutcome]) -> "BaselineStats":
         return BaselineStats(
             perf=tuple(o.perf_metric for o in outcomes if o.perf_metric is not None),
-            rss=tuple(o.peak_rss for o in outcomes),
-            fds=tuple(o.peak_fds for o in outcomes),
+            rss=tuple(o.trace.peak_rss for o in outcomes),
+            fds=tuple(o.trace.peak_fds for o in outcomes),
         )
 
 
@@ -211,7 +209,8 @@ def detect_regressions(baseline: BaselineStats,
     """
     flags: dict[str, float] = {}
     base_read = [s for s in zip(baseline.rss, baseline.fds) if s[0] > 0]
-    probe_read = [(o.peak_rss, o.peak_fds) for o in probe_outcomes if o.peak_rss > 0]
+    probe_read = [(o.trace.peak_rss, o.trace.peak_fds) for o in probe_outcomes
+                  if o.trace.peak_rss > 0]
     for i, metric in enumerate(("rss", "fds")):
         base = [s[i] for s in base_read]
         probe = [s[i] for s in probe_read]
@@ -231,19 +230,21 @@ def detect_regressions(baseline: BaselineStats,
 
 @dataclass
 class ProbeResult:
-    """Replicated outcomes of probing one feature in one mode; the probe
-    ``works`` when every replica succeeded.
+    """Replicated outcomes of probing one feature in one mode, each with
+    its run's trace; the probe ``works`` when every replica succeeded.
 
-    A working probe holds one outcome per replica.  A broken one may hold
-    fewer: a probe whose replica 0 failed runs no other replica, so it holds
-    that one outcome, unless the probe step started every replica at once
+    A probe holds one outcome per replica, unless its replica 0 failed: it
+    then runs no other replica and holds that one outcome
     (``Orchestrator._probe_all``)."""
 
     feature: FeatureId
     mode: str
     outcomes: list[WorkloadOutcome]
-    works: bool
     regression_flags: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def works(self) -> bool:
+        return all(o.success for o in self.outcomes)
 
 
 @dataclass
@@ -382,56 +383,54 @@ class Orchestrator:
         return Limits(timeout, hit_cap=max(HIT_CAP_FLOOR, HIT_CAP_FACTOR * expected),
                       ready_timeout=min(timeout, max(READY_FLOOR, READY_FACTOR * self._ready_s)))
 
-    def _run_one(self, policy: Policy, replica: int, label: str
-                 ) -> tuple[WorkloadOutcome, RunTrace]:
+    def _run_one(self, policy: Policy, replica: int, label: str) -> WorkloadOutcome:
         t0 = time.monotonic()
         try:
-            outcome, trace = run_workload(self.spec, policy, self._limits(policy, label),
-                                          self.tables, discovery=label.startswith("discovery"))
+            outcome, _ = run_workload(self.spec, policy, self._limits(policy, label),
+                                      self.tables, discovery=label.startswith("discovery"))
         finally:
             with self._lock:
                 self.executions += 1
         log.info("run app=%s replica=%d what=%s result=%s hits=%d duration=%.3fs",
                  self.spec.name, replica, label, outcome.reason, outcome.hits,
                  time.monotonic() - t0)
-        if trace.warnings:
+        if outcome.trace.warnings:
             log.warning("run app=%s replica=%d what=%s tracer warnings: %s",
-                        self.spec.name, replica, label, "; ".join(trace.warnings))
-        return outcome, trace
+                        self.spec.name, replica, label, "; ".join(outcome.trace.warnings))
+        return outcome
 
-    def _run_checked(self, policy: Policy, replica: int, label: str
-                     ) -> tuple[WorkloadOutcome, RunTrace]:
+    def _run_checked(self, policy: Policy, replica: int, label: str) -> WorkloadOutcome:
         """One scheduled run.  A run that raised TracerFault is re-run once;
         the second fault's own TracerFault reaches the caller.  A failing
         discovery or baseline run, or a discovery run that measured no
         process, raises BaselineFailure."""
         try:
-            outcome, trace = self._run_one(policy, replica, label)
+            outcome = self._run_one(policy, replica, label)
         except TracerFault as exc:
             log.warning("replica %d of %s hit a tracer fault (%s); re-running once",
                         replica, label, exc)
-            outcome, trace = self._run_one(policy, replica, label + "/retry")
+            outcome = self._run_one(policy, replica, label + "/retry")
         if label in ("discovery", "baseline") and not outcome.success:
             raise BaselineFailure(
                 f"{label} run of the unmodified workload failed ({outcome.reason}); "
                 "nothing to classify")
-        if label == "discovery" and trace.whitelisted_pids_seen == 0:
+        if label == "discovery" and outcome.trace.whitelisted_pids_seen == 0:
             raise BaselineFailure(
                 "discovery run measured no process: no exec'd binary matched "
                 "the whitelist; nothing to classify")
-        return outcome, trace
+        return outcome
 
     def _run_all(self, runs: list[tuple[Policy, int, str]],
-                 then=lambda i: ()) -> list[tuple[WorkloadOutcome, RunTrace]]:
+                 then=lambda i: ()) -> list[WorkloadOutcome]:
         """Run (policy, replica, label) runs, at most ``parallelism`` at a
         time, and the runs that wait on them.
 
         When run i succeeds (its outcome's ``success``), the runs ``then(i)``
         returns are appended to ``runs`` and submitted at once; only the
-        calling thread submits.  Returns each run's (outcome, trace) pair in
-        the order of ``runs``.  The first run to raise cancels the runs not
-        yet started and ends submission; the call waits for the runs in
-        flight, then re-raises.  Its workers end before it returns, and their
+        calling thread submits.  Returns each run's outcome in the order of
+        ``runs``.  The first run to raise cancels the runs not yet started
+        and ends submission; the call waits for the runs in flight, then
+        re-raises.  Its workers end before it returns, and their
         tracers with them.
         """
         pool = concurrent.futures.ThreadPoolExecutor(max_workers=self.parallelism)
@@ -461,7 +460,7 @@ class Orchestrator:
                 # Runs start in order, so a run cancelled after a failed one
                 # comes after it, and the failure's error is raised.
                 for future in sorted(done, key=futures.index):
-                    if future.result()[0].success:
+                    if future.result().success:
                         for run in then(futures.index(future)):
                             runs.append(run)
                             submit(run)
@@ -479,11 +478,11 @@ class Orchestrator:
         """
         r = self.config.replicas
         results = self._run_all([(Policy.allow_all(), i, "discovery") for i in range(r)])
-        self.baseline_duration = max(o.duration for o, _ in results)
-        self._ready_s = max(o.ready_s or 0.0 for o, _ in results)
+        self.baseline_duration = max(o.duration for o in results)
+        self._ready_s = max(o.ready_s or 0.0 for o in results)
         self._counts = Counter()
-        for _, trace in results:
-            self._counts |= trace.observed
+        for o in results:
+            self._counts |= o.trace.observed
         return tuple(sorted(self._counts, key=FeatureId.sort_key))
 
     def _probe_all(self, keys: Sequence[tuple[FeatureId, str]]) -> list[ProbeResult]:
@@ -491,9 +490,7 @@ class Orchestrator:
 
         A probe works only if every replica succeeds, so the step submits
         replica 0 of every probe, and a probe's replicas 1..r-1 as soon as
-        its replica 0 succeeds.  With ``parallelism`` >= r * len(keys) + k,
-        waiting on replica 0 could only add a round, so every replica of
-        every probe is submitted at once.
+        its replica 0 succeeds.
 
         Until a baseline exists, the step also makes the k = ``perf_runs``
         baseline runs and records their statistics in ``baseline``; the
@@ -507,10 +504,9 @@ class Orchestrator:
         """
         r = self.config.replicas
         k = self.config.perf_runs if self.baseline is None else 0
-        first = r if self.parallelism >= r * len(keys) + k else 1
         labels = [f"{mode}:{feature_label(feature)}" for feature, mode in keys]
-        runs = [(probe_policy(feature, mode, self.tables), i, label)
-                for (feature, mode), label in zip(keys, labels) for i in range(first)]
+        runs = [(probe_policy(feature, mode, self.tables), 0, label)
+                for (feature, mode), label in zip(keys, labels)]
         step = -(-(len(runs) + k) // max(k, 1))
         for j in range(k):
             runs.insert(j if j < self.parallelism else j * step,
@@ -518,20 +514,19 @@ class Orchestrator:
 
         def then(i: int) -> list[tuple[Policy, int, str]]:
             policy, replica, label = runs[i]
-            return [(policy, n, label) for n in range(first, r) if replica == 0]
+            return [(policy, n, label) for n in range(1, r) if replica == 0]
 
         # A probe's label names its feature and mode, so it is the probe's
         # own; zip reads runs once _run_all has appended the later replicas.
         outcomes: dict[str, list[WorkloadOutcome]] = {}
-        for (_, _, label), (outcome, _) in zip(runs, self._run_all(runs, then)):
+        for (_, _, label), outcome in zip(runs, self._run_all(runs, then)):
             outcomes.setdefault(label, []).append(outcome)
         if k:
             self.baseline = BaselineStats.from_outcomes(outcomes["baseline"])
 
         probes = []
         for (feature, mode), label in zip(keys, labels):
-            result = ProbeResult(feature=feature, mode=mode, outcomes=outcomes[label],
-                                 works=all(o.success for o in outcomes[label]))
+            result = ProbeResult(feature=feature, mode=mode, outcomes=outcomes[label])
             if result.works and self.baseline is not None:
                 result.regression_flags = detect_regressions(self.baseline, result.outcomes)
             log.info("probe app=%s feature=%s mode=%s verdict=%s flags=%s",
@@ -551,8 +546,7 @@ class Orchestrator:
 
         Bounded by the timeout only.  Not retried: a tracer fault raises
         TracerFault, a failed launch LaunchFailure."""
-        outcome, _ = self._run_one(policy, 0, "custom")
-        return outcome
+        return self._run_one(policy, 0, "custom")
 
     def full_analysis(self, db_root: str | None = None) -> AppProfile:
         """Run the whole protocol and return (and optionally persist) a profile.
@@ -579,7 +573,7 @@ class Orchestrator:
         policy = confirmation_policy(classes, self.tables)
         confirm = self._run_all(
             [(policy, i, "confirmation") for i in range(self.config.replicas)])
-        confirmed = all(o.success for o, _ in confirm)
+        confirmed = all(o.success for o in confirm)
         if not confirmed:
             log.warning(
                 "confirmation run failed for %s: per-feature verdicts do not "

@@ -58,6 +58,18 @@ def test_micro_imports(perfbench):
     from slens.harness import REASON_TRACER_FAULT  # noqa: F401
 
 
+def test_run_workload_returns_the_pair_the_benchmark_unpacks():
+    """``spans._record_run`` and ``micro.py`` unpack ``(outcome, trace)``
+    and read the outcome's ``reason``, ``duration`` and ``success``."""
+    from slens import AppSpec, Limits, Policy, run_workload
+
+    spec = AppSpec(name="true", app_command=("/bin/true",), test_script="/bin/true")
+    outcome, trace = run_workload(spec, Policy.allow_all(), Limits(timeout=10))
+    assert outcome.trace is trace
+    assert (outcome.reason, outcome.success) == ("script_ok", True)
+    assert outcome.duration > 0
+
+
 def test_analysis_knobs_and_baseline_perf():
     from slens.orchestrator import AnalysisConfig, BaselineStats, Orchestrator
 

@@ -2,7 +2,6 @@
 ``error:`` line, never a traceback."""
 
 import json
-from collections import Counter
 
 import pytest
 
@@ -214,10 +213,9 @@ def test_probe_classifies_as_finely_as_its_policy(tmp_path, monkeypatch, feature
 
     def run_workload(spec, policy, limits, tables, discovery):
         seen.append(tables)
-        return (WorkloadOutcome(reason=REASON_OK, perf_metric=None,
-                                peak_rss=0, peak_fds=0, duration=0.0),
-                RunTrace(observed=Counter(), exit_code=0, signaled=None,
-                         whitelisted_pids_seen=1))
+        trace = RunTrace(exit_code=0, whitelisted_pids_seen=1)
+        return WorkloadOutcome(reason=REASON_OK, perf_metric=None, duration=0.0,
+                               trace=trace), trace
 
     monkeypatch.setattr(slens.orchestrator, "run_workload", run_workload)
     policy = {"overrides": [{"feature": feature, "action": {"kind": "stub"}}]}
@@ -314,6 +312,21 @@ def test_duplicate_entries_warn_once_per_app(tmp_path, capsys):
     assert err == ["warning: 2 entries for 'dup'; using workload aaaaaaaaaaaaaaaa"]
 
 
+def test_analyze_subfeatures_stores_and_exports_the_selector(fixtures, tmp_path, capsys):
+    """`slens analyze --subfeatures` stores the terminal query as
+    ioctl[0x5401], and `slens export` prints its selector in its own column."""
+    db = str(tmp_path / "db")
+    assert main(["analyze", "--app-cmd", fixtures.binary("ioctl_tcgets"),
+                 "--test-script", fixtures.script("check_out.sh"), "--replicas", "1",
+                 "--perf-runs", "0", "--subfeatures", "--timeout", "5",
+                 "--db", db]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["export", "--db", db, "--apps", "ioctl_tcgets"]) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()
+    assert f"{IOCTL},ioctl,0x5401,,any,,,,,," in rows
+    assert not [row for row in rows if row.startswith(f"{IOCTL},ioctl,,")]
+
+
 def test_probe_has_no_hit_cap(fixtures, capsys):
     """`slens probe` is bounded by its timeout only: a spinning run makes
     far more trapped calls than any analysis cap and ends as a timeout."""
@@ -325,5 +338,7 @@ def test_probe_has_no_hit_cap(fixtures, capsys):
                  "--test-script", fixtures.script("check_out.sh"),
                  "--policy", str(policy_path), "--timeout", "0.5", "--json"]) == EXIT_OK
     outcome = json.loads(capsys.readouterr().out)
+    assert set(outcome) == {"success", "reason", "perf_metric", "peak_rss", "peak_fds",
+                            "duration", "hits", "ready_s"}
     assert outcome["reason"] == "timeout" and outcome["ready_s"] is not None
     assert outcome["hits"] > HIT_CAP_FLOOR

@@ -350,16 +350,16 @@ def test_peak_fd_count(fixtures, app_spec_factory):
     """The fd-holding fixture keeps 100 files + stdio open while sampled."""
     spec = app_spec_factory("fd_hold")  # script holds until app exit
     outcome, trace = run_workload(spec, Policy.allow_all(), LIMITS)
-    assert outcome.peak_fds >= 103
-    assert trace.peak_fds == outcome.peak_fds
+    assert outcome.trace is trace
+    assert trace.peak_fds >= 103
 
 
 def test_peak_rss(fixtures, app_spec_factory):
     """The 64 MiB buffer must show up in the high-water RSS."""
     spec = app_spec_factory("mem_hold")  # script holds until app exit
     outcome, trace = run_workload(spec, Policy.allow_all(), LIMITS)
-    assert outcome.peak_rss >= 64 * 1024 * 1024
-    assert trace.peak_rss == outcome.peak_rss
+    assert outcome.trace is trace
+    assert trace.peak_rss >= 64 * 1024 * 1024
 
 
 def test_sigkilled_app_reads_its_memory_or_nothing(fixtures, app_spec_factory):
@@ -368,8 +368,8 @@ def test_sigkilled_app_reads_its_memory_or_nothing(fixtures, app_spec_factory):
     few KB of a freshly exec'd image."""
     spec = app_spec_factory("mem_hold", script="kill_app.sh")
     outcome, trace = run_workload(spec, Policy.allow_all(), LIMITS)
-    assert trace.signaled == signal.SIGKILL
-    assert outcome.peak_rss >= 64 * 1024 * 1024 or outcome.peak_rss == 0
+    assert outcome.trace is trace and trace.signaled == signal.SIGKILL
+    assert trace.peak_rss >= 64 * 1024 * 1024 or trace.peak_rss == 0
 
 
 def _threads() -> int:

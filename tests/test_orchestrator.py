@@ -32,6 +32,7 @@ from slens.orchestrator import (
     READY_FLOOR,
     Orchestrator,
     detect_regressions,
+    feature_label,
 )
 from slens.syscalls import name_to_nr
 
@@ -40,20 +41,15 @@ FAST = AnalysisConfig(replicas=1, perf_runs=0, timeout=5.0)
 
 def _outcome(success=True, perf=None, rss=0, fds=0):
     return WorkloadOutcome(
-        reason="script_ok" if success else "script_fail",
-        perf_metric=perf, peak_rss=rss, peak_fds=fds, duration=0.1,
+        reason="script_ok" if success else "script_fail", perf_metric=perf, duration=0.1,
+        trace=RunTrace(exit_code=0, whitelisted_pids_seen=1, peak_rss=rss, peak_fds=fds),
     )
 
 
 def _run_count(config, profile):
     """The runs of a full analysis: r + perf_runs + 2s + (r - 1) W + r, for
-    s features and W working probes (only those run replicas 1..r-1), or
-    (2 + 2s) r + perf_runs when one round of ``parallelism`` runs holds
-    every probe and baseline run, so the probe step starts them all at
-    once."""
+    s features and W working probes (only those run replicas 1..r-1)."""
     r, k, s = config.replicas, config.perf_runs, len(profile.observed)
-    if config.parallelism >= 2 * s * r + k:
-        return (2 + 2 * s) * r + k
     w = sum(len(CLASS_MODES[c]) for c in profile.classes.values())
     return r + k + 2 * s + (r - 1) * w + r
 
@@ -199,6 +195,23 @@ def test_profile_json_round_trip(fixtures, app_spec_factory):
     assert again == profile
 
 
+@pytest.mark.parametrize("subfeatures,ioctl", [(True, "ioctl[0x5401]"), (False, "ioctl")],
+                         ids=["subfeatures", "bare"])
+def test_subfeature_analysis_end_to_end(fixtures, app_spec_factory, subfeatures, ioctl):
+    """The fixture queries the terminal (ioctl TCGETS) and ignores failure.
+    With ``subfeatures`` that call is classified as ioctl[0x5401] and no
+    bare ioctl is left; without, it is bare ioctl.  Either way it tolerates
+    both modes, and the other features keep their classes."""
+    config = AnalysisConfig(replicas=1, perf_runs=0, subfeatures=subfeatures, timeout=5.0)
+    orch = Orchestrator(app_spec_factory("ioctl_tcgets"), config)
+    profile = orch.full_analysis()
+    assert {feature_label(f): c for f, c in profile.classes.items()} == {
+        ioctl: CLASS_ANY, "close": CLASS_ANY, "openat": CLASS_REQUIRED,
+        "write": CLASS_REQUIRED, "exit_group": CLASS_REQUIRED}
+    assert profile.confirmed
+    assert orch.executions == _run_count(config, profile) == 12
+
+
 # -- scheduling
 
 
@@ -256,11 +269,10 @@ class _StubRuns:
             self.in_flight -= 1
         if self.fault(call):
             raise TracerFault(f"injected fault in call {call}")
-        observed = Counter({FeatureId(name_to_nr("getpid")): 1,
-                            FeatureId(name_to_nr("exit_group")): 1})
-        return _outcome(success=not self.fail(policy, call)), RunTrace(
-            observed=observed, exit_code=0, signaled=None,
-            whitelisted_pids_seen=1)
+        outcome = _outcome(success=not self.fail(policy, call))
+        outcome.trace.observed.update({FeatureId(name_to_nr("getpid")): 1,
+                                       FeatureId(name_to_nr("exit_group")): 1})
+        return outcome, outcome.trace
 
 
 @pytest.mark.parametrize("readiness,serial", [
@@ -402,10 +414,11 @@ def test_baseline_runs_spread_over_the_first_probe_runs(fixtures, app_spec_facto
     assert orch.executions == _run_count(config, profile) == 15
 
 
-def test_probes_that_fit_one_round_run_as_one_phase(fixtures, app_spec_factory,
-                                                    monkeypatch):
-    """When ``parallelism`` covers every probe and baseline run, a second
-    phase could only add a round, so every replica of every probe runs."""
+def test_replica_0_runs_first_even_when_one_round_holds_every_run(
+        fixtures, app_spec_factory, monkeypatch):
+    """A ``parallelism`` that covers every probe and baseline run changes
+    nothing: a probe's replica 1 still waits on its replica 0, so a probe
+    broken at replica 0 holds that one outcome and runs no other replica."""
     stub = _StubRuns(fail=_fails_under(Policy.single(GETPID, STUB)))
     monkeypatch.setattr(slens.orchestrator, "run_workload", stub)
     # Two features, so four probes: 4 * 2 replicas + 4 baseline runs = 12.
@@ -413,12 +426,13 @@ def test_probes_that_fit_one_round_run_as_one_phase(fixtures, app_spec_factory,
     orch = Orchestrator(app_spec_factory("noop"), config)
     profile = orch.full_analysis()
     assert profile.classes[GETPID] == CLASS_FAKE_ONLY
-    assert orch.executions == stub.calls == _run_count(config, profile) == 16
+    # Discovery 2, baseline 4, replica 0 of four probes, replica 1 of the
+    # three working ones, confirmation 2.
+    assert orch.executions == stub.calls == _run_count(config, profile) == 15
     assert len(orch.baseline.rss) == 4
-    orch.parallelism = 2  # one probe, two replicas, no baseline runs left
-    assert len(orch.probe_feature(GETPID, MODE_STUB).outcomes) == 2
-    orch.parallelism = 1
-    assert len(orch.probe_feature(GETPID, MODE_STUB).outcomes) == 1
+    probe = orch.probe_feature(GETPID, MODE_STUB)
+    assert not probe.works and len(probe.outcomes) == 1
+    assert orch.executions == stub.calls == 16
 
 
 def test_later_replicas_start_while_another_replica_0_runs(fixtures, app_spec_factory,
@@ -551,6 +565,18 @@ def _descendants() -> list[int]:
     return [pid for pid in parents if below(pid)]
 
 
+def _cmdlines(pids: list[int]) -> dict[int, str]:
+    """Each process's command line, for an assertion message."""
+    lines = {}
+    for pid in pids:
+        try:
+            with open(f"/proc/{pid}/cmdline", "rb") as f:
+                lines[pid] = f.read().replace(b"\0", b" ").decode(errors="replace").strip()
+        except OSError as exc:
+            lines[pid] = f"<{exc.strerror}>"
+    return lines
+
+
 def test_concurrent_runs_stress(fixtures, app_spec_factory):
     """38 short runs, 8 in flight, with INFO logging to stderr from every
     thread.  Each tracer is forked from a worker thread while others log, so
@@ -574,9 +600,15 @@ def test_concurrent_runs_stress(fixtures, app_spec_factory):
         root.setLevel(level)
         root.removeHandler(handler)
     assert not worker.is_alive()
-    assert len(profiles[0].observed) == 8
-    assert orch.executions == _run_count(config, profiles[0]) == 38
-    assert _descendants() == []
+    assert profiles, "the analysis raised: see its thread's exception"
+    [profile] = profiles
+    classes = {feature_label(f): c for f, c in profile.classes.items()}
+    verdicts = f"classes {classes}, confirmed {profile.confirmed}"
+    assert len(profile.observed) == 8, verdicts
+    assert orch.executions == _run_count(config, profile), verdicts
+    assert orch.executions == 38, verdicts
+    survivors = _descendants()
+    assert survivors == [], _cmdlines(survivors)
 
 
 def test_each_worker_forks_one_tracer_per_phase(fixtures, app_spec_factory, monkeypatch):
@@ -603,7 +635,8 @@ def test_each_worker_forks_one_tracer_per_phase(fixtures, app_spec_factory, monk
     config = AnalysisConfig(replicas=3, perf_runs=2, parallelism=2, timeout=5.0)
     orch = Orchestrator(app_spec_factory("feat3", script="wait_exit.sh"), config)
     profile = orch.full_analysis()
-    assert _descendants() == []
+    survivors = _descendants()
+    assert survivors == [], _cmdlines(survivors)
     assert orch.executions == _run_count(config, profile) == sum(phases)
     assert len(phases) == 3  # discovery, the probe step, confirmation
     assert len(forks) <= len(phases) * config.parallelism < orch.executions
