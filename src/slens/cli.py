@@ -53,11 +53,21 @@ def _fail(code: int, kind: str, message: str) -> int:
     return code
 
 
-def _db_root(args) -> str:
+def _db_root(args, create: bool = False) -> str:
+    """The database root, an existing directory; ``create`` makes it first."""
     db = args.db or os.environ.get("SLENS_DB")
     if not db:
         raise SystemExit(_fail(EXIT_USAGE, "usage",
                                "no database: pass --db or set SLENS_DB"))
+    if create:
+        try:
+            os.makedirs(db, exist_ok=True)
+        except OSError as exc:
+            raise SystemExit(_fail(EXIT_USAGE, "usage", f"cannot create database "
+                                   f"root {db}: {exc.strerror}")) from None
+    if not os.path.isdir(db):
+        raise SystemExit(_fail(EXIT_USAGE, "usage",
+                               f"database root {db} is not an existing directory"))
     return db
 
 
@@ -187,12 +197,12 @@ def _print_profile_table(profile) -> None:
 
 
 def cmd_analyze(args) -> int:
-    db = _db_root(args)
     spec = _app_spec(args)
     config = _analysis_config(
         args, replicas=args.replicas, parallelism=args.parallel,
         perf_runs=args.perf_runs, subfeatures=args.subfeatures,
         pseudofiles=args.pseudofiles)
+    db = _db_root(args, create=True)
     orch = Orchestrator(spec, config, tables=_tables(args))
     profile = orch.full_analysis(db_root=db)
     if args.json:
@@ -229,8 +239,8 @@ def cmd_probe(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    profiles = _load_profiles(args)
     os_support = store.import_os_csv(args.os_support)
+    profiles = _load_profiles(args)
     targets = _select_targets(args, profiles)
     plan = planner.generate_plan(os_support, profiles, targets)
     if args.json:
@@ -252,13 +262,13 @@ def cmd_importance(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    profiles = _load_profiles(args)
     os_support = store.import_os_csv(args.os_support)
-    targets = _select_targets(args, profiles)
     external = None
     if args.order:
         external = read_input(args.order, lambda text: [
             line.strip() for line in text.splitlines() if line.strip()])
+    profiles = _load_profiles(args)
+    targets = _select_targets(args, profiles)
     curves = planner.compare_strategies(profiles, os_support, targets,
                                         external_order=external)
     if args.json:

@@ -24,11 +24,11 @@ is still a margin and a 2σ gate with no false-discovery control.
 
 The runs fall into three steps, each waiting on the one before:
 
-1. discovery: one allow-all run per replica;
-2. probes: replica 0 of every feature x mode probe, and the baseline runs
-   among them, so that regression detection compares runs made under the
-   same load; a probe's replicas 1..r-1 start as soon as its replica 0
-   succeeds, whatever the other probes are doing;
+1. the unmodified workload: one discovery run per replica, which traps
+   every syscall, and the ``perf_runs`` baseline runs, which trap none;
+2. probes: replica 0 of every feature x mode probe; a probe's replicas
+   1..r-1 start as soon as its replica 0 succeeds, whatever the other
+   probes are doing;
 3. confirmation: one run of the combined policy per replica.
 
 Discovery also bounds the later runs.  One whose measured processes make
@@ -140,11 +140,11 @@ class AnalysisConfig:
     step of the analysis (discovery, probes, confirmation); it defaults to
     the CPUs this process may use.  The orchestrator lowers it to 1 for a
     spec with a fixed readiness port or a readiness delay (see the module
-    docstring).  ``perf_runs`` extra allow-all runs collect baseline
-    statistics for regression detection; 0 disables it.
-    ``timeout`` bounds every run, at most ``interposer.MAX_TIMEOUT`` (None:
-    max(10 s, 3 x discovery duration)); runs after discovery may end sooner
-    (see the module docstring).
+    docstring).  ``perf_runs`` allow-all runs, made with discovery in
+    step 1, collect the baseline statistics for regression detection; 0
+    leaves them empty.  ``timeout`` bounds every run, at most
+    ``interposer.MAX_TIMEOUT`` (None: max(10 s, 3 x discovery duration));
+    runs after step 1 may end sooner (see the module docstring).
     """
 
     replicas: int = 3
@@ -471,13 +471,19 @@ class Orchestrator:
     # -- protocol operations
 
     def discover(self) -> tuple[FeatureId, ...]:
-        """Allow-all discovery: one run per replica, feature sets merged.
+        """Step 1, the unmodified workload: one allow-all discovery run per
+        replica, feature sets merged, and the k = ``perf_runs`` baseline
+        runs, in one step.
 
-        Also records what bounds the later runs (``_limits``).
-        Raises BaselineFailure when a discovery run fails.
+        Sets ``baseline`` from the baseline runs (empty when k = 0), and
+        records what bounds the later runs (``_limits``).  Raises
+        BaselineFailure when a discovery or baseline run fails.
         """
-        r = self.config.replicas
-        results = self._run_all([(Policy.allow_all(), i, "discovery") for i in range(r)])
+        r, k = self.config.replicas, self.config.perf_runs
+        runs = ([(Policy.allow_all(), i, "discovery") for i in range(r)]
+                + [(Policy.allow_all(), r + j, "baseline") for j in range(k)])
+        outcomes = self._run_all(runs)
+        results, self.baseline = outcomes[:r], BaselineStats.from_outcomes(outcomes[r:])
         self.baseline_duration = max(o.duration for o in results)
         self._ready_s = max(o.ready_s or 0.0 for o in results)
         self._counts = Counter()
@@ -490,27 +496,13 @@ class Orchestrator:
 
         A probe works only if every replica succeeds, so the step submits
         replica 0 of every probe, and a probe's replicas 1..r-1 as soon as
-        its replica 0 succeeds.
-
-        Until a baseline exists, the step also makes the k = ``perf_runs``
-        baseline runs and records their statistics in ``baseline``; the
-        statistics come from those runs only, so the sample size is exactly
-        k however many probes work.  Of the n runs submitted first, baseline
-        run j (replica r + j) is run j * ceil(n / k), so host drift reaches
-        baseline and probes alike; but the first min(k, ``parallelism``)
-        baseline runs open the step, so that a workload failing unmodified
-        ends it before those workers can finish a probe run and start
-        another.  Raises BaselineFailure when a baseline run fails.
+        its replica 0 succeeds.  A working probe's flags compare it with
+        ``baseline``, which ``discover`` sets.
         """
         r = self.config.replicas
-        k = self.config.perf_runs if self.baseline is None else 0
         labels = [f"{mode}:{feature_label(feature)}" for feature, mode in keys]
         runs = [(probe_policy(feature, mode, self.tables), 0, label)
                 for (feature, mode), label in zip(keys, labels)]
-        step = -(-(len(runs) + k) // max(k, 1))
-        for j in range(k):
-            runs.insert(j if j < self.parallelism else j * step,
-                        (Policy.allow_all(), r + j, "baseline"))
 
         def then(i: int) -> list[tuple[Policy, int, str]]:
             policy, replica, label = runs[i]
@@ -521,13 +513,11 @@ class Orchestrator:
         outcomes: dict[str, list[WorkloadOutcome]] = {}
         for (_, _, label), outcome in zip(runs, self._run_all(runs, then)):
             outcomes.setdefault(label, []).append(outcome)
-        if k:
-            self.baseline = BaselineStats.from_outcomes(outcomes["baseline"])
 
         probes = []
         for (feature, mode), label in zip(keys, labels):
             result = ProbeResult(feature=feature, mode=mode, outcomes=outcomes[label])
-            if result.works and self.baseline is not None:
+            if result.works:
                 result.regression_flags = detect_regressions(self.baseline, result.outcomes)
             log.info("probe app=%s feature=%s mode=%s verdict=%s flags=%s",
                      self.spec.name, feature_label(feature), mode,
@@ -536,8 +526,10 @@ class Orchestrator:
         return probes
 
     def probe_feature(self, feature: FeatureId, mode: str) -> ProbeResult:
-        """Probe one feature in stub or fake mode, as ``_probe_all`` does."""
-        if self._counts is not None and feature not in self._counts:
+        """Probe one feature in stub or fake mode, as ``_probe_all`` does.
+
+        Runs only after ``discover()``, and only a feature it found."""
+        if self._counts is None or feature not in self._counts:
             raise ValueError(f"feature {feature_label(feature)} was not discovered")
         return self._probe_all([(feature, mode)])[0]
 

@@ -78,6 +78,33 @@ def test_analysis_knobs_and_baseline_perf():
     assert "perf" in BaselineStats.__dataclass_fields__
 
 
+@pytest.mark.parametrize("perf_runs", [3, 0])
+def test_step_one_leaves_the_baseline_the_benchmark_reads(monkeypatch, perf_runs):
+    """``spans.py`` reads ``orch.baseline.perf`` after an analysis.
+    ``discover()`` fills it: one entry per baseline run in ``perf``, ``rss``
+    and ``fds``, and an empty ``BaselineStats``, not None, with no
+    baseline run."""
+    import slens.orchestrator
+    from slens import AppSpec, FeatureId
+    from slens.harness import REASON_OK, WorkloadOutcome
+    from slens.interposer import RunTrace
+    from slens.orchestrator import AnalysisConfig, BaselineStats, Orchestrator
+
+    def run_workload(spec, policy, limits, tables, discovery):
+        trace = RunTrace(exit_code=0, whitelisted_pids_seen=1, peak_rss=4096, peak_fds=3)
+        trace.observed[FeatureId(39)] = 1
+        return WorkloadOutcome(reason=REASON_OK, perf_metric=1.0, duration=0.01,
+                               trace=trace), trace
+
+    monkeypatch.setattr(slens.orchestrator, "run_workload", run_workload)
+    spec = AppSpec(name="true", app_command=("/bin/true",), test_script="/bin/true")
+    orch = Orchestrator(spec, AnalysisConfig(replicas=2, perf_runs=perf_runs))
+    orch.discover()
+    assert isinstance(orch.baseline, BaselineStats)
+    assert orch.baseline == BaselineStats(perf=(1.0,) * perf_runs, rss=(4096,) * perf_runs,
+                                          fds=(3,) * perf_runs)
+
+
 def test_dbgen_store_call(tmp_path):
     """``dbgen.py`` saves each profile as ``DbEntry(profile, provenance)``
     with the kernel and tool version of the profile's metadata; ``load_db``

@@ -1,4 +1,5 @@
-"""tools/bench.py: the code-line count, per module too, and the tally of pairs."""
+"""tools/bench.py: the code-line count, per module too, the tally of pairs and
+the runs that failed."""
 
 import importlib.util
 from pathlib import Path
@@ -51,3 +52,11 @@ def test_wins_count_neither_side_on_a_tie(bench):
     assert bench.wins(before, after, "wall_s", "lower") == 1
     assert bench.wins(before, after, "wall_s", "higher") == 1
     assert bench.wins(before, before, "wall_s", "lower") == 0
+
+
+def test_a_run_fails_by_its_exit_its_verdict_or_a_failed_operation(bench):
+    ok = {"exit": 0, "correct": True, "failed": 0}
+    assert not bench.failed(ok)
+    assert bench.failed(ok | {"exit": 1})
+    assert bench.failed(ok | {"correct": False})
+    assert bench.failed(ok | {"failed": 2})

@@ -342,3 +342,39 @@ def test_probe_has_no_hit_cap(fixtures, capsys):
                             "duration", "hits", "ready_s"}
     assert outcome["reason"] == "timeout" and outcome["ready_s"] is not None
     assert outcome["hits"] > HIT_CAP_FLOOR
+
+
+@pytest.mark.parametrize("command", ["plan", "compare", "importance", "export", "analyze"])
+def test_database_root_that_is_no_directory_is_refused_first(tmp_path, capsys, monkeypatch,
+                                                             command):
+    """A read command refuses a root that does not exist, and ``analyze`` one
+    it cannot create, before any run: one error line naming the path."""
+    runs = []
+    monkeypatch.setattr(slens.orchestrator, "run_workload",
+                        lambda *args, **kwargs: runs.append(args))
+    (tmp_path / "os.csv").write_text("read\n")
+    missing, file = str(tmp_path / "missing"), tmp_path / "file"
+    file.write_text("")
+    argv = {"plan": ["plan", "--db", missing, "--os-support", str(tmp_path / "os.csv")],
+            "compare": ["compare", "--db", missing, "--os-support", str(tmp_path / "os.csv")],
+            "importance": ["importance", "--db", missing],
+            "export": ["export", "--db", missing, "--apps", "demo"],
+            "analyze": ["analyze", "--app-cmd", "/bin/true", "--test-script", "/bin/true",
+                        "--db", str(file)]}[command]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_USAGE
+    assert len(err) == 1 and err[0].startswith("error: usage: "), err
+    assert (str(file) if command == "analyze" else missing) in err[0]
+    assert runs == [] and not (tmp_path / "missing").exists()
+
+
+def test_empty_database_root_loads_as_empty(tmp_path, capsys):
+    (tmp_path / "db").mkdir()
+    (tmp_path / "os.csv").write_text("read\n")
+    assert main(["plan", "--db", str(tmp_path / "db"), "--os-support",
+                 str(tmp_path / "os.csv"), "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["steps"] == []

@@ -526,6 +526,20 @@ def test_follow_fork_observes_child(fixtures, tmp_path):
     assert trace.whitelisted_pids_seen == 2
 
 
+def test_follow_vfork_observes_child_under_the_policy(fixtures):
+    """The vfork child is followed (``PTRACE_EVENT_VFORK``): each of its
+    calls and its parent's is seen once, and a stubbed getppid reaches the
+    child, whose exit status the parent passes on."""
+    trace = run_fixture(fixtures, "vforker")
+    assert trace.observed == Counter({FeatureId(name_to_nr(name)): 1 for name in
+                                      ("vfork", "getppid", "exit", "wait4", "exit_group")})
+    assert trace.whitelisted_pids_seen == 2
+    assert trace.exit_code == 0
+    stubbed = run_fixture(fixtures, "vforker", Policy.single(
+        FeatureId(name_to_nr("getppid")), STUB), discovery=False)
+    assert stubbed.exit_code == 1
+
+
 def test_launch_failure_for_missing_binary():
     with pytest.raises(LaunchFailure):
         trace_run(Command(argv=("/nonexistent/binary",)), Policy.allow_all(),

@@ -73,6 +73,13 @@ def test_discover_failing_workload_aborts(fixtures, app_spec_factory):
         orch.discover()
 
 
+def test_probe_runs_only_after_discovery(fixtures, app_spec_factory):
+    orch = Orchestrator(app_spec_factory("feat3", script="wait_exit.sh"), FAST)
+    with pytest.raises(ValueError):
+        orch.probe_feature(FeatureId(name_to_nr("getpid")), MODE_STUB)
+    assert orch.executions == 0
+
+
 def test_probe_requires_discovered_feature(fixtures, app_spec_factory):
     orch = Orchestrator(app_spec_factory("feat3", script="wait_exit.sh"), FAST)
     orch.discover()
@@ -328,24 +335,6 @@ def test_second_tracer_fault_raises_its_own_error(fixtures, app_spec_factory,
     assert orch.executions == stub.calls == 2
 
 
-def test_baseline_runs_interleave_with_probes(fixtures, app_spec_factory, monkeypatch):
-    """Baseline run j is run j * ceil(n / k) of the probe phase's n runs."""
-    kinds = []
-    stub = _StubRuns()
-
-    def record(spec, policy, limits, tables, discovery=True):
-        kinds.append("D" if discovery else "P" if policy.overrides else "B")
-        return stub(spec, policy, limits, tables, discovery)
-
-    monkeypatch.setattr(slens.orchestrator, "run_workload", record)
-    config = AnalysisConfig(replicas=1, perf_runs=3, parallelism=1)
-    orch = Orchestrator(app_spec_factory("noop"), config)
-    orch.full_analysis()
-    # Two features in two modes make four probe runs: n = 7, ceil(7 / 3) = 3.
-    assert kinds[:8] == ["D", "B", "P", "P", "B", "P", "P", "B"]
-    assert len(orch.baseline.rss) == 3
-
-
 GETPID = FeatureId(name_to_nr("getpid"))
 
 
@@ -386,11 +375,10 @@ def test_probe_broken_at_a_later_replica_keeps_every_outcome(fixtures, app_spec_
     assert orch.executions == stub.calls == 3 + 3
 
 
-def test_baseline_runs_spread_over_the_first_probe_runs(fixtures, app_spec_factory,
-                                                        monkeypatch):
-    """The probe step places every baseline run among the runs it submits
-    first, by the rule of ``test_baseline_runs_interleave_with_probes``; the
-    later replicas of the working probes follow them."""
+def test_step_one_runs_the_unmodified_workload(fixtures, app_spec_factory, monkeypatch):
+    """Every run of the unmodified workload, discovery and baseline alike,
+    is made in step 1, and the probe step holds only probes; the later
+    replicas of the working probes follow replica 0 of every probe."""
     kinds = []
     stub = _StubRuns(fail=_fails_under(Policy.single(GETPID, STUB)))
 
@@ -403,10 +391,10 @@ def test_baseline_runs_spread_over_the_first_probe_runs(fixtures, app_spec_facto
     config = AnalysisConfig(replicas=2, perf_runs=4, parallelism=1)
     orch = Orchestrator(app_spec_factory("noop"), config)
     profile = orch.full_analysis()
-    # Replica 0 of four probes and four baseline runs, n = 8, ceil(8 / 4) = 2;
-    # then replica 1 of the three working probes, and two confirmation runs.
-    assert kinds == ["D", "D",
-                     "B", "P", "B", "P", "B", "P", "B", "P",
+    # Two discovery and four baseline runs; replica 0 of four probes, then
+    # replica 1 of the three working ones; two confirmation runs.
+    assert kinds == ["D", "D", "B", "B", "B", "B",
+                     "P", "P", "P", "P",
                      "P", "P", "P",
                      "C", "C"]
     assert len(orch.baseline.rss) == 4
@@ -416,12 +404,12 @@ def test_baseline_runs_spread_over_the_first_probe_runs(fixtures, app_spec_facto
 
 def test_replica_0_runs_first_even_when_one_round_holds_every_run(
         fixtures, app_spec_factory, monkeypatch):
-    """A ``parallelism`` that covers every probe and baseline run changes
-    nothing: a probe's replica 1 still waits on its replica 0, so a probe
-    broken at replica 0 holds that one outcome and runs no other replica."""
+    """A ``parallelism`` that covers every run of a step changes nothing:
+    a probe's replica 1 still waits on its replica 0, so a probe broken at
+    replica 0 holds that one outcome and runs no other replica."""
     stub = _StubRuns(fail=_fails_under(Policy.single(GETPID, STUB)))
     monkeypatch.setattr(slens.orchestrator, "run_workload", stub)
-    # Two features, so four probes: 4 * 2 replicas + 4 baseline runs = 12.
+    # Two features, so four probes of two replicas: no step has more than 12 runs.
     config = AnalysisConfig(replicas=2, perf_runs=4, parallelism=12)
     orch = Orchestrator(app_spec_factory("noop"), config)
     profile = orch.full_analysis()
@@ -475,37 +463,27 @@ def test_later_replicas_start_while_another_replica_0_runs(fixtures, app_spec_fa
     assert orch.executions == stub.calls == _run_count(config, profile) == 12
 
 
-def test_baseline_failure_while_a_probe_passes(fixtures, app_spec_factory, monkeypatch):
-    """A probe's replica 0 that passes after a baseline run failed starts
-    no replica 1: the failure shut the pool down, and a run submitted to it
-    would raise RuntimeError in place of the analysis's BaselineFailure.
-    Every run in flight still ends before the analysis raises."""
-    # Calls 0 and 1 are discovery; the baseline run fails.
-    stub = _StubRuns(fail=lambda policy, call: call >= 2 and not policy.overrides)
-    probing, failed = threading.Event(), threading.Event()
+def test_a_workload_failing_unmodified_runs_no_probe(fixtures, app_spec_factory,
+                                                     monkeypatch):
+    """A baseline run that fails ends step 1: the analysis raises before
+    any probe runs, and every run in flight ends first."""
+    # Calls 0 and 1 are discovery; the baseline run fails.  Made among the
+    # probes, it would leave the second worker free to start one.
+    stub = _StubRuns(fail=lambda policy, call: call >= 2)
+    policies = []
 
     def record(spec, policy, limits, tables, discovery=True):
-        if discovery:
-            return stub(spec, policy, limits, tables, discovery)
-        if policy.overrides:  # replica 0 of a probe: passes once the baseline failed
-            probing.set()
-            failed.wait(timeout=5)
-            time.sleep(0.1)
-            return stub(spec, policy, limits, tables, discovery)
-        probing.wait(timeout=5)
-        try:
-            return stub(spec, policy, limits, tables, discovery)
-        finally:
-            failed.set()
+        policies.append(policy)
+        return stub(spec, policy, limits, tables, discovery)
 
     monkeypatch.setattr(slens.orchestrator, "run_workload", record)
-    # One baseline run opens the step; the second worker takes a probe.
     config = AnalysisConfig(replicas=2, perf_runs=1, parallelism=2)
     orch = Orchestrator(app_spec_factory("noop"), config)
     with pytest.raises(BaselineFailure):
         orch.full_analysis()
     assert stub.in_flight == 0
-    assert orch.executions == stub.calls == 2 + 2
+    assert not any(policy.overrides for policy in policies)
+    assert orch.executions == stub.calls == len(policies) == 2 + 1
 
 
 def test_runs_added_after_a_failure_are_not_submitted(fixtures, app_spec_factory,

@@ -13,6 +13,10 @@ is.  The output also gives each checkout's commit (``git describe --always
 module (also printed to stderr), per workload and metric the median and
 quartiles over the seeds, and the number of seeds on which AFTER read
 better than BEFORE.
+
+A run failed when it exited non-zero, printed ``"correct": false`` or
+counted a failed operation.  Each failed run gets one stderr line, the
+output lists their seeds under ``failed_runs``, and the tool then exits 1.
 """
 
 from __future__ import annotations
@@ -73,6 +77,12 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
+def failed(result: dict) -> bool:
+    """Whether a run exited non-zero, was not correct or counted a failure."""
+    return (result["exit"] != 0 or result.get("correct") is False
+            or result.get("failed", 0) > 0)
+
+
 def summary(values: list[float]) -> dict[str, float]:
     if len(values) < 2:
         return {"median": values[0], "q1": values[0], "q3": values[0]}
@@ -127,6 +137,10 @@ def main(argv=None) -> int:
                 print(f"{w} seed {seed} {sides[k]['commit']}: "
                       f"wall_s {result['metrics']['wall_s']['value']:.3f} "
                       f"runs {result['metrics']['runs']['value']}", file=sys.stderr)
+                if failed(result):
+                    print(f"FAILED: {w} seed {seed} {sides[k]['commit']}: exit "
+                          f"{result['exit']}, correct {result.get('correct')}, "
+                          f"failed {result.get('failed')}", file=sys.stderr)
 
     for side in sides:
         side["summary"] = {
@@ -134,7 +148,11 @@ def main(argv=None) -> int:
                 for m in runs[0]["metrics"]}
             for w, runs in side["runs"].items()}
     before, after = sides
+    failed_runs = {name: {w: [r["seed"] for r in runs if failed(r)]
+                          for w, runs in side["runs"].items()}
+                   for name, side in zip(("before", "after"), sides)}
     out = {"seconds": args.seconds, "seeds": args.seeds, "checkouts": sides,
+           "failed_runs": failed_runs,
            "after_better": {
                w: {m: wins(before["runs"][w], after["runs"][w], m, better.get(m, "lower"))
                    for m in before["summary"][w]}
@@ -144,7 +162,7 @@ def main(argv=None) -> int:
         args.out.write_text(text)
     else:
         sys.stdout.write(text)
-    return 0
+    return 1 if any(any(by_workload.values()) for by_workload in failed_runs.values()) else 0
 
 
 if __name__ == "__main__":
