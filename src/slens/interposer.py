@@ -25,19 +25,22 @@ unrecorded.  The filter cannot tell measured from unmeasured processes,
 though: unmeasured ones stop on the trapped syscalls too and are resumed at
 once, so in a discovery run every syscall of theirs stops.
 
-One tracer per thread: a thread holds at most one idle tracer process,
-which serves its runs one at a time.  ``TraceSession.start`` takes it, or
-forks one if the thread has none, and sends it the run's command, the
-caller's current environment and working directory, policy, whitelist,
-tables, discovery flag and hit cap; the tracer builds a fresh engine (its
-own filter, its own fork of the app) for every run.  The session owns the
-tracer until it reads the run's result, then gives it back to the thread,
-or retires it (kills and reaps it) if the thread already has another idle
-one.  A tracer that failed (a failed or unannounced launch, a fault, a stop
-that needed SIGKILL) is retired, and the thread's next session forks a new
-one.  A thread's idle tracer ends with its thread: it is retired when
-CPython frees the thread's thread-local storage, before ``join`` returns.
-``retire_tracer`` retires the calling thread's idle tracer at once.
+One tracer per thread, one holder per tracer: a thread holds at most one
+idle tracer process, which serves its runs one at a time.
+``TraceSession.start`` takes it from the thread, or forks one if the
+thread has none, and sends it the run's command, the caller's current
+environment and working directory, policy, whitelist, tables, discovery
+flag and hit cap; the tracer builds a fresh engine (its own filter, its own
+fork of the app) for every run.  The session alone holds the tracer until
+it reads the run's result, then puts it back in the thread's slot, or
+retires it (kills and reaps it) if the slot holds another, and lets it go.
+A tracer that failed (a failed or unannounced launch, a fault, a stop that
+needed SIGKILL) is retired, and the thread's next session forks a new one.
+A tracer whose holder lets it go unretired is retired when CPython frees
+it: a thread's idle tracer ends with its thread, before ``join`` returns,
+and a session dropped before its result retires its tracer, and
+PTRACE_O_EXITKILL takes the run's tree with it.  ``retire_tracer`` retires
+the calling thread's idle tracer at once.
 
 Ending a run: the tracer alone signals the application's tree and keeps no
 clock.  A stop request is a SIGTERM to the tracer (an unreaped child, so
@@ -59,12 +62,16 @@ Resource readings sum VmHWM and open descriptors over the measured
 processes, each process once however many threads it has.  The tracer
 reads when the last thread of a measured process stops at its exit
 (PTRACE_EVENT_EXIT: the process still holds its memory and descriptors)
-and at the first stop request.  VmHWM only grows, so ``RunTrace.peak_rss``
-is the measured processes' peak for a run of any length, except for an
-image that a measured process replaced by a later exec, and for a process
-that skips its exit stop and is gone at the stop request (on Linux 6.18
-even SIGKILL does not skip it).  ``peak_fds`` is the largest count at
-those events.  The tree runs without address-space randomisation
+and at the first stop request.  A measured thread killed while it waits
+at a trapped call may be at that exit stop when the tracer resumes it from
+the call; the tracer checks for that before the resume, so the reading is
+lost only to a kill between that check and the resume, or to a group exit
+with status 0, whose exit stop the check cannot tell from the call's stop.
+VmHWM only grows, so ``RunTrace.peak_rss`` is the measured processes'
+peak for a run of any length, except for an image that a measured process
+replaced by a later exec, and for a process that skips its exit stop and
+is gone at the stop request (on Linux 6.18 even SIGKILL does not skip
+it).  ``peak_fds`` is the largest count at those events.  The tree runs without address-space randomisation
 (ADDR_NO_RANDOMIZE, as under gdb), so a deterministic program's readings
 repeat from run to run; where the kernel refuses, the run warns.
 
@@ -679,6 +686,15 @@ class _Engine:
                 trace.signaled = os.WTERMSIG(status)
             self.emit("root_exit", (trace.exit_code, trace.signaled))
 
+    def _on_exit_stop(self, pid: int, proc: _Proc) -> None:
+        """``pid`` is at its exit stop.  The last thread of a process to
+        exit still holds its memory and descriptors, so it is read; an
+        earlier thread's exit frees neither."""
+        proc.exiting = True
+        if proc.traced and not any(p.tgid == proc.tgid and not p.exiting
+                                   for p in self.procs.values()):
+            self._sample(pid)
+
     def _handle_stop(self, pid: int, status: int) -> None:
         sig = os.WSTOPSIG(status)
         event = status >> 16
@@ -700,16 +716,16 @@ class _Engine:
             self._on_exec(pid)
             pt.resume_cont(pid)
         elif event == pt.PTRACE_EVENT_SECCOMP:
+            # A tracee SIGKILLed at this stop may sit at its exit stop by
+            # now, whose message is its exit status, not the filter's data
+            # (0); resuming would consume that stop's report.
             if proc.traced:
                 self._on_seccomp_stop(pid)
+                if pt.geteventmsg(pid):
+                    self._on_exit_stop(pid, proc)
             pt.resume_cont(pid)
         elif event == pt.PTRACE_EVENT_EXIT:
-            proc.exiting = True
-            # The last thread of a process to exit still holds its memory
-            # and descriptors; an earlier thread's exit frees neither.
-            if proc.traced and not any(p.tgid == proc.tgid and not p.exiting
-                                       for p in self.procs.values()):
-                self._sample(pid)
+            self._on_exit_stop(pid, proc)
             pt.resume_cont(pid)
         elif sig == signal.SIGSTOP and proc.attach_pending:
             proc.attach_pending = False
@@ -821,12 +837,18 @@ def _tracer_process(parent: int, conn) -> None:
 
 class _Tracer:
     """A tracer process and the caller's end of its pipe.  It serves one
-    thread's runs, one at a time: idle, it is held by its thread's
-    ``_IdleTracer``; while a run goes on, by that run's session only."""
+    thread's runs, one at a time, and has one holder: its thread's
+    ``_ThreadState.tracer`` while it is idle, the run's session while a run
+    goes on.  A tracer whose holder lets it go unretired is retired when
+    CPython frees it: the idle one of a thread that ended, or the one of a
+    session dropped before its result (PTRACE_O_EXITKILL takes the run's
+    tree with it)."""
+
+    pid = 0  # until the fork succeeds
 
     def __init__(self):
         self.conn, child = Pipe()
-        parent = os.getpid()
+        self.parent = os.getpid()
         self.pid = os.fork()
         if self.pid == 0:
             # Other threads may be starting runs of their own, so this child
@@ -841,7 +863,7 @@ class _Tracer:
                 fd = child.fileno()
                 os.closerange(3, fd)
                 os.closerange(max(3, fd + 1), os.sysconf("SC_OPEN_MAX"))
-                _tracer_process(parent, child)
+                _tracer_process(self.parent, child)
             finally:
                 os._exit(1)
         child.close()
@@ -855,40 +877,15 @@ class _Tracer:
         self.conn.close()
         os.waitpid(self.pid, 0)
 
-
-class _IdleTracer:
-    """Holds a thread's idle tracer, if it has one.  Each thread's holder
-    lives in ``_thread`` and nothing else refers to it, so it is freed when
-    its thread ends, before ``join`` returns, and retires the tracer it
-    holds.  A fork frees the other threads' holders in the child too, so
-    only the process that made a holder retires its tracer."""
-
-    def __init__(self):
-        self.tracer: _Tracer | None = None
-        self.pid = os.getpid()
-
-    def take(self) -> _Tracer:
-        """The idle tracer, which the caller now owns; a new one if there
-        is none."""
-        tracer, self.tracer = self.tracer or _Tracer(), None
-        return tracer
-
-    def give(self, tracer: _Tracer) -> None:
-        """Keep ``tracer`` as the idle one, or retire it if there is one
-        already."""
-        if self.tracer is None:
-            self.tracer = tracer
-        else:
-            tracer.retire()
-
     def __del__(self):
-        if self.tracer is not None and os.getpid() == self.pid:
-            self.tracer.retire()
+        # A fork frees the other threads' thread-local storage in the child
+        # too, so only the process that forked the tracer retires it.
+        if self.pid and os.getpid() == self.parent:
+            self.retire()
 
 
 class _ThreadState(threading.local):
-    def __init__(self):
-        self.idle = _IdleTracer()
+    tracer: _Tracer | None = None  # the thread's idle tracer, set per thread
 
 
 _thread = _ThreadState()
@@ -897,7 +894,7 @@ _thread = _ThreadState()
 def retire_tracer() -> None:
     """Kill and reap the calling thread's idle tracer, if it has one; the
     thread's next session forks a new one."""
-    tracer, _thread.idle.tracer = _thread.idle.tracer, None
+    tracer, _thread.tracer = _thread.tracer, None
     if tracer is not None:
         tracer.retire()
 
@@ -908,7 +905,10 @@ def retire_tracer() -> None:
 
 class TraceSession:
     """Handle to a launched run executing under a tracer that the session
-    owns until it reads the run's result.
+    alone holds until it reads the run's result; then it lets the tracer
+    go (see the module docstring), and no method touches it again.  A
+    session dropped before its result retires its tracer, and
+    PTRACE_O_EXITKILL takes the run's tree with it.
 
     The tracer owns all tracee interactions; this object only reads the
     run's messages (see the module docstring) and can ask the tracer to end
@@ -935,7 +935,7 @@ class TraceSession:
         """Launch ``command`` under the calling thread's idle tracer, or
         under a new one if the thread has none, and return once the root
         has exec'd it.  The run gets the caller's current environment and
-        working directory (see ``Command``).  The session owns the tracer
+        working directory (see ``Command``).  The session holds the tracer
         until it reads the run's result, then gives it back to the thread
         (see the module docstring).  A thread may hold several open
         sessions, each with a tracer of its own.
@@ -953,7 +953,7 @@ class TraceSession:
         """
         if not command.cwd:
             command = replace(command, cwd=os.getcwd())
-        tracer = _thread.idle.take()
+        tracer, _thread.tracer = _thread.tracer or _Tracer(), None
         session = cls(tracer)
         try:
             tracer.conn.send((command, dict(os.environ), policy, whitelist, tables,
@@ -978,13 +978,12 @@ class TraceSession:
         """Handle messages until ``until()`` holds, the run is done, or
         ``timeout`` seconds pass (None: no limit).  Returns ``until()``."""
         deadline = None if timeout is None else time.monotonic() + timeout
-        conn = self._tracer.conn
         while not until() and not self._done():
             left = None if deadline is None else max(0.0, deadline - time.monotonic())
             try:
-                if not conn.poll(left):
+                if not self._tracer.conn.poll(left):
                     break
-                self._handle_message(*conn.recv())
+                self._handle_message(*self._tracer.conn.recv())
             except (EOFError, OSError):  # the tracer has ended
                 self._tracer.retire()
         return until()
@@ -996,7 +995,11 @@ class TraceSession:
             self._root_status = value
         elif event == "result":
             self._trace = value
-            _thread.idle.give(self._tracer)
+            if _thread.tracer is None:
+                _thread.tracer = self._tracer
+            else:
+                self._tracer.retire()
+            self._tracer = None
         elif self._error is None:  # an error: the first one wins
             self._error = value
 

@@ -38,13 +38,13 @@ port wait gives up after READY_FACTOR x discovery's slowest time to
 readiness (at least READY_FLOOR s).  ``probe_custom`` gets neither bound.
 
 One scheduler (``Orchestrator._run_all``) submits each step's runs to a
-thread pool of ``parallelism`` workers, and a run that waits on another as
-soon as that one succeeds.  Each worker forks one tracer process, which
-serves that worker's runs one at a time, so threads suffice; the step's
-workers end before it returns, and a thread's tracer ends with its
-thread.  Runs are serialised when the spec holds a resource slens does
-not allocate per run: a fixed readiness port, or a readiness delay (a
-server on a port slens does not know).  Concurrent runs of such a
+thread pool of ``parallelism`` workers, and the runs that wait on another
+as soon as that one returns its outcome.  Each worker forks one tracer
+process, which serves that worker's runs one at a time, so threads
+suffice; the step's workers end before it returns, and a thread's tracer
+ends with its thread.  Runs are serialised when the spec holds a resource
+slens does not allocate per run: a fixed readiness port, or a readiness
+delay (a server on a port slens does not know).  Concurrent runs of such a
 spec could meet each other's server.  A run that hits a tracer fault is
 re-run once.  A second fault, a failing discovery or baseline run, or a
 discovery run that measured no process (no exec'd binary matched the
@@ -421,17 +421,17 @@ class Orchestrator:
         return outcome
 
     def _run_all(self, runs: list[tuple[Policy, int, str]],
-                 then=lambda i: ()) -> list[WorkloadOutcome]:
+                 then=lambda i, outcome: ()) -> list[WorkloadOutcome]:
         """Run (policy, replica, label) runs, at most ``parallelism`` at a
         time, and the runs that wait on them.
 
-        When run i succeeds (its outcome's ``success``), the runs ``then(i)``
-        returns are appended to ``runs`` and submitted at once; only the
-        calling thread submits.  Returns each run's outcome in the order of
-        ``runs``.  The first run to raise cancels the runs not yet started
-        and ends submission; the call waits for the runs in flight, then
-        re-raises.  Its workers end before it returns, and their
-        tracers with them.
+        When run i returns ``outcome``, passed or failed, the runs
+        ``then(i, outcome)`` returns are appended to ``runs`` and submitted
+        at once; only the calling thread submits.  Returns each run's
+        outcome in the order of ``runs``.  The first run to raise cancels
+        the runs not yet started and ends submission; the call waits for
+        the runs in flight, then re-raises.  Its workers end before it
+        returns, and their tracers with them.
         """
         pool = concurrent.futures.ThreadPoolExecutor(max_workers=self.parallelism)
         futures, pending = [], set()  # futures[i] runs runs[i]; pending: not done
@@ -460,10 +460,9 @@ class Orchestrator:
                 # Runs start in order, so a run cancelled after a failed one
                 # comes after it, and the failure's error is raised.
                 for future in sorted(done, key=futures.index):
-                    if future.result().success:
-                        for run in then(futures.index(future)):
-                            runs.append(run)
-                            submit(run)
+                    for run in then(futures.index(future), future.result()):
+                        runs.append(run)
+                        submit(run)
         finally:
             pool.shutdown(cancel_futures=True)
         return [future.result() for future in futures]
@@ -504,9 +503,10 @@ class Orchestrator:
         runs = [(probe_policy(feature, mode, self.tables), 0, label)
                 for (feature, mode), label in zip(keys, labels)]
 
-        def then(i: int) -> list[tuple[Policy, int, str]]:
+        def then(i: int, outcome: WorkloadOutcome) -> list[tuple[Policy, int, str]]:
             policy, replica, label = runs[i]
-            return [(policy, n, label) for n in range(1, r) if replica == 0]
+            return [(policy, n, label) for n in range(1, r)
+                    if replica == 0 and outcome.success]
 
         # A probe's label names its feature and mode, so it is the probe's
         # own; zip reads runs once _run_all has appended the later replicas.

@@ -63,7 +63,7 @@ def children() -> set[int]:
 
 def thread_tracer():
     """The calling thread's idle tracer, or None."""
-    return interposer._thread.idle.tracer
+    return interposer._thread.tracer
 
 
 @pytest.fixture(autouse=True)

@@ -1,5 +1,5 @@
-"""tools/bench.py: the code-line count, per module too, the tally of pairs and
-the runs that failed."""
+"""tools/bench.py: the code-line count, per module too, the tally of pairs,
+the runs that failed and the lines that say why."""
 
 import importlib.util
 from pathlib import Path
@@ -60,3 +60,11 @@ def test_a_run_fails_by_its_exit_its_verdict_or_a_failed_operation(bench):
     assert bench.failed(ok | {"exit": 1})
     assert bench.failed(ok | {"correct": False})
     assert bench.failed(ok | {"failed": 2})
+
+
+def test_failure_lines_are_the_fail_lines_or_else_the_tail(bench):
+    stderr = "setup 0: 0.1 s\nFAIL probe broke\npass 0: wall 1 s\nFAIL run timed out\n"
+    assert bench.failure_lines(stderr) == ["FAIL probe broke", "FAIL run timed out"]
+    tail = [f"line {i}" for i in range(bench.TAIL_LINES + 5)]
+    assert bench.failure_lines("\n".join(tail) + "\n") == tail[-bench.TAIL_LINES:]
+    assert bench.failure_lines("") == []

@@ -1,6 +1,7 @@
 """Trace engine behavior on compiled fixtures."""
 
 import errno
+import gc
 import os
 import pickle
 import signal
@@ -33,7 +34,7 @@ from slens.interposer import (
 )
 from slens.syscalls import name_to_nr
 
-from conftest import children
+from conftest import children, thread_tracer
 from reference_tracer import LAUNCH_SYSCALLS, traced_syscall_set
 
 LIMITS = Limits(timeout=5.0)
@@ -46,6 +47,14 @@ GETPID = name_to_nr("getpid")
 PRCTL = name_to_nr("prctl")
 IOCTL = name_to_nr("ioctl")
 FORK = name_to_nr("fork")
+
+
+def within(seconds, condition):
+    """Whether ``condition()`` holds within ``seconds``."""
+    deadline = time.monotonic() + seconds
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return condition()
 
 
 def run_fixture(fixtures, name, policy=None, whitelist=None, cwd=None, argv=(),
@@ -283,13 +292,6 @@ def test_killed_caller_leaves_no_survivors(fixtures):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     caller = subprocess.Popen([sys.executable, "-c", code, fixtures.binary("sleeper")],
                               env=env)
-
-    def within(seconds, condition):
-        deadline = time.monotonic() + seconds
-        while not condition() and time.monotonic() < deadline:
-            time.sleep(0.02)
-        return condition()
-
     try:
         assert within(10, lambda: fixtures.running("sleeper"))
     finally:
@@ -301,8 +303,11 @@ def test_killed_caller_leaves_no_survivors(fixtures):
 def test_interrupted_tracer_does_not_unwind_the_caller(fixtures):
     """A SIGINT to the tracer (a terminal's Ctrl-C reaches the whole process
     group) ends the tracer only: the forked copy of the caller's stack is
-    never unwound, so the caller's ``finally`` runs once, in the caller."""
+    never unwound, so the caller's ``finally`` runs once, in the caller.
+    The caller first restores Python's SIGINT handler, which a background
+    job of a non-interactive shell starts without (SIGINT ignored)."""
     code = ("import os, signal, sys\n"
+            "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
             "from slens.interposer import (Command, Policy, TraceSession,\n"
             "                              TracerFault, Whitelist)\n"
             "try:\n"
@@ -469,6 +474,55 @@ def test_a_failure_retires_the_thread_tracer(fixtures, tmp_path, monkeypatch, fa
     assert after._tracer_pid != first._tracer_pid
 
 
+def test_a_dropped_session_ends_its_run(fixtures):
+    """A session is its tracer's one holder while the run goes on.  Dropped
+    unread, it frees the tracer, which is retired, and PTRACE_O_EXITKILL
+    takes the app with it."""
+    session = TraceSession.start(Command(argv=(fixtures.binary("sleeper"),)),
+                                 Policy.allow_all(), Whitelist())
+    tracer_pid = session._tracer_pid
+    del session
+    with pytest.raises(ChildProcessError):
+        os.waitpid(tracer_pid, os.WNOHANG)
+    assert within(3, lambda: not fixtures.running("sleeper"))
+
+
+def test_a_finished_session_lets_its_tracer_go(fixtures):
+    """A session read to its result holds its tracer no more, so a caller
+    that keeps the session, as a traceback or a record may, does not keep
+    the tracer: it still ends with its thread."""
+    noop = fixtures.binary("noop")
+    sessions = []
+
+    def run():
+        session = TraceSession.start(Command(argv=(noop,)), Policy.allow_all(), Whitelist())
+        session.wait(timeout=10)
+        sessions.append(session)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive() and len(sessions) == 1
+    assert children() == set()
+
+
+def test_a_tracer_whose_fork_failed_is_freed_quietly(monkeypatch):
+    """A failed fork raises from ``start`` once; the half-made tracer then
+    has no process to retire, and freeing it reports nothing."""
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    with pytest.raises(BlockingIOError):
+        TraceSession.start(Command(argv=("/bin/true",)), Policy.allow_all(), Whitelist())
+    gc.collect()
+    assert unraisable == []
+    assert thread_tracer() is None
+
+
 def test_the_app_gets_the_default_signal_dispositions(tmp_path):
     """CPython ignores SIGPIPE and SIGXFSZ, and an ignored signal stays
     ignored across exec.  The app gets them at their defaults, as under
@@ -502,7 +556,8 @@ def test_a_tracee_killed_between_its_stops_reads_killed(fixtures, monkeypatch):
 def test_a_tracee_killed_at_its_stop_reads_killed(fixtures, monkeypatch):
     """Once the killed tracee is at its exit stop, ptrace requests succeed
     again: the register read finds the call it was stopped at, which counts
-    once, and the run still reads as killed."""
+    once, and the run still reads as killed.  That exit stop still takes the
+    process's exit reading."""
     getregs = slens._ptrace.getregs
 
     def kill_then_getregs_at_exit_stop(pid, regs):
@@ -515,6 +570,7 @@ def test_a_tracee_killed_at_its_stop_reads_killed(fixtures, monkeypatch):
     trace = run_fixture(fixtures, "noop")
     assert (trace.exit_code, trace.signaled) == (None, signal.SIGKILL)
     assert trace.observed == Counter({FeatureId(EXIT_GROUP): 1})
+    assert trace.peak_rss > 0 and trace.peak_fds > 0
 
 
 def test_follow_fork_observes_child(fixtures, tmp_path):

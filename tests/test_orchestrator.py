@@ -503,7 +503,7 @@ def test_runs_added_after_a_failure_are_not_submitted(fixtures, app_spec_factory
         finally:
             failed.set()
 
-    def then(i):
+    def then(i, outcome):
         asked.set()
         failed.wait(timeout=5)
         time.sleep(0.2)  # for the failed run's worker to shut the pool down
@@ -516,6 +516,25 @@ def test_runs_added_after_a_failure_are_not_submitted(fixtures, app_spec_factory
         orch._run_all([(Policy.allow_all(), 1, "baseline"), (probe, 0, "stub:getpid")],
                       then)
     assert stub.in_flight == 0
+    assert orch.executions == stub.calls == 2
+
+
+def test_a_failed_runs_outcome_reaches_then(fixtures, app_spec_factory, monkeypatch):
+    """``then`` gets every run's outcome, failed or not; the runs it asks
+    for after a failure are submitted like any others."""
+    stub = _StubRuns(fail=lambda policy, call: call == 0)
+    monkeypatch.setattr(slens.orchestrator, "run_workload", stub)
+    orch = Orchestrator(app_spec_factory("noop"), AnalysisConfig(parallelism=2))
+    probe = Policy.single(GETPID, STUB)
+    seen = []
+
+    def then(i, outcome):
+        seen.append((i, outcome.success))
+        return [(probe, 1, "stub:getpid")] if i == 0 else []
+
+    outcomes = orch._run_all([(probe, 0, "stub:getpid")], then)
+    assert seen == [(0, False), (1, True)]
+    assert [o.success for o in outcomes] == [False, True]
     assert orch.executions == stub.calls == 2
 
 

@@ -15,8 +15,12 @@ quartiles over the seeds, and the number of seeds on which AFTER read
 better than BEFORE.
 
 A run failed when it exited non-zero, printed ``"correct": false`` or
-counted a failed operation.  Each failed run gets one stderr line, the
-output lists their seeds under ``failed_runs``, and the tool then exits 1.
+counted a failed operation.  Each failed run gets one stderr line, followed
+by why it failed: the ``FAIL`` lines its stderr holds, or its last
+TAIL_LINES stderr lines when it printed none.  The output lists the failed
+runs' seeds under ``failed_runs`` and those lines under ``failure_lines``
+(side, workload, seed), and the tool then exits 1.  A run that printed no
+result line ends the tool with those lines.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import tokenize
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+TAIL_LINES = 20
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -63,18 +68,28 @@ def source_size(checkout: Path) -> dict[str, int]:
             "src.code_lines": sum(modules.values()), **modules}
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def failure_lines(stderr: str) -> list[str]:
+    """Why a run failed: the ``FAIL`` lines of its stderr, or its last
+    TAIL_LINES lines when it printed none."""
+    lines = stderr.splitlines()
+    return [line for line in lines if line.startswith("FAIL ")] or lines[-TAIL_LINES:]
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, str]:
+    """One run's JSON result, with its exit status under ``exit``, and its
+    stderr."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+        cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
     if not lines:
+        why = "\n".join(failure_lines(proc.stderr))
         raise SystemExit(f"error: {workload} seed {seed} printed nothing "
-                         f"(exit {proc.returncode})")
+                         f"(exit {proc.returncode}); its stderr ended:\n{why}")
     result = json.loads(lines[-1])
     result["exit"] = proc.returncode
-    return result
+    return result, proc.stderr
 
 
 def failed(result: dict) -> bool:
@@ -117,6 +132,7 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in spec["workloads"]]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     checkouts = [args.before, args.after]
+    why = {name: {w: {} for w in workloads} for name in ("before", "after")}
 
     sides = []
     for checkout in checkouts:
@@ -132,7 +148,7 @@ def main(argv=None) -> int:
     for i, seed in enumerate(args.seeds):
         for w in workloads:
             for k in ((0, 1) if i % 2 == 0 else (1, 0)):
-                result = run_once(checkouts[k], w, seed, args.seconds)
+                result, stderr = run_once(checkouts[k], w, seed, args.seconds)
                 sides[k]["runs"][w].append({"seed": seed, **result})
                 print(f"{w} seed {seed} {sides[k]['commit']}: "
                       f"wall_s {result['metrics']['wall_s']['value']:.3f} "
@@ -141,6 +157,10 @@ def main(argv=None) -> int:
                     print(f"FAILED: {w} seed {seed} {sides[k]['commit']}: exit "
                           f"{result['exit']}, correct {result.get('correct')}, "
                           f"failed {result.get('failed')}", file=sys.stderr)
+                    lines = failure_lines(stderr)
+                    why[("before", "after")[k]][w][seed] = lines
+                    for line in lines:
+                        print(f"  {line}", file=sys.stderr)
 
     for side in sides:
         side["summary"] = {
@@ -152,7 +172,7 @@ def main(argv=None) -> int:
                           for w, runs in side["runs"].items()}
                    for name, side in zip(("before", "after"), sides)}
     out = {"seconds": args.seconds, "seeds": args.seeds, "checkouts": sides,
-           "failed_runs": failed_runs,
+           "failed_runs": failed_runs, "failure_lines": why,
            "after_better": {
                w: {m: wins(before["runs"][w], after["runs"][w], m, better.get(m, "lower"))
                    for m in before["summary"][w]}
